@@ -4,9 +4,12 @@ numbers), Lefschetz fixed points, Kuenneth for the strong ring, quadratic
 Alexander duality, and the Stokes pairing.
 
 Orientations come from the global vertex order: each simplex is its sorted
-vertex tuple, and all signs are parities of sorting permutations.  Exact
-ranks (fraction-free elimination) drive every Betti number; floating point
-appears only in the explicitly numeric checks.
+vertex tuple, and all signs are parities of sorting permutations.  All exact
+linear algebra goes through the one fraction-free elimination kernel of
+`exact` (int64 under a proved bound, Python big integers beyond): its ranks
+drive every Betti number, and the Lefschetz maps on H^k come from its kernel
+bases, pivot columns and solves.  Floating point appears only in the
+explicitly numeric checks.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .core import Complex, close, parity
 from .errors import InvariantViolation, ResourceLimitError
-from .exact import rank_exact
+from .exact import echelon, kernel_basis, rank_exact, solve_exact
 from .generators import product_cells, ring_product_complex
 from .refinement import refinement_order
 
@@ -213,131 +216,19 @@ def automorphisms(G: Complex, cap: int = 8) -> list:
     return out
 
 
-def _kernel_basis(mat: list, ncols: int) -> list:
-    """Basis of ker over Q as Fraction column vectors (list of lists)."""
-    rows = [[Fraction(v) for v in row] for row in mat]
-    nrows = len(rows)
-    piv_of_col = {}
-    rank = 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, nrows) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        f = rows[rank][c]
-        rows[rank] = [v / f for v in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][c] != 0:
-                g = rows[r][c]
-                rows[r] = [a - g * b for a, b in zip(rows[r], rows[rank])]
-        piv_of_col[c] = rank
-        rank += 1
-    free = [c for c in range(ncols) if c not in piv_of_col]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for c, r in piv_of_col.items():
-            vec[c] = -rows[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def _solve_exact(columns: list, target: list) -> list:
-    """Solve sum_i a_i columns[i] = target over Q; raises if inconsistent."""
-    ncols = len(columns)
-    nrows = len(target)
-    A = [[columns[c][r] for c in range(ncols)] + [target[r]] for r in range(nrows)]
-    piv_cols = []
-    rank = 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, nrows) if A[r][c] != 0), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        f = A[rank][c]
-        A[rank] = [v / f for v in A[rank]]
-        for r in range(nrows):
-            if r != rank and A[r][c] != 0:
-                g = A[r][c]
-                A[r] = [x - g * y for x, y in zip(A[r], A[rank])]
-        piv_cols.append(c)
-        rank += 1
-    for r in range(rank, nrows):
-        if A[r][-1] != 0:
-            raise ArithmeticError("inconsistent system")
-    sol = [Fraction(0)] * ncols
-    for r, c in enumerate(piv_cols):
-        sol[c] = A[r][-1]
-    return sol
-
-
 def _cohomology_bases(data: ChainComplexData, k: int) -> tuple:
-    """(image basis of d_{k-1}, representative basis of H^k) as Fraction
-    column vectors in Lambda^k."""
+    """(image, reps): integer matrices whose columns are a basis of the image
+    of d_{k-1} (its pivot columns) and the representatives of H^k (the
+    kernel vectors that extend that basis to one of ker d_k)."""
     nk = len(data.bases[k])
-    if k < len(data.d):
-        dk = data.d[k].tolist()
-    else:
-        dk = [[0] * nk]
-    kernel = _kernel_basis(dk, nk)
-    image = []
+    dk = data.d[k] if k < len(data.d) else np.zeros((0, nk), dtype=np.int64)
+    kernel = kernel_basis(dk)
+    image = np.zeros((nk, 0), dtype=np.int64)
     if k >= 1:
-        prev = data.d[k - 1]
-        cols = [[Fraction(int(prev[r, c])) for r in range(prev.shape[0])]
-                for c in range(prev.shape[1])]
-        # independent columns via elimination
-        image = _independent_columns(cols)
-    reps = _complete_basis(image, kernel)
-    return image, reps
-
-
-def _independent_columns(cols: list) -> list:
-    out = []
-    rows = []
-    for col in cols:
-        cand = rows + [list(col)]
-        if _row_rank(cand) > len(out):
-            out.append(col)
-            rows = [list(c) for c in out]
-    return out
-
-
-def _row_rank(rows: list) -> int:
-    M = [[Fraction(v) for v in row] for row in rows]
-    if not M:
-        return 0
-    ncols = len(M[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(M)) if M[r][c] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        f = M[rank][c]
-        M[rank] = [v / f for v in M[rank]]
-        for r in range(len(M)):
-            if r != rank and M[r][c] != 0:
-                g = M[r][c]
-                M[r] = [a - g * b for a, b in zip(M[r], M[rank])]
-        rank += 1
-    return rank
-
-
-def _complete_basis(image: list, kernel: list) -> list:
-    """Kernel vectors extending the image to a basis of the kernel: the
-    chosen representatives of H^k."""
-    reps = []
-    base = [list(v) for v in image]
-    current_rank = _row_rank(base)
-    for vec in kernel:
-        cand = base + [list(vec)]
-        r = _row_rank(cand)
-        if r > current_rank:
-            reps.append(vec)
-            base = cand
-            current_rank = r
-    return reps
+        image = data.d[k - 1][:, echelon(data.d[k - 1]).pivots]
+    t = image.shape[1]
+    chosen = echelon(np.concatenate([image, kernel], axis=1)).pivots[t:]
+    return image, kernel[:, [c - t for c in chosen]]
 
 
 def induced_cohomology_matrices(G: Complex, perm: dict,
@@ -347,24 +238,18 @@ def induced_cohomology_matrices(G: Complex, perm: dict,
     data = data or exterior_derivative(G)
     out = []
     for k, base in enumerate(data.bases):
-        index = {x: i for i, x in enumerate(base)}
         image, reps = _cohomology_bases(data, k)
-        if not reps:
+        if not reps.shape[1]:
             out.append([])
             continue
-        cols = [list(c) for c in image] + [list(r) for r in reps]
-        mat = []
-        for rep in reps:
-            pulled = [Fraction(0)] * len(base)
-            for i, x in enumerate(base):
-                if rep[i] == 0:
-                    continue
-                # pushforward of basis cochain: T# e_x = sign * e_{T(x)}
-                img = simplex_image(x, perm)
-                pulled[index[img]] += permutation_sign_on(x, perm) * rep[i]
-            coeffs = _solve_exact(cols, pulled)
-            mat.append(coeffs[len(image):])
-        out.append([[mat[j][i] for j in range(len(reps))] for i in range(len(reps))])
+        # pushforward of basis cochains: T# e_x = sign * e_{T(x)}
+        index = {x: i for i, x in enumerate(base)}
+        target = [index[simplex_image(x, perm)] for x in base]
+        sign = np.array([permutation_sign_on(x, perm) for x in base], dtype=np.int64)
+        pulled = np.zeros_like(reps)
+        pulled[target] = sign[:, None] * reps
+        coeffs = solve_exact(np.concatenate([image, reps], axis=1), pulled)
+        out.append(coeffs[image.shape[1]:])
     return out
 
 
@@ -659,7 +544,8 @@ def alexander_duality_check(G: Complex, vertices) -> dict:
     n = len(V)
     dual = alexander_dual(G, V)
     bg = reduced_betti(G)
-    bd = reduced_betti(dual)
+    # V itself a simplex of G: the dual is the void complex, not {empty set}
+    bd = {} if V in G.simplices else reduced_betti(dual)
     lo = -1
     hi = n
     ok = all(bd.get(k, 0) == bg.get(n - 3 - k, 0) for k in range(lo, hi))

@@ -1,23 +1,26 @@
 """Exact dense linear algebra over the integers and rationals.
 
-Everything here certifies bit-exact results: fraction-free (Bareiss)
-elimination for determinants and ranks, integer Gauss-Jordan for inverses of
-matrices with unit leading minors, the Berkowitz division-free characteristic
-polynomial, and eigenvalue sign counts.  numpy arrays are used as carriers
-(int64 fast path with automatic promotion to Python big-int object arrays on
-overflow risk); no floating point enters any code path in this module.
+Everything here certifies bit-exact results.  One fraction-free (Bareiss)
+elimination kernel, `echelon`, does all the elimination: forward to a row
+echelon form for determinants, leading-minor signs and ranks, or on to the
+fraction-free Gauss-Jordan form for inverses, kernel bases and solves.  It
+runs on int64 while a bound checked before each step proves every product
+exact, and promotes the matrix to Python big-int object arrays otherwise.
+Rational input has its row denominators cleared first.  Beside the kernel
+sit the Berkowitz division-free characteristic polynomial and eigenvalue
+sign counts.  No floating point enters any code path in this module.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvariantViolation
-
-INT64_GUARD = 1 << 30  # promote to objects before products can overflow
 
 
 def as_int_matrix(rows) -> np.ndarray:
@@ -31,6 +34,101 @@ def _promote(a: np.ndarray) -> np.ndarray:
     return a.astype(object)
 
 
+def _absmax(a: np.ndarray) -> int:
+    """max |entry| of an int64 array, without an abs() temporary."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _fits_int64(bound: int, nrows: int) -> bool:
+    """Whether a Bareiss step on entries of absolute value at most bound is
+    exact in int64.  The step forms a*p - b*q with every factor at most
+    bound, so 2*bound^2 < 2^63 would do; asking bound^2 * max(nrows, 4) <
+    2^62 means bound < 2^30 up to four rows and a wider margin beyond."""
+    return bound * bound * max(nrows, 4) < 1 << 62
+
+
+class Echelon(NamedTuple):
+    matrix: np.ndarray  # the eliminated matrix: int64, or object once promoted
+    pivots: list        # pivots[k]: pivot column of row k
+    rows: list          # rows[i]: index in the input of the row now at i
+    # signs[k]: sign of det(A[rows[:k+1]][:, pivots[:k+1]]) times the parity
+    # of the row exchanges made by step k: the sign of the leading minor
+    # when no row was exchanged, the sign of det A at the last pivot of a
+    # nonsingular square A
+    signs: list
+
+
+def echelon(A, aug=None, full: bool = False) -> Echelon:
+    """Fraction-free row echelon form of the integer matrix [A | aug].
+
+    Pivots are the first nonzero entry at or below the current row, searched
+    in the columns of A; the augmented columns aug (none by default) are
+    carried along but never pivots.  With full the elimination also clears
+    above each pivot (fraction-free Gauss-Jordan): every pivot entry then
+    equals the last pivot d, and the pivot rows divided by d are the reduced
+    row echelon form.
+
+    Each step is the Bareiss update (a*p - b*q) / previous pivot, so every
+    entry stays a minor of A.  When the pivot is -1 or 1 and the previous
+    pivot is 1, the row is negated to make the pivot 1 and the update is the
+    in-place a - b*q; signs records what the negation hides.
+    """
+    ncols = np.shape(A)[1]
+    E = np.array(A) if aug is None else np.concatenate([A, aug], axis=1)
+    if E.dtype != object:
+        E = E.astype(np.int64, copy=False)
+    nrows = len(E)
+    rows = list(range(nrows))
+    pivots, signs = [], []
+    sign, prev, r = 1, 1, 0
+    # bound >= every |entry| the remaining steps read
+    bound = _absmax(E) if E.dtype != object else 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.flatnonzero(E[r:, c])
+        if len(nz) == 0:
+            continue
+        if nz[0]:
+            i = r + int(nz[0])
+            E[[r, i]] = E[[i, r]]
+            rows[r], rows[i] = rows[i], rows[r]
+            sign = -sign
+        p = int(E[r, c])
+        signs.append(sign if p > 0 else -sign)
+        lo = 0 if full else r
+        if E.dtype != object:
+            if not _fits_int64(bound, nrows):
+                bound = _absmax(E[lo:, 0 if full else c:])
+            if not _fits_int64(bound, nrows):
+                E = _promote(E)
+            else:
+                top = _absmax(E[lo:, c]) * _absmax(E[r, c:])
+                bound = max(bound, (bound * abs(p) + top) // abs(prev))
+        above, below = slice(0, r if full else 0), slice(r + 1, nrows)
+        if prev == 1 and p in (1, -1):
+            if p == -1:
+                E[r] = -E[r]
+                sign = -sign
+            for blk in (above, below):
+                E[blk, c:] -= np.outer(E[blk, c], E[r, c:])
+        else:
+            E[below, c:] = (E[below, c:] * p - np.outer(E[below, c], E[r, c:])) // prev
+            E[above] = (E[above] * p - np.outer(E[above, c], E[r])) // prev
+        prev = int(E[r, c])
+        pivots.append(c)
+        r += 1
+    return Echelon(E, pivots, rows, signs)
+
+
+def _clear_denominators(rows) -> tuple:
+    """(integer object matrix, multipliers): row i scaled by the lcm m_i of
+    its entries' denominators."""
+    fr = [[Fraction(v) for v in row] for row in rows]
+    m = [math.lcm(*(v.denominator for v in row)) for row in fr]
+    return np.array([[int(v * k) for v in row] for row, k in zip(fr, m)], dtype=object), m
+
+
 def bareiss_det(M) -> int:
     """Exact determinant by fraction-free elimination with row pivoting."""
     A = np.array(M)
@@ -39,86 +137,34 @@ def bareiss_det(M) -> int:
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return 1
-    if A.dtype != object:
-        A = A.astype(np.int64)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k, k] == 0:
-            pivots = np.nonzero(A[k + 1:, k])[0]
-            if len(pivots) == 0:
-                return 0
-            r = k + 1 + pivots[0]
-            A[[k, r]] = A[[r, k]]
-            sign = -sign
-        if A.dtype != object:
-            top = max(int(np.abs(A[k:, k:]).max()), 1)
-            if top >= INT64_GUARD:
-                A = _promote(A)
-        sub = A[k + 1:, k + 1:]
-        A[k + 1:, k + 1:] = (
-            sub * A[k, k] - np.outer(A[k + 1:, k], A[k, k + 1:])
-        ) // prev
-        prev = A[k, k]
-    return sign * int(A[n - 1, n - 1])
+    e = echelon(A)
+    if len(e.pivots) < n:
+        return 0
+    return e.signs[-1] * abs(int(e.matrix[n - 1, n - 1]))
 
 
 def leading_minor_signs(M) -> list:
     """Signs of the leading principal minors Delta_1..Delta_n, computed from
     the Bareiss pivots.  Raises on a zero pivot (the minor-sign inertia rule
     then does not apply)."""
-    A = np.array(M)
-    n = A.shape[0]
-    if A.dtype != object:
-        A = A.astype(np.int64)
-    prev = 1
-    signs = []
-    for k in range(n):
-        piv = int(A[k, k])
-        if piv == 0:
-            raise ZeroDivisionError(f"zero leading principal minor at order {k + 1}")
-        signs.append(1 if piv > 0 else -1)
-        if k == n - 1:
-            break
-        if A.dtype != object:
-            top = max(int(np.abs(A[k:, k:]).max()), 1)
-            if top >= INT64_GUARD:
-                A = _promote(A)
-        sub = A[k + 1:, k + 1:]
-        A[k + 1:, k + 1:] = (
-            sub * piv - np.outer(A[k + 1:, k], A[k, k + 1:])
-        ) // prev
-        prev = piv
-    return signs
+    e = echelon(M)
+    n = len(e.rows)
+    plain = [c == k == r for k, (c, r) in enumerate(zip(e.pivots, e.rows))]
+    plain += [False] * (n - len(plain))
+    if not all(plain):
+        k = plain.index(False)
+        raise ZeroDivisionError(f"zero leading principal minor at order {k + 1}")
+    return e.signs
 
 
 def det_exact(M):
-    """Exact determinant: Bareiss over the integers, rational elimination
-    when any entry is a Fraction."""
-    rows = [list(r) for r in (M.tolist() if isinstance(M, np.ndarray) else M)]
-    if any(isinstance(v, Fraction) and v.denominator != 1 for r in rows for v in r):
-        return _det_fraction(rows)
-    return bareiss_det(np.array(rows, dtype=object))
-
-
-def _det_fraction(rows) -> Fraction:
-    A = [[Fraction(v) for v in row] for row in rows]
-    n = len(A)
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((r for r in range(k, n) if A[r][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            det = -det
-        det *= A[k][k]
-        inv = A[k][k]
-        for r in range(k + 1, n):
-            if A[r][k] != 0:
-                f = A[r][k] / inv
-                A[r] = [a - f * b for a, b in zip(A[r], A[k])]
-    return det
+    """Exact determinant: Bareiss over the integers; a Fraction (the
+    determinant of the rows with cleared denominators, divided back) when
+    any entry is a non-integral Fraction."""
+    A, m = _clear_denominators(M.tolist() if isinstance(M, np.ndarray) else M)
+    det = bareiss_det(A)
+    scale = math.prod(m)
+    return det if scale == 1 else Fraction(det, scale)
 
 
 def det_cofactor(M) -> int:
@@ -144,69 +190,43 @@ def det_cofactor(M) -> int:
     return rec(tuple(range(n)), tuple(range(n)))
 
 
+def _inverse_scaled(A, aug) -> tuple:
+    """(d, d * A^-1 @ aug) from the fraction-free Gauss-Jordan form of
+    [A | aug]; raises ZeroDivisionError when A is singular."""
+    n = len(A)
+    e = echelon(A, aug, full=True)
+    if len(e.pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return (int(e.matrix[0, 0]) if n else 1), e.matrix[:, n:]
+
+
 def integer_inverse(M) -> np.ndarray:
     """Exact inverse of an integer matrix with all leading principal minors
-    equal to +-1 (e.g. connection matrices in canonical order): plain integer
-    Gauss-Jordan, every pivot is a unit.  Falls back to rational elimination
-    (and verifies integrality of the result) when a non-unit pivot shows up.
+    equal to +-1 (e.g. connection matrices in canonical order): every pivot
+    is a unit, so the elimination is plain integer Gauss-Jordan.  Other
+    nonsingular matrices go through the same elimination, and the result is
+    checked to be integral.
     """
-    L = np.array(M, dtype=np.int64)
-    n = L.shape[0]
-    A = np.concatenate([L, np.eye(n, dtype=np.int64)], axis=1)
-    for k in range(n):
-        p = int(A[k, k])
-        if p not in (1, -1):
-            return _integer_inverse_general(L)
-        if p == -1:
-            A[k] = -A[k]
-        col = A[:, k].copy()
-        col[k] = 0
-        if A.dtype != object:
-            top = max(int(np.abs(col).max()) * int(np.abs(A[k]).max()), 1)
-            if top >= (1 << 61):
-                A = _promote(A)
-                col = A[:, k].copy()
-                col[k] = 0
-        A -= np.outer(col, A[k])
-    return A[:, n:]
-
-
-def _integer_inverse_general(L: np.ndarray) -> np.ndarray:
-    inv = fraction_inverse(L.tolist())
-    n = len(inv)
-    out = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            q = inv[i][j]
-            if q.denominator != 1:
-                raise InvariantViolation(
-                    "inverse is not integral", witness={"entry": (i, j, str(q))}
-                )
-            out[i, j] = int(q)
-    return out
+    L = np.asarray(M, dtype=np.int64)
+    d, scaled = _inverse_scaled(L, np.eye(len(L), dtype=np.int64))
+    if d == 1:
+        return scaled
+    bad = np.argwhere(scaled % d != 0)
+    if len(bad):
+        i, j = (int(x) for x in bad[0])
+        raise InvariantViolation(
+            "inverse is not integral",
+            witness={"entry": (i, j, str(Fraction(int(scaled[i, j]), d)))},
+        )
+    return scaled // d
 
 
 def fraction_inverse(rows) -> list:
-    """Rational Gauss-Jordan inverse with partial pivoting."""
-    n = len(rows)
-    A = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if A[r][k] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        A[k], A[piv] = A[piv], A[k]
-        f = A[k][k]
-        A[k] = [v / f for v in A[k]]
-        for r in range(n):
-            if r != k and A[r][k] != 0:
-                f = A[r][k]
-                A[r] = [a - f * b for a, b in zip(A[r], A[k])]
-    return [row[n:] for row in A]
+    """Exact rational inverse, as rows of Fractions: the rows are scaled to
+    integers by diag(m), and [m A | diag(m)] eliminates to [d I | d A^-1]."""
+    A, m = _clear_denominators(rows)
+    d, scaled = _inverse_scaled(A, np.diag(np.array(m, dtype=object)))
+    return [[Fraction(int(v), d) for v in row] for row in scaled]
 
 
 def rank_exact(M) -> int:
@@ -214,33 +234,7 @@ def rank_exact(M) -> int:
     A = np.array(M)
     if A.size == 0:
         return 0
-    if A.dtype != object:
-        A = A.astype(np.int64)
-    rows, cols = A.shape
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        if rank == rows:
-            break
-        pivots = np.nonzero(A[rank:, c])[0]
-        if len(pivots) == 0:
-            continue
-        r = rank + pivots[0]
-        if r != rank:
-            A[[rank, r]] = A[[r, rank]]
-        if A.dtype != object:
-            top = max(int(np.abs(A[rank:, c:]).max()), 1)
-            if top * top >= (1 << 62) // max(rows, 1):
-                A = _promote(A)
-        piv = A[rank, c]
-        sub = A[rank + 1:, c + 1:]
-        A[rank + 1:, c + 1:] = (
-            sub * piv - np.outer(A[rank + 1:, c], A[rank, c + 1:])
-        ) // prev
-        A[rank + 1:, c] = 0
-        prev = piv
-        rank += 1
-    return rank
+    return len(echelon(A).pivots)
 
 
 def rank_fraction(rows) -> int:
@@ -263,6 +257,37 @@ def rank_fraction(rows) -> int:
                 A[r] = [a - g * b for a, b in zip(A[r], A[rank])]
         rank += 1
     return rank
+
+
+def kernel_basis(M) -> np.ndarray:
+    """Integer basis of the null space of M, one column per non-pivot column
+    f of its reduced row echelon form R, in column order: the column is d
+    times the rational basis vector (1 at f, -R[k, f] at the pivot column
+    of row k), with d the common pivot of the fraction-free Gauss-Jordan
+    form."""
+    e = echelon(M, full=True)
+    n = e.matrix.shape[1]
+    free = sorted(set(range(n)) - set(e.pivots))
+    K = np.zeros((n, len(free)), dtype=e.matrix.dtype)
+    if e.pivots:
+        K[e.pivots] = -e.matrix[:len(e.pivots)][:, free]
+    K[free, range(len(free))] = e.matrix[0, e.pivots[0]] if e.pivots else 1
+    return K
+
+
+def solve_exact(A, B) -> list:
+    """The unique rational X with A X = B, as rows of Fractions.  Raises
+    ArithmeticError when a column of B is not in the column space of A, or
+    when the columns of A are dependent."""
+    A, B = np.asarray(A), np.asarray(B)
+    n = A.shape[1]
+    e = echelon(A, B, full=True)
+    if e.matrix[len(e.pivots):, n:].any():
+        raise ArithmeticError("inconsistent system")
+    if len(e.pivots) < n:
+        raise ArithmeticError("solution is not unique")
+    d = int(e.matrix[0, 0]) if n else 1
+    return [[Fraction(int(v), d) for v in row] for row in e.matrix[:n, n:]]
 
 
 # -- characteristic polynomial and inertia ----------------------------------

@@ -20,7 +20,13 @@ def complex_to_dict(G: Complex, name: str | None = None) -> dict:
 
 
 def complex_from_dict(d: dict) -> Complex:
+    """Closure of the facet list; rejects any vertex that is not a
+    non-negative int (bools and floats included) instead of coercing it."""
     facets = d.get("facets", [])
+    for f in facets:
+        if not isinstance(f, (list, tuple)) or not all(
+                type(v) is int and v >= 0 for v in f):
+            raise ValueError(f"facet {f!r}: vertices must be non-negative integers")
     if not facets:
         return Complex()
     return close(facets)

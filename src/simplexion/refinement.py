@@ -14,8 +14,11 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .core import Complex, _sort_key
 from .errors import ResourceLimitError
+from .exact import solve_exact
 
 DEFAULT_CAP = 5_000_000
 
@@ -164,33 +167,7 @@ def euler_unique_vector(r: int) -> list:
     valuation with X(point) = 1."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    S = stirling_matrix(r)
     m = r + 1
-    # rows of (S^T - I) x = 0
-    A = [[Fraction(S[j][i]) - (i == j) for j in range(m)] for i in range(m)]
-    # solve with x_0 = 1 by rational elimination
-    rhs = [-row[0] for row in A]
-    cols = list(range(1, m))
-    # gaussian elimination on A[:, 1:] x' = rhs
-    M = [[A[i][j] for j in cols] + [rhs[i]] for i in range(m)]
-    piv_rows = []
-    rank = 0
-    for c in range(len(cols)):
-        piv = next((ri for ri in range(rank, m) if M[ri][c] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        f = M[rank][c]
-        M[rank] = [v / f for v in M[rank]]
-        for ri in range(m):
-            if ri != rank and M[ri][c] != 0:
-                g = M[ri][c]
-                M[ri] = [a - g * b for a, b in zip(M[ri], M[rank])]
-        piv_rows.append(c)
-        rank += 1
-    if rank != len(cols):
-        raise ArithmeticError("eigenspace of refinement operator not 1-dimensional")
-    x = [Fraction(1)] + [Fraction(0)] * (m - 1)
-    for row_i, c in enumerate(piv_rows):
-        x[cols[c]] = M[row_i][-1]
-    return x
+    # (S^T - I) x = 0 with x_0 = 1: solve A[:, 1:] x' = -A[:, 0]
+    A = np.array(stirling_matrix(r), dtype=object).T - np.eye(m, dtype=np.int64)
+    return [Fraction(1)] + [row[0] for row in solve_exact(A[:, 1:], -A[:, :1])]

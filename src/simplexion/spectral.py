@@ -206,15 +206,16 @@ def barycentric_limit_experiment(G: Complex, levels: int, grid_points: int = 204
 
 def tree_forest_numbers(n: int, edges) -> dict:
     """Rooted spanning tree count Det(K) (pseudo-determinant, exact via the
-    division-free characteristic polynomial) and rooted spanning forest count
-    det(K + I) (exact Bareiss)."""
+    division-free characteristic polynomial; 0 for a disconnected graph) and
+    rooted spanning forest count det(K + I) (exact Bareiss)."""
     K = kirchhoff_matrix(n, edges)
     cp = berkowitz_charpoly(K.astype(object))
     # det(xI - K) = x^n + ...; pseudo-det = (-1)^(n-z) * coefficient of x^z
     z = 0
     while z <= n and cp[n - z] == 0:
         z += 1
-    tree = (-1) ** (n - z) * cp[n - z] if z <= n else 0
+    # more than one component (z > 1): no spanning tree
+    tree = (-1) ** (n - z) * cp[n - z] if z <= 1 else 0
     forest = bareiss_det((K + np.eye(n, dtype=np.int64)).astype(object))
     return {"tree": int(tree), "forest": int(forest), "kernel_dim": z}
 

@@ -177,6 +177,13 @@ def test_random_cmd_z_scores():
     assert abs(stats["dim"]["z"]) < 4
 
 
+def test_malformed_vertices_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    for facets in ([[0, 1.7, 2]], [[True, 2]]):
+        path.write_text(json.dumps({"facets": facets}))
+        assert run(["analyze", "-i", str(path), "--betti"]) == 2
+
+
 def test_random_cap():
     assert main(["random", "--n", "11", "--p", "0.5"]) == 2
 

@@ -88,6 +88,19 @@ def test_lefschetz_c4_maps():
     assert refl == {"cohomological": 2, "fixed_point_sum": 2}
 
 
+def test_induced_cohomology_matrices_pinned():
+    # exact outputs recorded from the per-column rational elimination this
+    # code replaced: the representatives, and so the matrices, must not move
+    c4 = sx.cycle(4)
+    one, minus = [[Fraction(1)]], [[Fraction(-1)]]
+    assert coh.induced_cohomology_matrices(c4, {0: 1, 1: 2, 2: 3, 3: 0}) == [one, one]
+    assert coh.induced_cohomology_matrices(c4, {0: 0, 1: 3, 2: 2, 3: 1}) == [one, minus]
+    antipode = {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4}
+    mats = coh.induced_cohomology_matrices(sx.cross_polytope(2), antipode)
+    assert mats == [one, [], minus]
+    assert all(type(v) is Fraction for m in mats for row in m for v in row)
+
+
 def test_lefschetz_rejects_non_automorphism():
     with pytest.raises(ValueError):
         coh.lefschetz(sx.cycle(4), {0: 1, 1: 0, 2: 2, 3: 3})
@@ -184,6 +197,15 @@ def test_alexander_duality_simplex_boundary():
     assert res["ok"]
     assert res["reduced_G"] == {3: 1}
     assert res["reduced_dual"] == {-1: 1}
+
+
+def test_alexander_duality_full_simplex():
+    # V is itself a simplex of K5: the dual is the void complex, which has
+    # no reduced homology at all (unlike {empty set}, with b~_-1 = 1)
+    res = coh.alexander_duality_check(sx.complete(5), range(5))
+    assert res["ok"]
+    assert res["reduced_G"] == {}
+    assert res["reduced_dual"] == {}
 
 
 def test_alexander_duality_random():

@@ -112,7 +112,7 @@ def test_integer_inverse_unimodular():
 
 
 def test_integer_inverse_general_pivot():
-    # leading pivot -2: falls back to rational elimination, still integral
+    # leading pivot -2: the general fraction-free path, still integral
     M = np.array([[-2, 1], [1, -1]], dtype=np.int64)  # det 1
     inv = integer_inverse(M)
     assert np.array_equal(M @ inv, np.eye(2, dtype=np.int64))
@@ -170,3 +170,129 @@ def test_det_exact_dispatch():
     assert det_exact([[Fraction(1, 2), 1], [1, Fraction(1, 2)]]) == Fraction(-3, 4)
     assert det_exact(np.eye(3, dtype=np.int64)) == 1
     assert det_exact([[Fraction(1, 3)]]) == Fraction(1, 3)
+
+
+# -- property tests of the elimination kernel against the oracles -------------
+
+from fractions import Fraction  # noqa: E402
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from simplexion.errors import InvariantViolation  # noqa: E402
+from simplexion.exact import det_exact, kernel_basis, solve_exact  # noqa: E402
+
+PROPS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def int_matrices(draw, square=False, max_n=5):
+    """Small integer matrices: plain, rank-deficient products, or scaled
+    Hilbert matrices whose Bareiss minors outgrow int64 mid-elimination."""
+    rows = draw(st.integers(1, max_n))
+    cols = rows if square else draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["plain", "low-rank", "hilbert"]))
+    entry = st.integers(-4, 4)
+    if kind == "plain":
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if kind == "low-rank":
+        k = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        A = np.array([[draw(entry) for _ in range(k)] for _ in range(rows)])
+        B = np.array([[draw(entry) for _ in range(cols)] for _ in range(k)])
+        return (A @ B).tolist()
+    n = draw(st.integers(5, 7)) if square else max(rows, 5)
+    scale = draw(st.sampled_from([720720, 2 ** 40 + 1, -(3 ** 25)]))
+    perm = draw(st.permutations(range(n)))
+    return [[scale // (perm[i] + j + 1) for j in range(n)] for i in range(n)]
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@PROPS
+@given(int_matrices(square=True))
+def test_prop_det_matches_cofactor(M):
+    assert bareiss_det(M) == det_exact(M) == det_cofactor(M)
+
+
+@PROPS
+@given(int_matrices())
+def test_prop_rank_matches_fraction(M):
+    assert rank_exact(M) == rank_fraction(M)
+
+
+@PROPS
+@given(int_matrices(square=True))
+def test_prop_leading_minor_signs(M):
+    minors = [det_cofactor([row[:k] for row in M[:k]]) for k in range(1, len(M) + 1)]
+    if 0 in minors:
+        with pytest.raises(ZeroDivisionError):
+            leading_minor_signs(M)
+    else:
+        assert leading_minor_signs(M) == [_sign(m) for m in minors]
+
+
+@PROPS
+@given(int_matrices(square=True))
+def test_prop_inverses(M):
+    A = np.array(M, dtype=object)
+    eye = np.eye(len(M), dtype=object)
+    det = det_cofactor(M)
+    if det == 0:
+        with pytest.raises(ZeroDivisionError):
+            fraction_inverse(M)
+        return
+    assert np.array_equal(A @ np.array(fraction_inverse(M), dtype=object), eye)
+    if max(abs(v) for row in M for v in row) >= 2 ** 31:
+        return  # integer_inverse takes int64 input
+    if abs(det) == 1:
+        assert np.array_equal(A @ integer_inverse(M).astype(object), eye)
+    else:
+        with pytest.raises(InvariantViolation):
+            integer_inverse(M)
+
+
+@PROPS
+@given(st.integers(1, 6), st.data())
+def test_prop_unit_minor_inverse(n, data):
+    # unit lower times unit upper (diagonals +-1): every leading minor is a
+    # unit, the in-place elimination path
+    unit = st.sampled_from([-1, 1])
+    small = st.integers(-2, 2)
+    L = np.array([[data.draw(unit) if i == j else data.draw(small) if j < i else 0
+                   for j in range(n)] for i in range(n)])
+    U = np.array([[data.draw(unit) if i == j else data.draw(small) if j > i else 0
+                   for j in range(n)] for i in range(n)])
+    M = L @ U
+    assert np.array_equal(M @ integer_inverse(M), np.eye(n, dtype=np.int64))
+    assert all(s in (1, -1) for s in leading_minor_signs(M))
+
+
+@PROPS
+@given(int_matrices())
+def test_prop_kernel_basis(M):
+    K = kernel_basis(M)
+    rank = rank_fraction(M)
+    assert K.shape == (len(M[0]), len(M[0]) - rank)
+    assert not (np.array(M, dtype=object) @ K.astype(object)).any()
+    if K.shape[1]:
+        assert rank_fraction(K.T.tolist()) == K.shape[1]
+
+
+@PROPS
+@given(int_matrices(), st.data())
+def test_prop_solve_exact(M, data):
+    A = np.array(M, dtype=object)
+    rows, cols = A.shape
+    y = [[data.draw(st.integers(-5, 5))] for _ in range(cols)]
+    b = [[data.draw(st.integers(-5, 5))] for _ in range(rows)]
+    B = np.concatenate([A @ np.array(y, dtype=object), np.array(b, dtype=object)], axis=1)
+    consistent = rank_fraction(np.concatenate([A, B], axis=1).tolist()) == cols
+    if rank_fraction(M) < cols or not consistent:
+        with pytest.raises(ArithmeticError):
+            solve_exact(A, B)
+        return
+    X = np.array(solve_exact(A, B), dtype=object)
+    assert np.array_equal(A @ X, B)
+    assert X[:, 0].tolist() == [row[0] for row in y]
