@@ -17,7 +17,7 @@ from .core import Complex, parity, set_euler, sphere_euler, star_up, up_star_wei
 from .errors import InvariantViolation, ResourceLimitError
 from .exact import (
     bareiss_det,
-    berkowitz_charpoly,
+    charpoly,
     inertia_exact,
     integer_inverse,
 )
@@ -127,10 +127,10 @@ def wu_intersection_matrix(G: Complex) -> np.ndarray:
     return M
 
 
-def inertia_of_connection(G: Complex, berkowitz_cap: int = 400) -> tuple:
+def inertia_of_connection(G: Complex, charpoly_cap: int = 400) -> tuple:
     """(p, n, z) of L; p - n = chi(G) and z = 0 always."""
     L = connection_matrix(G)
-    return inertia_exact(L, berkowitz_cap=berkowitz_cap)
+    return inertia_exact(L, charpoly_cap=charpoly_cap)
 
 
 def supertrace_powers(G: Complex, green: np.ndarray | None = None) -> dict:
@@ -164,7 +164,7 @@ def dual_product_check(G: Complex, charpoly_cap: int = 300) -> dict:
     out = {"det": d, "det_ok": d == 1 - chi}
     if n <= charpoly_cap:
         g = green_inverse(G)
-        cp = berkowitz_charpoly(-((1 - L) @ g))
+        cp = charpoly(-((1 - L) @ g))
         expected = _charpoly_one_heavy(n, 1 - chi)
         out["charpoly_ok"] = cp == expected
     else:
@@ -244,4 +244,4 @@ def spectral_symmetry_check(G: Complex) -> bool:
         raise ValueError("spectral symmetry needs a one-dimensional complex")
     L = connection_matrix(G).astype(object)
     g = green_inverse(G).astype(object)
-    return berkowitz_charpoly(L @ L) == berkowitz_charpoly(g @ g)
+    return charpoly(L @ L) == charpoly(g @ g)

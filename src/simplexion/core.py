@@ -171,13 +171,6 @@ def generating_function(G: Complex) -> list:
     return [1] + list(G.f_vector())
 
 
-def eval_poly(coeffs, t):
-    acc = 0
-    for c in reversed(list(coeffs)):
-        acc = acc * t + c
-    return acc
-
-
 # -- stars, links, spheres -------------------------------------------------
 
 
@@ -231,28 +224,6 @@ def wu_characteristic(G: Complex, k: int = 2) -> int:
         return G.euler_characteristic()
     U = up_star_weights(G)
     return sum(parity(s) * U[s] ** k for s in G.simplices)
-
-
-def wu_characteristic_bruteforce(G: Complex, k: int = 2) -> int:
-    """Direct ordered-tuple recursion with common-intersection pruning.
-
-    Exponential; exists as the independent oracle for wu_characteristic.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    simps = list(G.simplices)
-
-    def rec(common: frozenset, depth: int) -> int:
-        if depth == 0:
-            return 1
-        total = 0
-        for y in simps:
-            inter = common & frozenset(y)
-            if inter:
-                total += parity(y) * rec(inter, depth - 1)
-        return total
-
-    return sum(parity(x) * rec(frozenset(x), k - 1) for x in simps)
 
 
 def comparable_elements(G: Complex, x: Simplex) -> list:

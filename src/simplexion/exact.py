@@ -7,14 +7,18 @@ fraction-free Gauss-Jordan form for inverses, kernel bases and solves.  It
 runs on int64 while a bound checked before each step proves every product
 exact, and promotes the matrix to Python big-int object arrays otherwise.
 Rational input has its row denominators cleared first.  Beside the kernel
-sit the Berkowitz division-free characteristic polynomial and eigenvalue
-sign counts.  No floating point enters any code path in this module.
+sit eigenvalue sign counts and the characteristic polynomial: Hessenberg
+reduction mod primes below 2^31 in int64, and the Chinese remainder theorem
+over enough primes for the Hadamard bound on its coefficients.  No floating
+point enters any code path in this module.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -237,28 +241,6 @@ def rank_exact(M) -> int:
     return len(echelon(A).pivots)
 
 
-def rank_fraction(rows) -> int:
-    """Rational-elimination rank; independent oracle for rank_exact."""
-    A = [[Fraction(v) for v in row] for row in rows]
-    if not A:
-        return 0
-    nrows, ncols = len(A), len(A[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, nrows) if A[r][c] != 0), None)
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        f = A[rank][c]
-        A[rank] = [v / f for v in A[rank]]
-        for r in range(nrows):
-            if r != rank and A[r][c] != 0:
-                g = A[r][c]
-                A[r] = [a - g * b for a, b in zip(A[r], A[rank])]
-        rank += 1
-    return rank
-
-
 def kernel_basis(M) -> np.ndarray:
     """Integer basis of the null space of M, one column per non-pivot column
     f of its reduced row echelon form R, in column order: the column is d
@@ -293,77 +275,147 @@ def solve_exact(A, B) -> list:
 # -- characteristic polynomial and inertia ----------------------------------
 
 
-def berkowitz_charpoly(M) -> list:
+# the primes below 2^31 from the top down, found on first use (not at import)
+# and only rebound to a longer prefix, so concurrent callers agree
+_PRIMES: list = []
+
+
+def _is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin for odd 61 < q < 4,759,123,141: the bases
+    2, 7 and 61 decide every such q (Jaeschke, Math. Comp. 61, 1993)."""
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in (2, 7, 61):
+        x = pow(b, d, q)
+        if x != 1 and all(pow(x, 1 << r, q) != q - 1 for r in range(s)):
+            return False
+    return True
+
+
+def _primes_over(bound: int) -> tuple:
+    """(primes, their product): the fewest leading primes of _PRIMES whose
+    product exceeds bound."""
+    global _PRIMES
+    primes, prod, k = _PRIMES, 1, 0
+    while prod <= bound:
+        if k == len(primes):
+            q = primes[-1] - 2 if primes else (1 << 31) - 1
+            while not _is_prime(q):
+                q -= 2
+            primes = primes + [q]
+        prod *= primes[k]
+        k += 1
+    if len(primes) > len(_PRIMES):
+        _PRIMES = primes
+    return primes[:k], prod
+
+
+def _hadamard_bound(A: np.ndarray) -> int:
+    """B = prod_j (1 + ceil(|col_j|_2)) >= sum_k |c_k|: c_k sums k x k
+    principal minors, each at most the product of its columns' norms by
+    Hadamard's inequality, and each such product is a term of B."""
+    if A.dtype != object and _absmax(A) ** 2 * len(A) >= 1 << 63:
+        A = A.astype(object)
+    B = 1
+    for s in (A * A).sum(axis=0).tolist():
+        r = math.isqrt(s)
+        B *= 1 + r + (r * r < s)
+    return B
+
+
+def _matvec_mod(A: np.ndarray, V: np.ndarray, P3: np.ndarray) -> np.ndarray:
+    """(A @ v) mod p per prime, for residues A (k, r, m) and v given by its
+    16-bit halves V (k, m, 2) = (v mod 2^16, v >> 16), P3 (k, 1, 1) holding
+    the primes: products stay below 2^47 and sums below m * 2^47 < 2^63."""
+    W = np.matmul(A, V) % P3
+    return (W[:, :, 0] + (W[:, :, 1] << 16)) % P3[:, 0]
+
+
+def _hessenberg_mod(A: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """R (k, n, n): A mod ps[i] brought by similarities to upper Hessenberg
+    form R[i] with subdiagonal entries 0 or 1.  Column j pivots on its first
+    nonzero entry below the diagonal (swapped to row j+1) and clears the rest;
+    products of residues (< 2^62) are reduced before any sum.  A zero below
+    the diagonal splits R[i] into diagonal blocks; what lies above and right
+    of the split is zeroed, as it does not change the polynomial.  Last, D^-1
+    R D with d_{j+1} = d_j r_{j+1,j} makes the other subdiagonal entries 1."""
+    P, P3, pl = ps[:, None], ps[:, None, None], ps.tolist()
+    R = (A % P3).astype(np.int64, copy=False)
+    k, n, _ = R.shape
+    d, dinv, corners = [[1] * k], [[1] * k], []
+    for j in range(n - 1):
+        a = j + 1
+        h = R[:, a, j]
+        if not h.all():
+            for i, f in enumerate((R[:, a:, j] != 0).argmax(axis=1).tolist()):
+                if f:
+                    Ri, b = R[i], a + f
+                    Ri[a], Ri[b] = Ri[b].copy(), Ri[a].copy()
+                    Ri[:, a], Ri[:, b] = Ri[:, b].copy(), Ri[:, a].copy()
+                elif not R[i, a, j]:
+                    corners.append((i, a))
+        hl = h.tolist()
+        inv = [pow(x, -1, q) if x else 1 for x, q in zip(hl, pl)]
+        d.append([x * (y or 1) % q for x, y, q in zip(d[-1], hl, pl)])
+        dinv.append([x * y % q for x, y, q in zip(dinv[-1], inv, pl)])
+        u = R[:, a + 1:, j, None]
+        if u.any():
+            # rows j+2.. lose m_i = u_i / h times row j+1; column j+1 gains
+            # m_i times column i, the inverse operation on the right
+            m = u * np.array(inv)[:, None, None] % P3
+            blk = R[:, a + 1:, j:]
+            blk -= m * R[:, a, None, j:] % P3
+            blk += (blk >> 63) & P3
+            R[:, :, a] += _matvec_mod(R[:, :, a + 1:], np.concatenate((m & 0xFFFF, m >> 16), 2), P3)
+            R[:, :, a] %= P
+    for i, s in corners:
+        R[i, :s, s:] = 0
+    return R * np.array(d).T[:, None, :] % P3 * np.array(dinv).T[:, :, None] % P3
+
+
+def _charpoly_mod(A: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Characteristic polynomials, descending, of the integer matrix A mod
+    each prime in ps, one row per prime.  On the Hessenberg form H of
+    `_hessenberg_mod`, the polynomials of the leading blocks satisfy
+    p_{c+1} = x p_c - sum_{r <= c} h_rc p_r."""
+    R = _hessenberg_mod(A, ps)
+    k, n, _ = R.shape
+    H = np.empty(R.shape + (2,), dtype=np.int64)  # 16-bit halves of the entries
+    np.bitwise_and(R, 0xFFFF, out=H[..., 0])
+    np.right_shift(R, 16, out=H[..., 1])
+    del R
+    P, P3 = ps[:, None], ps[:, None, None]
+    C = np.zeros((k, n + 1, n + 1), dtype=np.int64)  # C[:, :, c]: p_c, ascending
+    C[:, 0, 0] = 1
+    for c in range(n):
+        C[:, 1:c + 2, c + 1] = C[:, :c + 1, c]
+        C[:, :c + 1, c + 1] -= _matvec_mod(C[:, :c + 1, :c + 1], H[:, :c + 1, c], P3)
+        C[:, :c + 1, c + 1] %= P
+    return C[:, ::-1, n]
+
+
+def charpoly(M) -> list:
     """Coefficients [1, c_1, ..., c_n] of det(x*I - M) in descending powers,
-    computed division-free over exact integers (Berkowitz).
-    """
-    A = np.array(M, dtype=object)
-    n = A.shape[0]
+    for an integer matrix M: computed mod primes p < 2^31 in int64 until their
+    product exceeds 2B, B the Hadamard bound on sum |c_k|, then recovered in
+    the symmetric range by the Chinese remainder theorem."""
+    A = np.asarray(M)
+    n = len(A)
     if n == 0:
         return [1]
-    if A.shape[0] != A.shape[1]:
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("characteristic polynomial needs a square matrix")
-    # vector of char poly coefficients of the r x r leading block
-    v = np.array([1, -A[0, 0]], dtype=object)
-    for r in range(1, n):
-        Ar = A[:r, :r]
-        R = A[r, :r]
-        S = A[:r, r]
-        # column of the (r+2) x (r+1) Toeplitz factor
-        q = [1, -A[r, r]]
-        s = S
-        for _ in range(r):
-            q.append(-(R @ s))
-            s = Ar @ s
-        # truncated convolution: v_new = T q v with T the lower-banded Toeplitz
-        new = np.zeros(r + 2, dtype=object)
-        for i, qi in enumerate(q):
-            if qi == 0 or i >= r + 2:
-                continue
-            end = min(i + len(v), r + 2)
-            new[i:end] += qi * v[: end - i]
-        v = new
-    return [int(c) for c in v]
-
-
-def charpoly_oracle(M) -> list:
-    """Characteristic polynomial by cofactor expansion over Z[x]; only for
-    small matrices, used to validate berkowitz_charpoly."""
-    n = len(M)
-
-    def pmul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    def padd(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, y in enumerate(b):
-            out[i] += y
-        return out
-
-    # entries of xI - M as coefficient lists (ascending powers)
-    E = [[([int(-M[i][j])] if i != j else [int(-M[i][j]), 1]) for j in range(n)]
-         for i in range(n)]
-
-    def rec(rows, cols):
-        if len(cols) == 1:
-            return E[rows[0]][cols[0]]
-        total = [0]
-        r = rows[0]
-        for i, c in enumerate(cols):
-            term = pmul(E[r][c], rec(rows[1:], cols[:i] + cols[i + 1:]))
-            if i % 2:
-                term = [-t for t in term]
-            total = padd(total, term)
-        return total
-
-    p = rec(tuple(range(n)), tuple(range(n))) if n else [1]
-    return list(reversed([int(c) for c in p]))  # descending powers
+    with contextlib.suppress(OverflowError):  # else entries stay Python ints
+        A = A.astype(np.int64, copy=False)
+    primes, prod = _primes_over(2 * _hadamard_bound(A))
+    ps = np.array(primes, dtype=np.int64)
+    step = max(1, (1 << 21) // (n * n))  # primes per batch: 16 MB of residues
+    residues = np.concatenate([_charpoly_mod(A, ps[i:i + step])
+                               for i in range(0, len(ps), step)])
+    weights = [prod // p * pow(prod // p, -1, p) for p in primes]
+    coeffs = [sum(map(operator.mul, weights, r)) % prod for r in residues.T.tolist()]
+    return [c - prod if 2 * c > prod else c for c in coeffs]
 
 
 def descartes_positive_roots(coeffs_desc) -> int:
@@ -396,13 +448,13 @@ def inertia_from_charpoly(coeffs_desc) -> tuple:
     return p, m, z
 
 
-def inertia_exact(M, berkowitz_cap: int = 400) -> tuple:
+def inertia_exact(M, charpoly_cap: int = 400) -> tuple:
     """Exact (positive, negative, zero) signature of a symmetric matrix.
 
-    Berkowitz + Descartes up to berkowitz_cap; above that, the Jacobi
-    sign-change rule on leading principal minors (valid only when all of them
-    are nonzero, as for connection matrices in canonical order; raises
-    ZeroDivisionError otherwise so callers can decide).
+    Characteristic polynomial + Descartes up to charpoly_cap; above that, the
+    Jacobi sign-change rule on leading principal minors (valid only when all
+    of them are nonzero, as for connection matrices in canonical order;
+    raises ZeroDivisionError otherwise so callers can decide).
     """
     A = np.array(M)
     n = A.shape[0]
@@ -410,8 +462,8 @@ def inertia_exact(M, berkowitz_cap: int = 400) -> tuple:
         raise ValueError("inertia needs a square matrix")
     if not _is_symmetric(A):
         raise ValueError("inertia_exact needs a symmetric matrix")
-    if n <= berkowitz_cap:
-        return inertia_from_charpoly(berkowitz_charpoly(A))
+    if n <= charpoly_cap:
+        return inertia_from_charpoly(charpoly(A))
     return inertia_via_minor_signs(A)
 
 
@@ -427,16 +479,9 @@ def _is_symmetric(A: np.ndarray) -> bool:
     return A.shape[0] == A.shape[1] and (A == A.T).all()
 
 
-def charpoly_eval(coeffs_desc, x):
-    acc = 0
-    for c in coeffs_desc:
-        acc = acc * x + c
-    return acc
-
-
 def cauchy_binet_coeffs(F, G, minor_cap: int = 8) -> list:
     """Characteristic-polynomial coefficients p_k of F^T G with
-    p(x) = sum_k p_k (-x)^(m-k), computed via Berkowitz and, when both
+    p(x) = sum_k p_k (-x)^(m-k), computed via charpoly and, when both
     dimensions are within minor_cap, cross-checked against the minor-sum
     sum over |P|=k of det(F_P) det(G_P)."""
     F = np.array(F, dtype=object)
@@ -444,7 +489,7 @@ def cauchy_binet_coeffs(F, G, minor_cap: int = 8) -> list:
     if F.shape != G.shape:
         raise ValueError("F and G must have identical shape")
     n, m = F.shape
-    cp = berkowitz_charpoly(F.T @ G)  # descending: x^m + c1 x^(m-1) + ...
+    cp = charpoly(F.T @ G)  # descending: x^m + c1 x^(m-1) + ...
     # det(xI - A) = sum_k p_k (-1)^k x^(m-k) * (-1)^m ... normalize:
     # p_k = (-1)^k * coefficient of x^(m-k)
     pk = [(-1) ** k * cp[k] for k in range(m + 1)]

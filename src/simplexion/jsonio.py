@@ -6,6 +6,7 @@ so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -41,8 +42,18 @@ def graph_from_dict(d: dict) -> tuple:
 
 
 def function_from_dict(d: dict) -> dict:
-    """{"values": {"3": 1.5, ...}} -> {3: 1.5, ...}"""
-    return {int(k): v for k, v in d["values"].items()}
+    """{"values": {"3": 1.5, ...}} -> {3: 1.5, ...}; rejects a key that is
+    not a non-negative integer string and a value that is not an int or a
+    finite float (bools included) instead of passing it on."""
+    values = d.get("values") if isinstance(d, dict) else None
+    if not isinstance(values, dict):
+        raise ValueError('function JSON needs a "values" object')
+    for k, v in values.items():
+        if not (k.isascii() and k.isdigit()):
+            raise ValueError(f"function key {k!r}: must be a non-negative integer")
+        if type(v) is not int and not (type(v) is float and math.isfinite(v)):
+            raise ValueError(f"function value {v!r} at {k}: must be a finite number")
+    return {int(k): v for k, v in values.items()}
 
 
 def matrix_to_dict(M) -> dict:

@@ -7,7 +7,6 @@ and the isospectral Lax flow of the Dirac operator.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -15,7 +14,7 @@ from .cohomology import dirac, hodge
 from .connection import connection_matrix
 from .core import Complex
 from .errors import NumericError
-from .exact import bareiss_det, berkowitz_charpoly
+from .exact import bareiss_det, charpoly
 from .refinement import barycentric
 
 KERNEL_RELATIVE_CUTOFF = 1e-10
@@ -46,33 +45,6 @@ def eig_symmetric(M, *, symmetry_tol: float = 1e-12,
     if vectors:
         return vals, vecs
     return vals
-
-
-def jacobi_eigenvalues(M, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
-    """Cyclic Jacobi rotations; the self-contained oracle for eig_symmetric
-    (quadratic per sweep, small matrices only)."""
-    A = np.array(M, dtype=float)
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    scale = float(np.abs(A).max()) or 1.0
-    for _ in range(max_sweeps):
-        off = math.sqrt(float((A ** 2).sum() - (np.diag(A) ** 2).sum()))
-        if off <= tol * scale * n:
-            return np.sort(np.diag(A))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) <= 1e-300:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * A[p, q], A[q, q] - A[p, p])
-                c, s = math.cos(theta), math.sin(theta)
-                rot_p = c * A[p] - s * A[q]
-                rot_q = s * A[p] + c * A[q]
-                A[p], A[q] = rot_p, rot_q
-                col_p = c * A[:, p] - s * A[:, q]
-                col_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = col_p, col_q
-    raise NumericError("Jacobi iteration did not converge")
 
 
 # -- graph Laplacians ----------------------------------------------------------
@@ -209,7 +181,7 @@ def tree_forest_numbers(n: int, edges) -> dict:
     division-free characteristic polynomial; 0 for a disconnected graph) and
     rooted spanning forest count det(K + I) (exact Bareiss)."""
     K = kirchhoff_matrix(n, edges)
-    cp = berkowitz_charpoly(K.astype(object))
+    cp = charpoly(K)
     # det(xI - K) = x^n + ...; pseudo-det = (-1)^(n-z) * coefficient of x^z
     z = 0
     while z <= n and cp[n - z] == 0:

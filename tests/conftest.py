@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 import simplexion as sx
+
+# every run draws the same examples, so a property failure reproduces
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def named_corpus():

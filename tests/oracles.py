@@ -1,0 +1,154 @@
+"""Test-only oracles: slow, independent implementations that the library's
+fast routines are checked against."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from simplexion.core import Complex, parity
+from simplexion.errors import NumericError
+
+
+def berkowitz_charpoly(M) -> list:
+    """Coefficients [1, c_1, ..., c_n] of det(x*I - M) in descending powers,
+    computed division-free over exact integers (Berkowitz).
+    """
+    A = np.array(M, dtype=object)
+    n = A.shape[0]
+    if n == 0:
+        return [1]
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("characteristic polynomial needs a square matrix")
+    # vector of char poly coefficients of the r x r leading block
+    v = np.array([1, -A[0, 0]], dtype=object)
+    for r in range(1, n):
+        Ar = A[:r, :r]
+        R = A[r, :r]
+        S = A[:r, r]
+        # column of the (r+2) x (r+1) Toeplitz factor
+        q = [1, -A[r, r]]
+        s = S
+        for _ in range(r):
+            q.append(-(R @ s))
+            s = Ar @ s
+        # truncated convolution: v_new = T q v with T the lower-banded Toeplitz
+        new = np.zeros(r + 2, dtype=object)
+        for i, qi in enumerate(q):
+            if qi == 0 or i >= r + 2:
+                continue
+            end = min(i + len(v), r + 2)
+            new[i:end] += qi * v[: end - i]
+        v = new
+    return [int(c) for c in v]
+
+
+def charpoly_oracle(M) -> list:
+    """Characteristic polynomial by cofactor expansion over Z[x]; only for
+    small matrices, used to validate berkowitz_charpoly and exact.charpoly."""
+    n = len(M)
+
+    def pmul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def padd(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, y in enumerate(b):
+            out[i] += y
+        return out
+
+    # entries of xI - M as coefficient lists (ascending powers)
+    E = [[([int(-M[i][j])] if i != j else [int(-M[i][j]), 1]) for j in range(n)]
+         for i in range(n)]
+
+    def rec(rows, cols):
+        if len(cols) == 1:
+            return E[rows[0]][cols[0]]
+        total = [0]
+        r = rows[0]
+        for i, c in enumerate(cols):
+            term = pmul(E[r][c], rec(rows[1:], cols[:i] + cols[i + 1:]))
+            if i % 2:
+                term = [-t for t in term]
+            total = padd(total, term)
+        return total
+
+    p = rec(tuple(range(n)), tuple(range(n))) if n else [1]
+    return list(reversed([int(c) for c in p]))  # descending powers
+
+
+def rank_fraction(rows) -> int:
+    """Rational-elimination rank; independent oracle for rank_exact."""
+    A = [[Fraction(v) for v in row] for row in rows]
+    if not A:
+        return 0
+    nrows, ncols = len(A), len(A[0])
+    rank = 0
+    for c in range(ncols):
+        piv = next((r for r in range(rank, nrows) if A[r][c] != 0), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        f = A[rank][c]
+        A[rank] = [v / f for v in A[rank]]
+        for r in range(nrows):
+            if r != rank and A[r][c] != 0:
+                g = A[r][c]
+                A[r] = [a - g * b for a, b in zip(A[r], A[rank])]
+        rank += 1
+    return rank
+
+
+def wu_characteristic_bruteforce(G: Complex, k: int = 2) -> int:
+    """Direct ordered-tuple recursion with common-intersection pruning.
+
+    Exponential; exists as the independent oracle for wu_characteristic.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    simps = list(G.simplices)
+
+    def rec(common: frozenset, depth: int) -> int:
+        if depth == 0:
+            return 1
+        total = 0
+        for y in simps:
+            inter = common & frozenset(y)
+            if inter:
+                total += parity(y) * rec(inter, depth - 1)
+        return total
+
+    return sum(parity(x) * rec(frozenset(x), k - 1) for x in simps)
+
+
+def jacobi_eigenvalues(M, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
+    """Cyclic Jacobi rotations; the self-contained oracle for eig_symmetric
+    (quadratic per sweep, small matrices only)."""
+    A = np.array(M, dtype=float)
+    n = A.shape[0]
+    if n == 0:
+        return np.zeros(0)
+    scale = float(np.abs(A).max()) or 1.0
+    for _ in range(max_sweeps):
+        off = math.sqrt(float((A ** 2).sum() - (np.diag(A) ** 2).sum()))
+        if off <= tol * scale * n:
+            return np.sort(np.diag(A))
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(A[p, q]) <= 1e-300:
+                    continue
+                theta = 0.5 * math.atan2(2.0 * A[p, q], A[q, q] - A[p, p])
+                c, s = math.cos(theta), math.sin(theta)
+                rot_p = c * A[p] - s * A[q]
+                rot_q = s * A[p] + c * A[q]
+                A[p], A[q] = rot_p, rot_q
+                col_p = c * A[:, p] - s * A[:, q]
+                col_q = s * A[:, p] + c * A[:, q]
+                A[:, p], A[:, q] = col_p, col_q
+    raise NumericError("Jacobi iteration did not converge")

@@ -204,6 +204,17 @@ def test_analyze_morse_and_level(tmp_path):
     assert level.f_vector() == (2,)  # crossing edges {1,2} and {0,3}
 
 
+def test_function_values_rejected(tmp_path):
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"facets": [[0, 1], [1, 2]]}))
+    func = tmp_path / "f.json"
+    for values in ({"1": "x"}, {"1": True}, {"1": None}, {"x": 1}, {"1": float("nan")}):
+        func.write_text(json.dumps({"values": {"0": 0, "2": 2, **values}}))
+        assert run(["analyze", "-i", str(path), "--morse", str(func)]) == 2
+        assert run(["analyze", "-i", str(path), "--level", str(func),
+                    "--level-value", "0.5"]) == 2
+
+
 def test_canonical_dump_is_stable():
     a = dumps_canonical({"b": 1, "a": [3, 2]})
     assert a == '{"a":[3,2],"b":1}\n'

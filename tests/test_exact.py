@@ -3,9 +3,8 @@ import pytest
 
 from simplexion.exact import (
     bareiss_det,
-    berkowitz_charpoly,
     cauchy_binet_coeffs,
-    charpoly_oracle,
+    charpoly,
     descartes_positive_roots,
     det_cofactor,
     fraction_inverse,
@@ -16,9 +15,10 @@ from simplexion.exact import (
     leading_minor_signs,
     minor_sum_coeffs,
     rank_exact,
-    rank_fraction,
 )
 from simplexion.rng import SplitMix64
+
+from oracles import berkowitz_charpoly, charpoly_oracle, rank_fraction
 
 
 def random_matrix(gen, rows, cols, lo=-3, hi=3):
@@ -71,9 +71,12 @@ def test_berkowitz_against_oracle():
 
 
 def test_berkowitz_diagonal():
-    assert berkowitz_charpoly([[2, 0], [0, 3]]) == [1, -5, 6]
-    assert berkowitz_charpoly([[0]]) == [1, 0]
-    assert berkowitz_charpoly(np.zeros((0, 0))) == [1]
+    for f in (berkowitz_charpoly, charpoly):
+        assert f([[2, 0], [0, 3]]) == [1, -5, 6]
+        assert f([[0]]) == [1, 0]
+        assert f(np.zeros((0, 0))) == [1]
+        with pytest.raises(ValueError):
+            f([[1, 2, 3], [4, 5, 6]])
 
 
 def test_descartes():
@@ -85,7 +88,7 @@ def test_descartes():
 
 def test_inertia_from_charpoly_diag():
     M = np.diag([3, -2, 0, 5]).tolist()
-    assert inertia_from_charpoly(berkowitz_charpoly(M)) == (2, 1, 1)
+    assert inertia_from_charpoly(charpoly(M)) == (2, 1, 1)
 
 
 def test_inertia_methods_agree():
@@ -95,7 +98,7 @@ def test_inertia_methods_agree():
         n = gen.below(6) + 2
         A = np.array(random_matrix(gen, n, n))
         S = A + A.T
-        inert = inertia_exact(S, berkowitz_cap=100)
+        inert = inertia_exact(S, charpoly_cap=100)
         try:
             minor = inertia_via_minor_signs(S)
         except ZeroDivisionError:
@@ -296,3 +299,74 @@ def test_prop_solve_exact(M, data):
     X = np.array(solve_exact(A, B), dtype=object)
     assert np.array_equal(A @ X, B)
     assert X[:, 0].tolist() == [row[0] for row in y]
+
+
+# -- property tests of the multi-modular characteristic polynomial ------------
+
+FIRST_PRIME = 2 ** 31 - 1  # the largest prime below 2^31, the first one used
+
+
+@st.composite
+def charpoly_matrices(draw, max_n=12):
+    """Square integer matrices: plain non-symmetric; sparse; block upper
+    triangular, whose Hessenberg reduction meets columns with no pivot;
+    entries about +-2^40 as object big-ints, which need many primes, or
+    beyond int64; and multiples of the first prime, which reduce to zero
+    modulo it."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["plain", "sparse", "block", "big", "huge", "first-prime"]))
+    entry = {"plain": st.integers(-4, 4), "sparse": st.sampled_from([0, 0, 0, 1, -2]),
+             "block": st.integers(-3, 3), "big": st.integers(-2 ** 40, 2 ** 40),
+             "huge": st.integers(-2 ** 70, 2 ** 70),
+             "first-prime": st.integers(-3, 3).map(lambda v: v * FIRST_PRIME)}[kind]
+    M = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if kind == "block":
+        cuts = sorted(draw(st.lists(st.integers(1, n), max_size=3)))
+        blk = [sum(i >= c for c in cuts) for i in range(n)]
+        M = [[v if blk[i] <= blk[j] else 0 for j, v in enumerate(row)]
+             for i, row in enumerate(M)]
+    return np.array(M, dtype=object) if kind in ("big", "huge", "first-prime") else M
+
+
+@PROPS
+@given(charpoly_matrices())
+def test_prop_charpoly_matches_berkowitz(M):
+    assert charpoly(M) == berkowitz_charpoly(M)
+
+
+@PROPS
+@given(charpoly_matrices(max_n=6))
+def test_prop_charpoly_matches_oracle(M):
+    assert charpoly(M) == charpoly_oracle(M)
+
+
+def test_charpoly_pinned_beyond_2_128():
+    # four primes below 2^31 multiply to less than 2^124, so coefficients
+    # beyond 2^128 are only right if the CRT across five or more is
+    gen = SplitMix64(17)
+    M = np.array([[gen.below(2 ** 41) - 2 ** 40 for _ in range(10)] for _ in range(10)],
+                 dtype=object)
+    cp = charpoly(M)
+    assert cp == berkowitz_charpoly(M)
+    assert max(abs(c) for c in cp) > 2 ** 128
+
+
+def test_charpoly_many_primes_in_batches():
+    # M = E T E^-1 for elementary E, so det(xI - M) = prod (x - T_ii); the
+    # 2^30-sized diagonal needs more primes than one batch of residues holds
+    from simplexion.exact import _hadamard_bound, _primes_over
+
+    n, gen = 128, SplitMix64(23)
+    diag = [gen.below(2 ** 31) - 2 ** 30 for _ in range(n)]
+    M = np.zeros((n, n), dtype=object)
+    M[range(n), range(n)] = diag
+    for _ in range(4 * n):
+        a, b = gen.below(n), gen.below(n)
+        if a != b:
+            M[a] += M[b]
+            M[:, b] -= M[:, a]
+    assert len(_primes_over(2 * _hadamard_bound(M))[0]) * n * n > 2 ** 21
+    expected = [1]
+    for d in diag:
+        expected = [x - d * y for x, y in zip(expected + [0], [0] + expected)]
+    assert charpoly(M) == expected
