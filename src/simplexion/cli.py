@@ -8,6 +8,7 @@ wall times so identical arguments give byte-identical bytes.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -61,7 +62,7 @@ ALL_SUITES = [
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_help()
@@ -74,6 +75,13 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process (parsing leaves it
+    unchanged)."""
+    return build_parser()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,12 +424,13 @@ def _chk_sard(ctx):
 
 
 def _chk_lefschetz(ctx):
-    res = hodge_mod.lefschetz(ctx.G, {v: v for v in ctx.G.vertices()})
+    lefschetz = hodge_mod._lefschetz_numbers(ctx.G)
+    res = lefschetz({v: v for v in ctx.G.vertices()})
     ok = res["cohomological"] == res["fixed_point_sum"] == ctx.G.euler_characteristic()
     wit = {"identity": res}
     if len(ctx.G.vertices()) <= 8:
         for perm in hodge_mod.automorphisms(ctx.G):
-            r = hodge_mod.lefschetz(ctx.G, perm)
+            r = lefschetz(perm)
             if r["cohomological"] != r["fixed_point_sum"]:
                 return False, {"perm": perm, "result": r}
         wit["all_automorphisms"] = True

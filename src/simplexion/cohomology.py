@@ -8,8 +8,11 @@ vertex tuple, and all signs are parities of sorting permutations.  All exact
 linear algebra goes through the one fraction-free elimination kernel of
 `exact` (int64 under a proved bound, Python big integers beyond): its ranks
 drive every Betti number, and the Lefschetz maps on H^k come from its kernel
-bases, pivot columns and solves.  Floating point appears only in the
-explicitly numeric checks.
+bases, pivot columns and solves.  Every integer matrix-matrix product (Hodge
+operators, the dd = 0 checks, the McKean-Singer supertraces) is
+`exact.matmul`, which uses a float64 BLAS product only where a bound proves
+it exact.  Otherwise floating point appears only in the explicitly numeric
+checks.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .core import Complex, close, parity
 from .errors import InvariantViolation, ResourceLimitError
-from .exact import echelon, kernel_basis, rank_exact, solve_exact
+from .exact import echelon, kernel_basis, matmul, rank_exact, solve_exact
 from .generators import product_cells, ring_product_complex
 from .refinement import refinement_order
 
@@ -59,7 +62,7 @@ def exterior_derivative(G: Complex) -> ChainComplexData:
                 mat[row, index[k][face]] = (-1) ** pos
         d.append(mat)
     for k in range(len(d) - 1):
-        if (d[k + 1] @ d[k]).any():
+        if matmul(d[k + 1], d[k]).any():
             raise InvariantViolation("dd != 0", witness={"degree": k})
     return ChainComplexData(bases=bases, d=d)
 
@@ -82,7 +85,7 @@ def dirac(G: Complex, data: ChainComplexData | None = None) -> np.ndarray:
 
 def hodge(G: Complex, data: ChainComplexData | None = None) -> np.ndarray:
     D = dirac(G, data)
-    return D @ D
+    return matmul(D, D)
 
 
 def hodge_blocks(G: Complex, data: ChainComplexData | None = None) -> list:
@@ -93,9 +96,9 @@ def hodge_blocks(G: Complex, data: ChainComplexData | None = None) -> list:
         n = len(base)
         H = np.zeros((n, n), dtype=np.int64)
         if k < len(data.d):
-            H += data.d[k].T @ data.d[k]
+            H += matmul(data.d[k].T, data.d[k])
         if k >= 1:
-            H += data.d[k - 1] @ data.d[k - 1].T
+            H += matmul(data.d[k - 1], data.d[k - 1].T)
         blocks.append(H)
     return blocks
 
@@ -147,27 +150,33 @@ def betti_numeric(G: Complex, tol: float = 1e-8) -> tuple:
     return tuple(out)
 
 
+def _supertraces(blocks: list, kmax: int) -> list:
+    """[str(H^j) for j = 1..kmax] of H = the direct sum of the symmetric
+    blocks H_k, block k of parity (-1)^k.  As H_k^a is symmetric,
+    tr(H_k^j) = <H_k^a, H_k^b>_F for a + b = j, so no power above
+    ceil(kmax / 2) is formed; the Frobenius products are `matmul`s of the
+    flattened powers, so its bound proves them exact too."""
+    out = [0] * kmax
+    for k, H in enumerate(blocks):
+        powers = [np.eye(len(H), dtype=np.int64), H]
+        while len(powers) <= (kmax + 1) // 2:
+            powers.append(matmul(powers[-1], H))
+        for j in range(1, kmax + 1):
+            X, Y = powers[j // 2], powers[j - j // 2]
+            out[j - 1] += (-1) ** k * int(matmul(X.reshape(1, -1), Y.reshape(-1, 1))[0, 0])
+    return out
+
+
 def mckean_singer(G: Complex, ts=(0.1, 1.0, 10.0), kmax: int = 6) -> dict:
     """Supertraces of Hodge powers: str(H^k) = 0 exactly for 1 <= k <= kmax,
-    and str(exp(-t H)) = chi(G) within 1e-8 on the t grid."""
-    elems = refinement_order(G)
-    w = np.array([parity(x) for x in elems], dtype=np.int64)
-    H = hodge(G)
+    and str(exp(-t H)) = chi(G) within 1e-8 on the t grid.  In canonical
+    order H is the direct sum of its degree blocks H_k, and a k-simplex has
+    parity (-1)^k, so both sides work block by block."""
+    blocks = hodge_blocks(G)
     chi = G.euler_characteristic()
-    # int64 is safe while the power's entries stay below the row-sum bound
-    bound = int(np.abs(H).sum(axis=1).max()) or 1
-    if bound ** kmax >= (1 << 62):
-        H = H.astype(object)
-        w = w.astype(object)
-    power = np.eye(len(elems), dtype=H.dtype)
-    exact_ok = True
-    for _ in range(kmax):
-        power = power @ H
-        if int((w * np.diag(power)).sum()) != 0:
-            exact_ok = False
-            break
+    exact_ok = not any(_supertraces(blocks, kmax))
     max_err = 0.0
-    spectra = [np.linalg.eigvalsh(blk.astype(float)) for blk in hodge_blocks(G)]
+    spectra = [np.linalg.eigvalsh(blk.astype(float)) for blk in blocks]
     for t in ts:
         total = 0.0
         for k, vals in enumerate(spectra):
@@ -231,26 +240,37 @@ def _cohomology_bases(data: ChainComplexData, k: int) -> tuple:
     return image, kernel[:, [c - t for c in chosen]]
 
 
+def _pullbacks(G: Complex, data: ChainComplexData | None = None):
+    """perm -> induced_cohomology_matrices(G, perm, data), with the chain
+    complex and the H^k bases, which do not depend on the map, computed
+    once for every map."""
+    data = data or exterior_derivative(G)
+    spaces = [(base, *_cohomology_bases(data, k)) for k, base in enumerate(data.bases)]
+
+    def induced(perm: dict) -> list:
+        out = []
+        for base, image, reps in spaces:
+            if not reps.shape[1]:
+                out.append([])
+                continue
+            # pushforward of basis cochains: T# e_x = sign * e_{T(x)}
+            index = {x: i for i, x in enumerate(base)}
+            target = [index[simplex_image(x, perm)] for x in base]
+            sign = np.array([permutation_sign_on(x, perm) for x in base], dtype=np.int64)
+            pulled = np.zeros_like(reps)
+            pulled[target] = sign[:, None] * reps
+            coeffs = solve_exact(np.concatenate([image, reps], axis=1), pulled)
+            out.append(coeffs[image.shape[1]:])
+        return out
+
+    return induced
+
+
 def induced_cohomology_matrices(G: Complex, perm: dict,
                                 data: ChainComplexData | None = None) -> list:
     """Matrix of the pullback on each H^k in the chosen representative
     bases, over exact rationals."""
-    data = data or exterior_derivative(G)
-    out = []
-    for k, base in enumerate(data.bases):
-        image, reps = _cohomology_bases(data, k)
-        if not reps.shape[1]:
-            out.append([])
-            continue
-        # pushforward of basis cochains: T# e_x = sign * e_{T(x)}
-        index = {x: i for i, x in enumerate(base)}
-        target = [index[simplex_image(x, perm)] for x in base]
-        sign = np.array([permutation_sign_on(x, perm) for x in base], dtype=np.int64)
-        pulled = np.zeros_like(reps)
-        pulled[target] = sign[:, None] * reps
-        coeffs = solve_exact(np.concatenate([image, reps], axis=1), pulled)
-        out.append(coeffs[image.shape[1]:])
-    return out
+    return _pullbacks(G, data)(perm)
 
 
 def lefschetz(G: Complex, perm: dict) -> dict:
@@ -261,18 +281,28 @@ def lefschetz(G: Complex, perm: dict) -> dict:
     set-fixed simplices.  The two agree for every simplicial automorphism."""
     if not is_automorphism(G, perm):
         raise ValueError("not a simplicial automorphism")
-    mats = induced_cohomology_matrices(G, perm)
-    coh = Fraction(0)
-    for k, m in enumerate(mats):
-        tr = sum(m[i][i] for i in range(len(m))) if m else Fraction(0)
-        coh += (-1) ** k * tr
-    fixed = 0
-    for x in G.simplices:
-        if simplex_image(x, perm) == x:
-            fixed += parity(x) * permutation_sign_on(x, perm)
-    if coh.denominator != 1:
-        raise InvariantViolation("non-integer Lefschetz trace", witness=str(coh))
-    return {"cohomological": int(coh), "fixed_point_sum": fixed}
+    return _lefschetz_numbers(G)(perm)
+
+
+def _lefschetz_numbers(G: Complex):
+    """perm -> lefschetz(G, perm) for automorphisms perm of G, with the H^k
+    bases computed once for every map."""
+    induced = _pullbacks(G)
+
+    def numbers(perm: dict) -> dict:
+        coh = Fraction(0)
+        for k, m in enumerate(induced(perm)):
+            tr = sum(m[i][i] for i in range(len(m))) if m else Fraction(0)
+            coh += (-1) ** k * tr
+        fixed = 0
+        for x in G.simplices:
+            if simplex_image(x, perm) == x:
+                fixed += parity(x) * permutation_sign_on(x, perm)
+        if coh.denominator != 1:
+            raise InvariantViolation("non-integer Lefschetz trace", witness=str(coh))
+        return {"cohomological": int(coh), "fixed_point_sum": fixed}
+
+    return numbers
 
 
 # -- Kuenneth / strong ring ----------------------------------------------------
@@ -355,12 +385,12 @@ def kuenneth_check(A: Complex, B: Complex, tol: float = 1e-6,
     sa = _grade_sign_matrix(exterior_derivative(A).bases)
     na, nb = len(da), len(db)
     dprod = np.kron(da, np.eye(nb, dtype=np.int64)) + np.kron(sa, db)
-    if (dprod @ dprod).any():
+    if matmul(dprod, dprod).any():
         raise InvariantViolation("product derivative does not square to zero")
     Dp = dprod + dprod.T
-    Hp = Dp @ Dp
-    Ha = dirac(A) @ dirac(A)
-    Hb = dirac(B) @ dirac(B)
+    Hp = matmul(Dp, Dp)
+    Ha = hodge(A)
+    Hb = hodge(B)
     hodge_kron_ok = np.array_equal(
         Hp,
         np.kron(Ha, np.eye(nb, dtype=np.int64))
@@ -462,7 +492,7 @@ def interaction_derivative(G: Complex, pair_cap: int = DEFAULT_PAIR_CAP) -> tupl
                     mat[row, index[k][(x, face)]] += sgn * (-1) ** pos
         mats.append(mat)
     for k in range(len(mats) - 1):
-        if (mats[k + 1] @ mats[k]).any():
+        if matmul(mats[k + 1], mats[k]).any():
             raise InvariantViolation("interaction dd != 0", witness={"degree": k})
     return bases, mats
 

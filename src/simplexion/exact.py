@@ -6,11 +6,26 @@ echelon form for determinants, leading-minor signs and ranks, or on to the
 fraction-free Gauss-Jordan form for inverses, kernel bases and solves.  It
 runs on int64 while a bound checked before each step proves every product
 exact, and promotes the matrix to Python big-int object arrays otherwise.
-Rational input has its row denominators cleared first.  Beside the kernel
-sit eigenvalue sign counts and the characteristic polynomial: Hessenberg
-reduction mod primes below 2^31 in int64, and the Chinese remainder theorem
-over enough primes for the Hadamard bound on its coefficients.  No floating
-point enters any code path in this module.
+Rational input has its row denominators cleared first.
+
+`matmul` is the one exact integer matrix product.  With bound = max_i
+sum_k |A_ik| * max |B|, every partial sum of every entry of A @ B, in any
+summation order and with or without fused multiply-adds, is an integer of
+absolute value at most bound.  Integers below 2^53 are exact float64
+numbers, so below that bound the product runs as a float64 BLAS dgemm and
+is cast back; below 2^63 it runs in int64, and beyond on Python integers.
+This is the only place floating point enters an exact result.
+
+Square matrices above SCHUR_LEAF rows whose leading blocks are unimodular,
+as connection matrices in canonical order are, get their determinant,
+leading-minor signs and inverse from a Schur-complement recursion whose
+products all go through `matmul`; any other matrix, and any block where the
+recursion's conditions fail, goes to `echelon`.
+
+Beside these sit eigenvalue sign counts and the characteristic polynomial:
+Hessenberg reduction mod primes below 2^31 in int64, and the Chinese
+remainder theorem over enough primes for the Hadamard bound on its
+coefficients.
 """
 
 from __future__ import annotations
@@ -133,14 +148,116 @@ def _clear_denominators(rows) -> tuple:
     return np.array([[int(v * k) for v in row] for row, k in zip(fr, m)], dtype=object), m
 
 
+# -- the exact product and the unit-pivot Schur-complement tier ----------------
+
+
+def _row_bound(A: np.ndarray) -> int:
+    """max_i sum_k |A_ik| as a Python int; 0 for an empty matrix."""
+    if not A.size:
+        return 0
+    if A.dtype == object or _absmax(A) * A.shape[1] >= 1 << 63:
+        A = A.astype(object)
+    return int(np.abs(A).sum(axis=1).max())
+
+
+def matmul(A, B) -> np.ndarray:
+    """The exact integer product A @ B of two matrices: a float64 BLAS
+    product cast back to int64 while max_i sum_k |A_ik| * max |B| < 2^53,
+    int64 while that bound is below 2^63, Python integers beyond (see the
+    module docstring for why each tier is exact)."""
+    A, B = (X if X.dtype == object else X.astype(np.int64, copy=False)
+            for X in (np.asarray(A), np.asarray(B)))
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+        raise ValueError(f"cannot multiply shapes {A.shape} and {B.shape}")
+    bound = _row_bound(A) * _absmax(B)
+    if bound == 0:  # a zero factor, whose other factor may not fit a float
+        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    if bound < 1 << 53:
+        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+    if bound < 1 << 63:
+        return A.astype(np.int64) @ B.astype(np.int64)
+    return A.astype(object) @ B.astype(object)
+
+
+SCHUR_LEAF = 64  # blocks of at most this many rows go to `echelon`
+
+
+class _NoUnitPivots(Exception):
+    """The Schur-complement tier does not apply; `echelon` decides."""
+
+
+def _mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    P = matmul(X, Y)
+    if P.dtype == object:
+        raise _NoUnitPivots
+    return P
+
+
+def _sub(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X - Y in int64, when no entry can overflow."""
+    if _absmax(X) + _absmax(Y) >= 1 << 63:
+        raise _NoUnitPivots
+    return X - Y
+
+
+def _schur(M: np.ndarray, inverse: bool) -> tuple:
+    """(leading-minor signs, det, M^-1 if inverse else None) of the square
+    int64 matrix M, by the Schur complement of its leading block.
+
+    With M = [[A, B], [C, D]] split at half its order and det A = +-1, A^-1
+    is integral and S = D - C A^-1 B; the leading minors of M continue those
+    of A as det A times those of S, det M = det A det S, and M^-1 is built
+    from A^-1 and S^-1 by the block formula.  Blocks of at most SCHUR_LEAF
+    rows are eliminated by `echelon`.  Raises _NoUnitPivots when a leading
+    minor is zero, when a block to be inverted is not unimodular, or when a
+    value would leave int64."""
+    n = len(M)
+    if n <= SCHUR_LEAF:
+        e = echelon(M, np.eye(n, dtype=np.int64) if inverse else None, full=inverse)
+        if e.matrix.dtype == object or len(e.pivots) < n or e.rows != list(range(n)):
+            raise _NoUnitPivots
+        d = int(e.matrix[n - 1, n - 1])
+        if not inverse:
+            return e.signs, e.signs[-1] * abs(d), None
+        if d not in (1, -1):
+            raise _NoUnitPivots
+        return e.signs, e.signs[-1], e.matrix[:, n:] * d
+    h = n // 2
+    sa, da, Ai = _schur(M[:h, :h], True)
+    AiB = _mul(Ai, M[:h, h:])
+    ss, ds, Si = _schur(_sub(M[h:, h:], _mul(M[h:, :h], AiB)), inverse)
+    signs = sa + [da * s for s in ss]
+    if not inverse:
+        return signs, da * ds, None
+    lower = -_mul(Si, _mul(M[h:, :h], Ai))  # -S^-1 C A^-1
+    upper = _sub(Ai, _mul(AiB, lower))      # A^-1 + A^-1 B S^-1 C A^-1
+    return signs, da * ds, np.block([[upper, -_mul(AiB, Si)], [lower, Si]])
+
+
+def _unit_schur(M, inverse: bool):
+    """`_schur` of M when M is a square non-object matrix above SCHUR_LEAF
+    rows and the recursion applies, else None."""
+    A = np.asarray(M)
+    if A.dtype == object or A.ndim != 2 or not SCHUR_LEAF < A.shape[0] == A.shape[1]:
+        return None
+    try:
+        return _schur(A.astype(np.int64, copy=False), inverse)
+    except _NoUnitPivots:
+        return None
+
+
 def bareiss_det(M) -> int:
-    """Exact determinant by fraction-free elimination with row pivoting."""
+    """Exact determinant: the unit-pivot Schur tier when it applies, else
+    fraction-free elimination with row pivoting."""
     A = np.array(M)
     n, m = A.shape
     if n != m:
         raise ValueError("determinant needs a square matrix")
     if n == 0:
         return 1
+    fast = _unit_schur(A, False)
+    if fast:
+        return fast[1]
     e = echelon(A)
     if len(e.pivots) < n:
         return 0
@@ -149,8 +266,12 @@ def bareiss_det(M) -> int:
 
 def leading_minor_signs(M) -> list:
     """Signs of the leading principal minors Delta_1..Delta_n, computed from
-    the Bareiss pivots.  Raises on a zero pivot (the minor-sign inertia rule
-    then does not apply)."""
+    the unit-pivot Schur tier when it applies, else from the Bareiss pivots.
+    Raises on a zero pivot (the minor-sign inertia rule then does not
+    apply)."""
+    fast = _unit_schur(M, False)
+    if fast:
+        return fast[0]
     e = echelon(M)
     n = len(e.rows)
     plain = [c == k == r for k, (c, r) in enumerate(zip(e.pivots, e.rows))]
@@ -207,11 +328,15 @@ def _inverse_scaled(A, aug) -> tuple:
 def integer_inverse(M) -> np.ndarray:
     """Exact inverse of an integer matrix with all leading principal minors
     equal to +-1 (e.g. connection matrices in canonical order): every pivot
-    is a unit, so the elimination is plain integer Gauss-Jordan.  Other
-    nonsingular matrices go through the same elimination, and the result is
-    checked to be integral.
+    is a unit, so the inverse is integral and the unit-pivot Schur tier (or,
+    up to SCHUR_LEAF rows, plain integer Gauss-Jordan) builds it.  Other
+    nonsingular matrices go through the fraction-free elimination, and the
+    result is checked to be integral.
     """
     L = np.asarray(M, dtype=np.int64)
+    fast = _unit_schur(L, True)
+    if fast:
+        return fast[2]
     d, scaled = _inverse_scaled(L, np.eye(len(L), dtype=np.int64))
     if d == 1:
         return scaled
@@ -489,7 +614,7 @@ def cauchy_binet_coeffs(F, G, minor_cap: int = 8) -> list:
     if F.shape != G.shape:
         raise ValueError("F and G must have identical shape")
     n, m = F.shape
-    cp = charpoly(F.T @ G)  # descending: x^m + c1 x^(m-1) + ...
+    cp = charpoly(matmul(F.T, G))  # descending: x^m + c1 x^(m-1) + ...
     # det(xI - A) = sum_k p_k (-1)^k x^(m-k) * (-1)^m ... normalize:
     # p_k = (-1)^k * coefficient of x^(m-k)
     pk = [(-1) ** k * cp[k] for k in range(m + 1)]

@@ -9,6 +9,7 @@ from simplexion.jsonio import (
     load_complex,
     matrix_from_dict,
     matrix_to_dict,
+    write_canonical,
 )
 
 
@@ -146,6 +147,24 @@ def test_verify_byte_identical(tmp_path):
     assert reps[0] == reps[1]
 
 
+def test_parser_built_once(monkeypatch, capsys):
+    import simplexion.cli as cli
+
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert run([]) == 2
+        help_text = capsys.readouterr().out
+        assert run(["random", "--n", "11", "--p", "0.5"]) == 2
+        assert run(["verify", "-i", "missing.json"]) == 2
+        assert built == [1]
+        assert help_text == real().format_help()
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_spectra_cmd(tmp_path):
     c4 = tmp_path / "c4.json"
     run(["generate", "cycle", "--n", "4", "-o", str(c4)])
@@ -218,3 +237,76 @@ def test_function_values_rejected(tmp_path):
 def test_canonical_dump_is_stable():
     a = dumps_canonical({"b": 1, "a": [3, 2]})
     assert a == '{"a":[3,2],"b":1}\n'
+
+
+# outputs of the refined-large benchmark inputs, recorded before the float64
+# product and the Schur-complement tier came in: statuses and exact witness
+# fields must not move; floats may move by 1e-12 relative, or 1e-12 absolute
+# for the rounding-level ones (the Hodge kernel's eigenvalue, numeric_max_err)
+REFINED_LARGE_PINNED = {
+    "suspC12_1": (
+        {"checks": [
+            {"status": "pass", "theorem": "unimodularity", "witness": {"det": 1}},
+            {"status": "pass", "theorem": "energy", "witness": {"chi": 2, "sum_g": 2}},
+            {"status": "pass", "theorem": "inertia", "witness": {
+                "chi": 2, "n": 216, "numeric_signs_ok": True, "p": 218, "z": 0}},
+            {"status": "pass", "theorem": "euler-poincare",
+             "witness": {"betti": [1, 0, 1], "chi": 2}},
+            {"status": "pass", "theorem": "mckean-singer",
+             "witness": {"numeric_max_err": 1.2878587085651816e-13}}],
+         "input": "suspC12_1.json", "pass": True, "simplices": 434},
+        {"max": 25.116772388335225, "min": -4.816459796677618e-16,
+         "operator": "hodge", "order": 434},
+        {"betti": [1, 0, 1], "euler_characteristic": 2, "euler_poly": [74, 216, 144],
+         "f_vector": [74, 216, 144], "max_dim": 2, "poincare_poly": [1, 0, 1],
+         "simplices": 434},
+    ),
+    "joinC4K2_1": (
+        {"checks": [
+            {"status": "pass", "theorem": "unimodularity", "witness": {"det": 1}},
+            {"status": "pass", "theorem": "energy", "witness": {"chi": 1, "sum_g": 1}},
+            {"status": "pass", "theorem": "inertia", "witness": {
+                "chi": 1, "n": 250, "numeric_signs_ok": True, "p": 251, "z": 0}},
+            {"status": "pass", "theorem": "euler-poincare",
+             "witness": {"betti": [1, 0, 0, 0], "chi": 1}},
+            {"status": "pass", "theorem": "mckean-singer",
+             "witness": {"numeric_max_err": 6.417089082333405e-14}}],
+         "input": "joinC4K2_1.json", "pass": True, "simplices": 501},
+        {"max": 19.24984650312242, "min": 5.133857764989732e-15,
+         "operator": "hodge", "order": 501},
+        {"betti": [1, 0, 0, 0], "euler_characteristic": 1,
+         "euler_poly": [35, 154, 216, 96], "f_vector": [35, 154, 216, 96],
+         "max_dim": 3, "poincare_poly": [1, 0, 0, 0], "simplices": 501},
+    ),
+}
+
+
+def _matches(got, want):
+    if isinstance(want, float):
+        return isinstance(got, float) and abs(got - want) <= max(1e-12 * abs(want), 1e-12)
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_matches(got[k], want[k]) for k in want)
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(_matches, got, want))
+    return type(got) is type(want) and got == want
+
+
+def test_refined_large_outputs_pinned(tmp_path, capsys):
+    from simplexion.cohomology import mckean_singer
+
+    inputs = {"suspC12_1": sx.join(sx.cycle(12), sx.cross_polytope(0)),
+              "joinC4K2_1": sx.join(sx.cycle(4), sx.complete(2))}
+    for name, base in inputs.items():
+        G = sx.barycentric(base)
+        path = str(tmp_path / f"{name}.json")
+        write_canonical(complex_to_dict(G), path)
+        outputs = []
+        for argv in (["verify", "-i", path, "--suite",
+                      "unimodularity,energy,inertia,euler-poincare,mckean-singer"],
+                     ["spectra", "-i", path, "--operator", "hodge"],
+                     ["analyze", "-i", path, "--betti"]):
+            assert run(argv + ["--no-meta"]) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        for got, want in zip(outputs, REFINED_LARGE_PINNED[name]):
+            assert _matches(got, want), (name, got)
+        assert mckean_singer(G)["exact_zero_powers"] is True

@@ -8,6 +8,11 @@ from simplexion import cohomology as coh
 from simplexion.exact import rank_exact
 from simplexion.rng import SplitMix64
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import mckean_singer_full, supertraces_full
+
 
 def test_exterior_derivative_k2():
     data = coh.exterior_derivative(sx.close([(0, 1)]))
@@ -63,6 +68,38 @@ def test_mckean_singer(corpus):
         res = coh.mckean_singer(G)
         assert res["exact_zero_powers"]
         assert res["numeric_max_err"] < 1e-8
+        assert res == mckean_singer_full(G)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=4), st.data())
+def test_prop_block_supertraces_match_full_powers(sizes, data):
+    # symmetric blocks whose supertraces are not zero; entries up to 2^20
+    # push H^3 and the Frobenius products past the float64 and int64 tiers
+    scale = data.draw(st.sampled_from([3, 2 ** 10, 2 ** 20]))
+    blocks = []
+    for n in sizes:
+        A = np.array([[data.draw(st.integers(-scale, scale)) for _ in range(n)]
+                      for _ in range(n)], dtype=np.int64).reshape(n, n)
+        blocks.append(A + A.T)
+    kmax = data.draw(st.integers(1, 7))
+    assert coh._supertraces(blocks, kmax) == supertraces_full(blocks, kmax)
+
+
+def test_lefschetz_bases_once_per_complex(monkeypatch, tmp_path):
+    # verify --suite lefschetz on K4 maps H^k under all 24 automorphisms
+    # and the identity, from one set of H^k bases
+    from simplexion.cli import main
+    from simplexion.jsonio import complex_to_dict, write_canonical
+
+    calls = []
+    real = coh._cohomology_bases
+    monkeypatch.setattr(coh, "_cohomology_bases",
+                        lambda data, k: calls.append(k) or real(data, k))
+    path = str(tmp_path / "k4.json")
+    write_canonical(complex_to_dict(sx.complete(4)), path)
+    assert main(["verify", "-i", path, "--suite", "lefschetz", "--no-meta"]) == 0
+    assert calls == [0, 1, 2, 3]
 
 
 def test_hodge_block_str_zero_k2():

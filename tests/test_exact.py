@@ -370,3 +370,213 @@ def test_charpoly_many_primes_in_batches():
     for d in diag:
         expected = [x - d * y for x, y in zip(expected + [0], [0] + expected)]
     assert charpoly(M) == expected
+
+
+# -- the exact product and the unit-pivot Schur-complement tier ----------------
+
+from simplexion import exact  # noqa: E402
+from simplexion.exact import matmul  # noqa: E402
+
+TIER_EDGES = (2 ** 53, 2 ** 63)  # float64 below the first, int64 below the second
+
+
+@st.composite
+def product_operands(draw):
+    """(A, B) as object arrays with bound = max row sum of |A| * max |B| just
+    below, at or just above 2^53 or 2^63.  Same-signed rows and columns of
+    B at its maximum make the partial sums reach the bound, and odd entries
+    keep them from being multiples of a power of two."""
+    r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
+    A = np.array([[draw(st.integers(0, 2 ** 10)) for _ in range(k)] for _ in range(r)],
+                 dtype=object)
+    A[0, 0] = draw(st.integers(1, 2 ** 10)) | 1
+    if draw(st.booleans()):
+        A = -A
+    b = -(-draw(st.sampled_from(TIER_EDGES)) // max(abs(A).sum(axis=1))) + draw(st.integers(-2, 1))
+    B = np.array([[b - draw(st.sampled_from([0, 0, 1, 2])) for _ in range(c)] for _ in range(k)],
+                 dtype=object)
+    B[0, 0] = b
+    if draw(st.booleans()):
+        B[:, -1] *= -1
+    return A, B
+
+
+@PROPS
+@given(product_operands())
+def test_prop_matmul_matches_object_product(AB):
+    A, B = AB
+    bound = max(abs(A).sum(axis=1)) * max(abs(B).ravel())
+    P = matmul(A, B)
+    assert P.tolist() == (A @ B).tolist()
+    assert (P.dtype == object) == (bound >= 2 ** 63)
+    if bound < 2 ** 63:  # int64 operands go through the same tiers
+        assert matmul(A.astype(np.int64), B.astype(np.int64)).tolist() == P.tolist()
+
+
+def test_matmul_tiers_at_the_edges():
+    # one unit either side of each edge, as one entry and as the sum of two
+    # halves: 2^53 + 1 is not a float64 and 2^63 + 1 not an int64, so a
+    # product in the wrong tier would round or wrap
+    one, ones = np.array([[1]], dtype=object), np.array([[1, 1]], dtype=object)
+    for edge in TIER_EDGES:
+        for b in (edge - 1, edge + 1):
+            assert matmul(one, np.array([[b]], dtype=object)).tolist() == [[b]]
+            halves = np.array([[b // 2], [b - b // 2]], dtype=object)
+            assert matmul(ones, halves).tolist() == [[b]]
+    with pytest.raises(ValueError):
+        matmul(np.eye(2), np.eye(3))
+    assert matmul(np.zeros((2, 0)), np.zeros((0, 3))).tolist() == [[0] * 3] * 2
+    huge = np.array([[2 ** 2000]], dtype=object)
+    assert matmul(huge, np.zeros((1, 1), dtype=np.int64)).tolist() == [[0]]
+
+
+class _echelon_only:
+    """The exact wrappers with the Schur tier switched off: every matrix
+    goes to `echelon`, the reference for the tier."""
+
+    def __enter__(self):
+        self.leaf, exact.SCHUR_LEAF = exact.SCHUR_LEAF, 10 ** 9
+
+    def __exit__(self, *exc):
+        exact.SCHUR_LEAF = self.leaf
+
+
+def _reference(M):
+    """(signs or None on a zero leading minor, det, integer inverse or None)
+    by `echelon` alone."""
+    with _echelon_only():
+        try:
+            signs = leading_minor_signs(M)
+        except ZeroDivisionError:
+            signs = None
+        det = bareiss_det(M)
+        inverse = integer_inverse(M) if det in (1, -1) else None
+    return signs, det, inverse
+
+
+def _assert_matches_echelon(M, tier_applies=None):
+    """The wrappers give the echelon results; tier_applies, when given, is
+    whether the Schur tier serves M."""
+    signs, det, inverse = _reference(M)
+    if tier_applies is None:
+        tier_applies = exact._unit_schur(M, True) is not None
+    assert (exact._unit_schur(M, True) is not None) == tier_applies
+    if signs is None:
+        with pytest.raises(ZeroDivisionError):
+            leading_minor_signs(M)
+    else:
+        assert leading_minor_signs(M) == signs
+    assert bareiss_det(M) == det
+    if inverse is not None:
+        got = integer_inverse(M)
+        assert np.array_equal(got.astype(object), inverse.astype(object))
+    if tier_applies:
+        assert exact._schur(M, False)[:2] == (signs, det)
+
+
+@st.composite
+def large_complexes(draw):
+    """Connection matrices of more than SCHUR_LEAF simplices: random Whitney
+    complexes, refined once when they are small."""
+    import simplexion as sx
+
+    n = draw(st.integers(6, 9))
+    p = draw(st.sampled_from([0.4, 0.6, 0.8]))
+    G = sx.erdos_renyi(sx.RandomModel(n=n, p=p, seed=draw(st.integers(0, 10 ** 6))))
+    if len(G) <= exact.SCHUR_LEAF:
+        G = sx.barycentric(G)
+    return G
+
+
+@settings(PROPS, max_examples=30)
+@given(large_complexes())
+def test_prop_schur_tier_on_connection_matrices(G):
+    from simplexion.connection import connection_matrix
+
+    L = connection_matrix(G)
+    if len(L) > exact.SCHUR_LEAF:
+        _assert_matches_echelon(L, tier_applies=True)
+
+
+def _unit_lu(n, seed, e):
+    """L U with L unit lower and U unit upper triangular, sparse entries in
+    {-1, 0, 1}, and U's upper right block scaled by 2^e: every leading minor
+    is 1, and e sets how large the Schur tier's products grow."""
+    rng = np.random.default_rng(seed)
+
+    def sparse():
+        return np.where(rng.random((n, n)) < 2 / n, rng.integers(-1, 2, (n, n)), 0)
+
+    L = (np.tril(sparse(), -1) + np.eye(n, dtype=np.int64)).astype(object)
+    U = (np.triu(sparse(), 1) + np.eye(n, dtype=np.int64)).astype(object)
+    U[:n // 2, n // 2:] *= 2 ** e
+    return L @ U
+
+
+@settings(PROPS, max_examples=25)
+@given(st.integers(65, 140), st.integers(0, 2 ** 32), st.sampled_from([0, 30, 54, 58, 60]))
+def test_prop_schur_tier_on_unimodular_products(n, seed, e):
+    from hypothesis import assume
+
+    M = _unit_lu(n, seed, e)
+    assume(max(abs(M).ravel()) < 2 ** 63)
+    _assert_matches_echelon(M.astype(np.int64))
+
+
+def test_schur_tier_runs_every_product_tier(monkeypatch):
+    # the float64 and int64 products keep the tier; an object product (a
+    # bound at or above 2^63) sends the matrix back to echelon
+    tiers = []
+    real = exact.matmul
+
+    def spy(A, B):
+        P = real(A, B)
+        bound = exact._row_bound(np.asarray(A)) * exact._absmax(np.asarray(B))
+        tiers.append("float64" if bound < 2 ** 53 else str(P.dtype))
+        return P
+
+    monkeypatch.setattr(exact, "matmul", spy)
+    for e, seed, expect, applies in ((0, 0, {"float64"}, True),
+                                     (56, 0, {"float64", "int64"}, True),
+                                     (60, 1, {"object"}, False)):
+        M = _unit_lu(80, seed, e).astype(np.int64)
+        tiers.clear()
+        assert (exact._unit_schur(M, True) is not None) == applies
+        assert set(tiers) == expect
+        _assert_matches_echelon(M, tier_applies=applies)
+
+
+def _with_block(n, at, block, seed=5):
+    """L K U for the unit triangular L, U of _unit_lu and K the identity
+    with the 2 x 2 block at rows and columns at, at + 1: the leading minors
+    of L K U are those of K."""
+    M = np.eye(n, dtype=object)
+    M[at:at + 2, at:at + 2] = block
+    rng = np.random.default_rng(seed)
+    L = (np.tril(np.where(rng.random((n, n)) < 2 / n, 1, 0), -1) + np.eye(n, dtype=int)).astype(object)
+    U = (np.triu(np.where(rng.random((n, n)) < 2 / n, -1, 0), 1) + np.eye(n, dtype=int)).astype(object)
+    return (L @ M @ U).astype(np.int64)
+
+
+def test_schur_tier_falls_back_on_a_non_unit_leading_block():
+    # det 1, but the leading block of order n/2 has det 2: its inverse is
+    # not integral, so the tier declines and echelon gives det and inverse
+    n = 130
+    M = _with_block(n, n // 2 - 1, [[2, 1], [1, 1]])
+    assert exact._unit_schur(M, False) is None
+    _assert_matches_echelon(M, tier_applies=False)
+    assert bareiss_det(M) == 1
+    assert leading_minor_signs(M) == [1] * n
+
+
+@pytest.mark.parametrize("at", [10, 70, 120])
+def test_leading_minor_signs_zero_minor_above_leaf(at):
+    # one zero leading minor, of order at + 1, in the first leaf, in the
+    # leading block's recursion, or in the Schur complement's; det is -1
+    n = 130
+    M = _with_block(n, at, [[0, 1], [1, 0]])
+    with pytest.raises(ZeroDivisionError, match=f"order {at + 1}"):
+        leading_minor_signs(M)
+    assert bareiss_det(M) == -1
+    assert np.array_equal(M @ integer_inverse(M), np.eye(n, dtype=np.int64))
+    _assert_matches_echelon(M, tier_applies=False)

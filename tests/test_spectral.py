@@ -54,9 +54,19 @@ def test_zeta_point_and_octahedron():
     assert abs(z0 - len(G)) < 1e-9
 
 
-def test_zeta_symmetry_dim1():
+def test_zeta_symmetry_dim1(monkeypatch):
+    spectra = []
+    real = spec.connection_spectrum_squared
+    monkeypatch.setattr(spec, "connection_spectrum_squared",
+                        lambda G: spectra.append(G) or real(G))
     for G in (sx.close([(0, 1)]), sx.cycle(4), sx.cycle(5)):
-        assert spec.zeta_symmetry_gap(G) < 1e-8
+        ts = (0.5, 1.0, 2.0)
+        per_t = [spec.zeta_values(G, [1j * t, -1j * t]) for t in ts]
+        spectra.clear()
+        gap = spec.zeta_symmetry_gap(G, ts)
+        assert len(spectra) == 1  # one spectrum serves every t
+        assert gap == max(abs(plus - minus) for plus, minus in per_t)  # bit for bit
+        assert gap < 1e-8
 
 
 def test_limit_experiment_quick():
