@@ -30,6 +30,8 @@ from .core import (
 from .errors import NumericError, ResourceLimitError
 from .generators import (
     RandomModel,
+    block_trials,
+    clique_block,
     complete,
     cross_polytope,
     cycle,
@@ -619,9 +621,6 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_random(args) -> int:
-    if args.n > 10:
-        print("error: n capped at 10", file=sys.stderr)
-        return 2
     stats = random_statistics(args.n, args.p, args.trials, args.seed,
                               wu_sample=args.wu_sample)
     return emit_report(stats, args, kind="random")
@@ -631,29 +630,25 @@ def random_statistics(n: int, p: float, trials: int, seed: int,
                       wu_sample: int = 2000) -> dict:
     """Monte Carlo means/stderrs of inductive dimension, Euler characteristic
     and (subsampled) Wu characteristic on E(n, p), with the exact polynomial
-    values and z-scores for dim and chi."""
+    values and z-scores for dim and chi.  Trials are drawn in blocks
+    (`generators.clique_block`); the sums run in trial order."""
+    step = block_trials(n)  # the n cap, checked before anything is allocated
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    if wu_sample < 0:
+        raise ValueError("wu_sample must be >= 0")
+    model = RandomModel(n=n, p=p, seed=seed)
     chi_sum = chi_sq = 0.0
     dim_sum = dim_sq = 0.0
     wu_vals = []
-    model = RandomModel(n=n, p=p, seed=seed)
-    for trial in range(trials):
-        gen = SplitMix64.substream(seed, trial)
-        masks = [0] * n
-        for a, b in pairs:
-            if gen.uniform() < p:
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-        chi = _mask_euler(masks, n)
-        dimv = _mask_dim_float(masks, n)
-        chi_sum += chi
-        chi_sq += chi * chi
-        dim_sum += dimv
-        dim_sq += dimv * dimv
-        if trial < wu_sample:
-            wu_vals.append(wu_characteristic(erdos_renyi(model, trial), 2))
+    for lo in range(0, trials, step):
+        chi, dim, wu = clique_block(model, lo, min(lo + step, trials), wu_sample)
+        for c, d in zip(chi.tolist(), dim.tolist()):
+            chi_sum += c
+            chi_sq += c * c
+            dim_sum += d
+            dim_sq += d * d
+        wu_vals += wu.tolist()
     out = {"n": n, "p": p, "trials": trials, "seed": seed}
     pf = Fraction(p).limit_denominator(10 ** 9)
     for name, total, sq, formula in (
@@ -674,47 +669,6 @@ def random_statistics(n: int, p: float, trials: int, seed: int,
             "sample": len(wu_vals),
         }
     return out
-
-
-def _mask_euler(masks, n: int) -> int:
-    """chi of the clique complex: signed count of cliques by DFS."""
-    total = 0
-
-    def grow(allowed: int, sign: int):
-        nonlocal total
-        m = allowed
-        while m:
-            low = m & (-m)
-            v = low.bit_length() - 1
-            m ^= low
-            total += sign
-            grow(m & masks[v], -sign)
-
-    grow((1 << n) - 1, 1)
-    return total
-
-
-def _mask_dim_float(masks, n: int) -> float:
-    memo = {0: -1.0}
-
-    def rec(subset: int) -> float:
-        got = memo.get(subset)
-        if got is not None:
-            return got
-        total = 0.0
-        count = 0
-        s = subset
-        while s:
-            low = s & (-s)
-            v = low.bit_length() - 1
-            s ^= low
-            total += rec(masks[v] & subset)
-            count += 1
-        val = 1.0 + total / count
-        memo[subset] = val
-        return val
-
-    return rec((1 << n) - 1)
 
 
 # -- report emission ---------------------------------------------------------------

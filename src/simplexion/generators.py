@@ -1,17 +1,26 @@
 """Generators: named complexes, Whitney (clique) complexes of graphs,
 Erdos-Renyi random complexes with their exact expectation polynomials, and
 the Cartesian product of the strong ring.
+
+Monte Carlo over E(n, p) for n <= 10 does not build complexes: `clique_block`
+draws a block of trials from their substreams at once and reads the Euler
+characteristic, the Wu characteristic and the inductive dimension of each
+Whitney complex off a table of all 2^n vertex subsets, with the same values
+as `erdos_renyi` followed by the `core` invariants.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from .core import Complex, close, join, POINT
 from .refinement import order_complex
-from .rng import SplitMix64
+from .rng import SplitMix64, substream_uniforms
 
 # icosahedron graph: 12 vertices, 30 edges, every vertex degree 5
 # (adjacency of the icosahedron's 1-skeleton; its clique complex is a 2-sphere)
@@ -149,6 +158,102 @@ def erdos_renyi_edges(model: RandomModel, trial: int = 0) -> list:
 def erdos_renyi(model: RandomModel, trial: int = 0) -> Complex:
     """Whitney complex of a random graph (isolated vertices kept)."""
     return whitney(model.n, erdos_renyi_edges(model, trial))
+
+
+# -- batched clique statistics -------------------------------------------------
+
+CLIQUE_MAX_N = 10
+BLOCK_ENTRIES = 1 << 15  # subset-table entries per block: caps the working set
+
+
+@functools.cache
+def _clique_table(n: int) -> tuple:
+    """Per-n constants, one row per vertex subset S (bit v set when v in S):
+    - pair_bits (P,) int64: the bit of each vertex pair, lexicographic;
+    - pair_nbrs (P, n) int64: the neighbour bits a pair adds to each vertex;
+    - pmask (2^n, 1) int64: the pair bits inside S;
+    - sign (2^n, 1) int8: (-1)^(|S|-1), 0 for the empty set;
+    - levels: per size k >= 1, the sets S as (m, 1) and a (k, m) array whose
+      row j holds the j-th smallest member of each S."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    subsets = np.arange(1 << n, dtype=np.int64)
+    member = ((subsets[:, None] >> np.arange(n)) & 1).astype(bool)
+    pair_bits = np.left_shift(1, np.arange(len(pairs)), dtype=np.int64)
+    pair_nbrs = np.zeros((len(pairs), n), dtype=np.int64)
+    pmask = np.zeros((1 << n, 1), dtype=np.int64)
+    for i, (a, b) in enumerate(pairs):
+        pair_nbrs[i, a] = 1 << b
+        pair_nbrs[i, b] = 1 << a
+        pmask[member[:, a] & member[:, b]] |= 1 << i
+    size = member.sum(axis=1)
+    sign = np.where(size % 2 == 1, 1, -1).astype(np.int8)[:, None]
+    sign[0] = 0
+    levels = []
+    for k in range(1, n + 1):
+        subs = np.flatnonzero(size == k)
+        members = np.nonzero(member[subs])[1].reshape(-1, k)
+        levels.append((subs[:, None], members.T.copy()))
+    for table in (pair_bits, pair_nbrs, pmask, sign, *sum(levels, ())):
+        table.flags.writeable = False  # shared by every caller of the cache
+    return pair_bits, pair_nbrs, pmask, sign, levels
+
+
+def block_trials(n: int) -> int:
+    """Trials per `clique_block` call on n vertices, so that one block's
+    subset table holds at most BLOCK_ENTRIES entries (128 trials at n = 8).
+    Raises ValueError above n = CLIQUE_MAX_N, before anything is allocated."""
+    if n > CLIQUE_MAX_N:
+        raise ValueError(f"n capped at {CLIQUE_MAX_N}")
+    return max(1, BLOCK_ENTRIES >> max(n, 0))
+
+
+def clique_block(model: RandomModel, lo: int, hi: int,
+                 wu_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Invariants of the Whitney complexes of trials lo..hi-1 of `model`, the
+    graphs `erdos_renyi(model, trial)` draws: int64 arrays of the Euler
+    characteristic and of the Wu characteristic omega_2 (the latter for the
+    trials below wu_hi only), and a float64 array of the inductive dimension
+    in the float arithmetic of the recursion dim(S) = 1 + mean over v in S,
+    ascending, of dim(N(v) & S), dim(empty) = -1.  At most
+    `block_trials(model.n)` trials per call."""
+    n, width = model.n, hi - lo
+    if width > block_trials(n):
+        raise ValueError("block larger than block_trials(n)")
+    pair_bits, pair_nbrs, pmask, sign, levels = _clique_table(n)
+    drawn = substream_uniforms(model.seed, lo, hi, len(pair_bits)) < model.p
+    edges = drawn @ pair_bits
+    nbrs = np.ascontiguousarray((drawn @ pair_nbrs).T)  # (n, width)
+    del drawn  # temporaries go once used: together they set the peak memory
+    # subset-major tables, one column per trial
+    signed = (np.bitwise_and(pmask, edges) == pmask) * sign
+    chi = signed.sum(axis=0)
+    # omega_2 = sum over cliques S of sign(S) U(S)^2, U the superset sum of
+    # the signed clique indicator (core.wu_characteristic's inclusion-exclusion)
+    up = signed[:, :max(min(hi, wu_hi) - lo, 0)].astype(np.int32)
+    for i in range(n):
+        half = up.reshape(1 << (n - 1 - i), 2, -1)
+        half[:, 0] += half[:, 1]
+    up *= up
+    up *= signed[:, :up.shape[1]]
+    wu = up.sum(axis=0)
+    del signed, up
+    # dimension level by level; each sum starts at 0.0 and adds in ascending
+    # vertex order, as the scalar recursion does, so every value is identical
+    dim = np.empty((1 << n, width))
+    dim[0] = -1.0
+    cols = np.arange(width)
+    for subs, members in levels:
+        total = np.zeros((len(subs), width))
+        for v in members:
+            at = nbrs[v]
+            at &= subs
+            at *= width
+            at += cols  # flat index of dim[N(v) & S, trial], in range
+            total += np.take(dim, at, mode="clip")  # clip: no bounds pass
+        total /= len(members)
+        total += 1.0
+        dim[subs[:, 0]] = total
+    return chi, dim[-1].copy(), wu
 
 
 # -- exact expectation polynomials ------------------------------------------

@@ -5,9 +5,14 @@ identical seeds reproduce identical results on any platform and Python
 version.  Stream splitting rule: substream k of master seed s is a SplitMix64
 stream whose initial state is mix64(s XOR k*GOLDEN).  Monte Carlo drivers give
 trial k its own substream, so results do not depend on scheduling order.
+Because substreams are independent, `substream_uniforms` draws a whole block
+of them at once in numpy uint64 arithmetic, bit for bit equal to the scalar
+generator.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -56,3 +61,27 @@ class SplitMix64:
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
         return items
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """`mix64` in place on a uint64 array (numpy products wrap mod 2^64)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def substream_uniforms(seed: int, lo: int, hi: int, k: int) -> np.ndarray:
+    """The first k `uniform()` draws of substreams lo..hi-1 of `seed`, as a
+    float64 array of shape (hi - lo, k): row i equals the draws of
+    `SplitMix64.substream(seed, lo + i)` bit for bit."""
+    streams = np.arange(hi - lo, dtype=np.uint64)
+    streams += np.uint64(lo & MASK64)
+    streams *= np.uint64(GOLDEN)
+    state = _mix64_array(streams ^ np.uint64(seed & MASK64))
+    steps = np.arange(1, k + 1, dtype=np.uint64)
+    steps *= np.uint64(GOLDEN)
+    z = _mix64_array(state[:, None] + steps)
+    return (z >> np.uint64(11)) * 2.0 ** -53

@@ -6,8 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from simplexion.core import Complex, parity
+from simplexion.core import Complex, parity, wu_characteristic
 from simplexion.errors import NumericError
+from simplexion.generators import (
+    RandomModel,
+    erdos_renyi,
+    expected_dimension,
+    expected_euler,
+    poly_eval,
+)
+from simplexion.rng import SplitMix64
 
 
 def berkowitz_charpoly(M) -> list:
@@ -203,3 +211,93 @@ def mckean_singer_full(G: Complex, ts=(0.1, 1.0, 10.0), kmax: int = 6) -> dict:
                 total += (-1) ** k * np.exp(-t * vals).sum()
         max_err = max(max_err, abs(total - chi))
     return {"exact_zero_powers": exact_ok, "numeric_max_err": max_err, "chi": chi}
+
+
+def _mask_euler(masks, n: int) -> int:
+    """chi of the clique complex: signed count of cliques by DFS."""
+    total = 0
+
+    def grow(allowed: int, sign: int):
+        nonlocal total
+        m = allowed
+        while m:
+            low = m & (-m)
+            v = low.bit_length() - 1
+            m ^= low
+            total += sign
+            grow(m & masks[v], -sign)
+
+    grow((1 << n) - 1, 1)
+    return total
+
+
+def _mask_dim_float(masks, n: int) -> float:
+    memo = {0: -1.0}
+
+    def rec(subset: int) -> float:
+        got = memo.get(subset)
+        if got is not None:
+            return got
+        total = 0.0
+        count = 0
+        s = subset
+        while s:
+            low = s & (-s)
+            v = low.bit_length() - 1
+            s ^= low
+            total += rec(masks[v] & subset)
+            count += 1
+        val = 1.0 + total / count
+        memo[subset] = val
+        return val
+
+    return rec((1 << n) - 1)
+
+
+def random_statistics_oracle(n: int, p: float, trials: int, seed: int,
+                             wu_sample: int = 2000) -> dict:
+    """`cli.random_statistics` one trial at a time: a scalar SplitMix64 draw
+    per pair, a DFS clique count, a memoized dimension recursion and the Wu
+    characteristic of the complex `erdos_renyi` builds."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chi_sum = chi_sq = 0.0
+    dim_sum = dim_sq = 0.0
+    wu_vals = []
+    model = RandomModel(n=n, p=p, seed=seed)
+    for trial in range(trials):
+        gen = SplitMix64.substream(seed, trial)
+        masks = [0] * n
+        for a, b in pairs:
+            if gen.uniform() < p:
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+        chi = _mask_euler(masks, n)
+        dimv = _mask_dim_float(masks, n)
+        chi_sum += chi
+        chi_sq += chi * chi
+        dim_sum += dimv
+        dim_sq += dimv * dimv
+        if trial < wu_sample:
+            wu_vals.append(wu_characteristic(erdos_renyi(model, trial), 2))
+    out = {"n": n, "p": p, "trials": trials, "seed": seed}
+    pf = Fraction(p).limit_denominator(10 ** 9)
+    for name, total, sq, formula in (
+        ("dim", dim_sum, dim_sq, float(poly_eval(expected_dimension(n), pf))),
+        ("chi", chi_sum, chi_sq, float(poly_eval(expected_euler(n), pf))),
+    ):
+        mean = total / trials
+        var = max(sq / trials - mean * mean, 0.0)
+        stderr = (var / trials) ** 0.5
+        z = (mean - formula) / stderr if stderr > 0 else 0.0
+        out[name] = {"mean": mean, "stderr": stderr, "formula": formula, "z": z}
+    if wu_vals:
+        m = sum(wu_vals) / len(wu_vals)
+        var = sum((v - m) ** 2 for v in wu_vals) / len(wu_vals)
+        out["wu"] = {
+            "mean": m,
+            "stderr": (var / len(wu_vals)) ** 0.5,
+            "sample": len(wu_vals),
+        }
+    return out

@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 import simplexion as sx
 from simplexion.cli import main, random_statistics
+from simplexion.generators import block_trials
 from simplexion.jsonio import (
     complex_from_dict,
     complex_to_dict,
@@ -205,6 +208,80 @@ def test_malformed_vertices_rejected(tmp_path):
 
 def test_random_cap():
     assert main(["random", "--n", "11", "--p", "0.5"]) == 2
+
+
+def test_random_rejects_bad_sizes(capsys):
+    assert main(["random", "--n", "8", "--p", "0.5", "--wu-sample", "-5"]) == 2
+    assert capsys.readouterr().err == "error: wu_sample must be >= 0\n"
+    assert main(["random", "--n", "11", "--p", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: n capped at 10\n"
+    with pytest.raises(ValueError, match="n capped at 10"):
+        random_statistics(40, 0.5, trials=1, seed=0)
+
+
+def test_random_statistics_matches_oracle():
+    from oracles import random_statistics_oracle
+
+    # trial counts one past a block; wu_sample 0, inside and beyond the trials
+    for n in range(11):
+        trials = block_trials(n) + 1
+        for i, p in enumerate((0.0, 0.5, 1.0)):
+            j = n + i
+            seed = (-5, 0, 2 ** 64 + 3)[j % 3]
+            wu = (0, trials // 2, trials + 5)[(j // 3 + j) % 3]
+            got = random_statistics(n, p, trials, seed, wu_sample=wu)
+            assert repr(got) == repr(random_statistics_oracle(n, p, trials, seed, wu)), (
+                n, p, seed, wu)
+
+
+RANDOM_PINNED = {
+    ("--n", "8", "--p", "0.2", "--seed", "7"):
+        b'{"chi":{"formula":2.8435257334825126,"mean":2.839,"stderr":0.05222144195634588,'
+        b'"z":-0.08666427645364275},"dim":{"formula":0.9051566209150989,'
+        b'"mean":0.9057354166666669,"stderr":0.00847362175140818,"z":0.06830559217159585},'
+        b'"n":8,"p":0.2,"seed":7,"trials":1000,'
+        b'"wu":{"mean":2.679,"sample":1000,"stderr":0.09172763487630098}}',
+    ("--n", "8", "--p", "0.5", "--seed", "7"):
+        b'{"chi":{"formula":-0.03991318121552467,"mean":-0.068,"stderr":0.03460312124650029,'
+        b'"z":-0.811684546731922},"dim":{"formula":1.9694229178130627,'
+        b'"mean":1.978561855158726,"stderr":0.01568189513049441,"z":0.5827699566675569},'
+        b'"n":8,"p":0.5,"seed":7,"trials":1000,'
+        b'"wu":{"mean":2.68,"sample":1000,"stderr":0.14041225017782447}}',
+    ("--n", "8", "--p", "0.8", "--seed", "7"):
+        b'{"chi":{"formula":1.0215644908961588,"mean":1.03,"stderr":0.010153817016275208,'
+        b'"z":0.8307722199760235},"dim":{"formula":3.8178432283677086,'
+        b'"mean":3.8311826388888712,"stderr":0.025267473436694013,"z":0.527928150576021},'
+        b'"n":8,"p":0.8,"seed":7,"trials":1000,'
+        b'"wu":{"mean":0.28,"sample":1000,"stderr":0.03843956295277052}}',
+    ("--n", "10", "--p", "0.5", "--trials", "300", "--seed", "3"):
+        b'{"chi":{"formula":-0.5415078884398383,"mean":-0.5333333333333333,'
+        b'"stderr":0.08423951742677718,"z":0.09703943417779548},'
+        b'"dim":{"formula":2.246465740962634,"mean":2.2639572696208106,'
+        b'"stderr":0.02544845822899568,"z":0.687331566446208},'
+        b'"n":10,"p":0.5,"seed":3,"trials":300,'
+        b'"wu":{"mean":1.7333333333333334,"sample":300,"stderr":0.2968476351910496}}',
+}
+
+
+def test_random_outputs_pinned(capsysbinary):
+    for args, want in RANDOM_PINNED.items():
+        assert main(["random", *args, "--no-meta"]) == 0
+        assert capsysbinary.readouterr().out == want + b"\n", args
+
+
+def test_random_memory_flat_in_trials():
+    import tracemalloc
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            random_statistics(8, 0.5, trials, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    random_statistics(8, 0.5, 10, 1)  # build the lazy per-n tables first
+    assert peak(20000) <= peak(1000) + 256 * 1024
 
 
 def test_analyze_morse_and_level(tmp_path):

@@ -1,15 +1,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simplexion as sx
+from simplexion.core import wu_characteristic
 from simplexion.generators import (
     ICOSAHEDRON_EDGES,
+    block_trials,
+    clique_block,
     poly_eval,
     product_cells,
     two_point,
 )
-from simplexion.rng import SplitMix64
+from simplexion.rng import SplitMix64, substream_uniforms
 
 
 def test_complete():
@@ -164,3 +169,40 @@ def test_product_inductive_dimension_superadditive():
         prod = sx.ring_product_complex(A, B)
         assert (sx.inductive_dimension(prod)
                 >= sx.inductive_dimension(A) + sx.inductive_dimension(B))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(-2 ** 70, 2 ** 70),
+       lo=st.one_of(st.integers(0, 1000), st.integers(2 ** 32, 2 ** 66)),
+       count=st.integers(0, 5), k=st.integers(0, 7))
+def test_substream_uniforms_match_scalar(seed, lo, count, k):
+    got = substream_uniforms(seed, lo, lo + count, k)
+    assert got.shape == (count, k) and got.dtype.name == "float64"
+    for i in range(count):
+        gen = SplitMix64.substream(seed, lo + i)
+        assert got[i].tolist() == [gen.uniform() for _ in range(k)]
+
+
+@settings(max_examples=40)
+@given(n=st.integers(0, 8), p=st.sampled_from([0.0, 0.15, 0.5, 0.85, 1.0]),
+       seed=st.integers(-2 ** 65, 2 ** 65), lo=st.integers(0, 10 ** 6),
+       count=st.integers(1, 12), wu_count=st.integers(0, 12))
+def test_clique_block_matches_complexes(n, p, seed, lo, count, wu_count):
+    model = sx.RandomModel(n=n, p=p, seed=seed)
+    chi, dim, wu = clique_block(model, lo, lo + count, lo + wu_count)
+    assert len(chi) == len(dim) == count and len(wu) == min(count, wu_count)
+    for i in range(count):
+        G = sx.erdos_renyi(model, lo + i)
+        assert chi[i] == G.euler_characteristic()
+        assert abs(dim[i] - float(sx.inductive_dimension(G))) < 1e-12
+        if i < wu_count:
+            assert wu[i] == wu_characteristic(G, 2)
+
+
+def test_clique_block_bounds():
+    assert block_trials(8) == 128 and block_trials(10) == 32
+    model = sx.RandomModel(n=8, p=0.5, seed=1)
+    with pytest.raises(ValueError, match="block"):
+        clique_block(model, 0, 129, 0)
+    with pytest.raises(ValueError, match="n capped at 10"):
+        clique_block(sx.RandomModel(n=11, p=0.5, seed=1), 0, 1, 0)
