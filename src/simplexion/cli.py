@@ -259,59 +259,30 @@ def cmd_analyze(args) -> int:
 # -- verify ---------------------------------------------------------------------
 
 
-class _Ctx:
-    """Per-run cache so expensive exact objects are computed once."""
-
-    def __init__(self, G, seed, trials):
-        self.G = G
-        self.seed = seed
-        self.trials = trials
-        self._green = None
-        self._whitneyfied = None
-
-    @property
-    def green(self):
-        if self._green is None:
-            self._green = conn_mod.green_inverse(self.G)
-        return self._green
-
-    @property
-    def whitneyfied(self):
-        from .core import is_whitney
-
-        if self._whitneyfied is None:
-            self._whitneyfied = (
-                self.G if is_whitney(self.G) else barycentric(self.G)
-            )
-        return self._whitneyfied
-
-
-def _chk_unimodularity(ctx):
-    d = conn_mod.connection_det(ctx.G)
+def _chk_unimodularity(G, args):
+    d = conn_mod.connection_det(G)
     return d in (1, -1), {"det": d}
 
 
-def _chk_energy(ctx):
-    chi = ctx.G.euler_characteristic()
-    total = conn_mod.energy(ctx.G, green=ctx.green)
+def _chk_energy(G, args):
+    chi = G.euler_characteristic()
+    total = conn_mod.energy(G)
     ok = total == chi
     wit = {"sum_g": total, "chi": chi}
-    if len(ctx.G) <= 300:
-        star = conn_mod.green_star_matrix(ctx.G)
-        ok = ok and np.array_equal(star, ctx.green)
-        wit["green_star_ok"] = bool(np.array_equal(star, ctx.green))
+    if len(G) <= 300:
+        star_ok = np.array_equal(conn_mod.green_star_matrix(G), conn_mod.green_inverse(G))
+        ok = ok and star_ok
+        wit["green_star_ok"] = bool(star_ok)
     return ok, wit
 
 
-def _chk_inertia(ctx):
-    p, n, z = conn_mod.inertia_of_connection(ctx.G)
-    chi = ctx.G.euler_characteristic()
+def _chk_inertia(G, args):
+    p, n, z = conn_mod.inertia_of_connection(G)
+    chi = G.euler_characteristic()
     ok = (p - n == chi) and z == 0
     wit = {"p": p, "n": n, "z": z, "chi": chi}
-    if len(ctx.G) <= 1200:
-        vals = spec_mod.eig_symmetric(
-            conn_mod.connection_matrix(ctx.G).astype(float)
-        )
+    if len(G) <= 1200:
+        vals = spec_mod.connection_eigenvalues(G)
         wit["numeric_signs_ok"] = bool(
             int((vals > 0).sum()) == p and int((vals < 0).sum()) == n
         )
@@ -319,41 +290,41 @@ def _chk_inertia(ctx):
     return ok, wit
 
 
-def _chk_hydrogen(ctx):
-    if ctx.G.max_dim() != 1:
+def _chk_hydrogen(G, args):
+    if G.max_dim() != 1:
         return "skipped:dim!=1", {}
-    res = conn_mod.hydrogen_check(ctx.G)
+    res = conn_mod.hydrogen_check(G)
     return res["ok"], res
 
 
-def _chk_dual_product(ctx):
-    if len(ctx.G) > 300:
+def _chk_dual_product(G, args):
+    if len(G) > 300:
         return "skipped:size", {}
-    res = conn_mod.dual_product_check(ctx.G)
+    res = conn_mod.dual_product_check(G)
     ok = res["det_ok"] and res["charpoly_ok"] in (True, None)
     return ok, {"det": res["det"], "charpoly_ok": res["charpoly_ok"]}
 
 
-def _chk_gauss_bonnet(ctx):
-    H = ctx.whitneyfied
+def _chk_gauss_bonnet(G, args):
+    H = geom_mod.clique_complex(G)
     total = sum(geom_mod.levitt_curvature(H, v) for v in H.vertices())
     chi = H.euler_characteristic()
     return total == chi, {"curvature_sum": str(total), "chi": chi}
 
 
-def _chk_poincare_hopf(ctx):
-    H = ctx.whitneyfied
+def _chk_poincare_hopf(G, args):
+    H = geom_mod.clique_complex(G)
     chi = H.euler_characteristic()
-    for trial in range(ctx.trials):
-        gen = SplitMix64.substream(ctx.seed, trial)
+    for trial in range(args.trials):
+        gen = SplitMix64.substream(args.seed, trial)
         f = geom_mod.random_injective_function(H, gen)
         if geom_mod.ph_index_sum(H, f) != chi:
             return False, {"trial": trial}
-    return True, {"trials": ctx.trials, "chi": chi}
+    return True, {"trials": args.trials, "chi": chi}
 
 
-def _chk_dehn_sommerville(ctx):
-    H = ctx.whitneyfied
+def _chk_dehn_sommerville(G, args):
+    H = geom_mod.clique_complex(G)
     if len(H.vertices()) > 300:
         return "skipped:size", {}
     d = H.max_dim()
@@ -362,29 +333,29 @@ def _chk_dehn_sommerville(ctx):
     return geom_mod.ds_curvature_check(H, d), {"d": d}
 
 
-def _chk_euler_poincare(ctx):
-    rep = hodge_mod.betti(ctx.G)
-    chi = ctx.G.euler_characteristic()
+def _chk_euler_poincare(G, args):
+    rep = hodge_mod.betti(G)
+    chi = G.euler_characteristic()
     return rep.euler_characteristic == chi, {
         "betti": list(rep.betti), "chi": chi,
     }
 
 
-def _chk_mckean_singer(ctx):
-    if len(ctx.G) > 1100:
+def _chk_mckean_singer(G, args):
+    if len(G) > 1100:
         return "skipped:size", {}
-    res = hodge_mod.mckean_singer(ctx.G)
+    res = hodge_mod.mckean_singer(G)
     ok = res["exact_zero_powers"] and res["numeric_max_err"] < 1e-8
     return ok, {"numeric_max_err": res["numeric_max_err"]}
 
 
-def _chk_wu(ctx):
-    omega = wu_characteristic(ctx.G, 2)
-    curv = hodge_mod.wu_gauss_bonnet(ctx.G)
+def _chk_wu(G, args):
+    omega = wu_characteristic(G, 2)
+    curv = hodge_mod.wu_gauss_bonnet(G)
     ok = sum(curv.values()) == omega
     wit = {"wu": omega, "gauss_bonnet_ok": ok}
     try:
-        rep = hodge_mod.interaction_cohomology(ctx.G)
+        rep = hodge_mod.interaction_cohomology(G)
         alt = sum((-1) ** k * b for k, b in enumerate(rep.betti))
         wit["interaction_alternating"] = alt
         ok = ok and alt == omega
@@ -393,15 +364,15 @@ def _chk_wu(ctx):
     return ok, wit
 
 
-def _chk_boundary(ctx):
-    d = ctx.G.max_dim()
-    if d < 1 or len(ctx.G) > 400:
+def _chk_boundary(G, args):
+    d = G.max_dim()
+    if d < 1 or len(G) > 400:
         return "skipped:not-applicable", {}
-    if not geom_mod.is_d_complex_with_boundary(ctx.G, d):
+    if not geom_mod.is_d_complex_with_boundary(G, d):
         return "skipped:not-a-d-complex", {}
-    delta = geom_mod.boundary(ctx.G, d)
-    chi = ctx.G.euler_characteristic()
-    omega = wu_characteristic(ctx.G, 2)
+    delta = geom_mod.boundary(G, d)
+    chi = G.euler_characteristic()
+    omega = wu_characteristic(G, 2)
     ok = chi - omega == delta.euler_characteristic()
     if not delta.is_empty:
         ddelta = geom_mod.boundary(delta, d - 1)
@@ -409,14 +380,14 @@ def _chk_boundary(ctx):
     return ok, {"chi": chi, "wu": omega, "chi_boundary": delta.euler_characteristic()}
 
 
-def _chk_sard(ctx):
-    H = ctx.whitneyfied
+def _chk_sard(G, args):
+    H = geom_mod.clique_complex(G)
     d = H.max_dim()
     if d < 1 or len(H.vertices()) > 200:
         return "skipped:not-applicable", {}
     if not geom_mod.is_d_graph(H, d):
         return "skipped:not-a-d-graph", {}
-    gen = SplitMix64.substream(ctx.seed, 777)
+    gen = SplitMix64.substream(args.seed, 777)
     f = geom_mod.random_injective_function(H, gen)
     c = len(H.vertices()) / 2 - 0.25  # f takes integer values
     surf = geom_mod.level_surface(H, f, c)
@@ -425,13 +396,13 @@ def _chk_sard(ctx):
     return geom_mod.is_d_graph(surf, d - 1), {"level_size": len(surf)}
 
 
-def _chk_lefschetz(ctx):
-    lefschetz = hodge_mod._lefschetz_numbers(ctx.G)
-    res = lefschetz({v: v for v in ctx.G.vertices()})
-    ok = res["cohomological"] == res["fixed_point_sum"] == ctx.G.euler_characteristic()
+def _chk_lefschetz(G, args):
+    lefschetz = hodge_mod._lefschetz_numbers(G)
+    res = lefschetz({v: v for v in G.vertices()})
+    ok = res["cohomological"] == res["fixed_point_sum"] == G.euler_characteristic()
     wit = {"identity": res}
-    if len(ctx.G.vertices()) <= 8:
-        for perm in hodge_mod.automorphisms(ctx.G):
+    if len(G.vertices()) <= 8:
+        for perm in hodge_mod.automorphisms(G):
             r = lefschetz(perm)
             if r["cohomological"] != r["fixed_point_sum"]:
                 return False, {"perm": perm, "result": r}
@@ -439,31 +410,31 @@ def _chk_lefschetz(ctx):
     return ok, wit
 
 
-def _chk_kuenneth(ctx):
+def _chk_kuenneth(G, args):
     # C4 partner while the product order complex stays small; the ring unit
     # (whose product is the Barycentric refinement) for medium inputs
-    if len(ctx.G) * 8 <= 150:
+    if len(G) * 8 <= 150:
         partner = cycle(4)
-    elif len(ctx.G) <= 200:
+    elif len(G) <= 200:
         partner = close([(0,)])
     else:
         return "skipped:size", {}
-    res = hodge_mod.kuenneth_check(ctx.G, partner)
+    res = hodge_mod.kuenneth_check(G, partner)
     return res["ok"], {k: v for k, v in res.items() if k != "ok"}
 
 
-def _chk_zeta_symmetry(ctx):
-    if ctx.G.max_dim() != 1:
+def _chk_zeta_symmetry(G, args):
+    if G.max_dim() != 1:
         return "skipped:dim!=1", {}
-    exact = conn_mod.spectral_symmetry_check(ctx.G)
-    gap = spec_mod.zeta_symmetry_gap(ctx.G)
+    exact = conn_mod.spectral_symmetry_check(G)
+    gap = spec_mod.zeta_symmetry_gap(G)
     return exact and gap < 1e-8, {"exact": exact, "zeta_gap": gap}
 
 
-def _chk_trees(ctx):
-    verts = ctx.G.vertices()
+def _chk_trees(G, args):
+    verts = G.vertices()
     index = {v: i for i, v in enumerate(verts)}
-    edges = [(index[x[0]], index[x[1]]) for x in ctx.G.simplices if len(x) == 2]
+    edges = [(index[x[0]], index[x[1]]) for x in G.simplices if len(x) == 2]
     n = len(verts)
     got = spec_mod.tree_forest_numbers(n, edges)
     if n > 7:
@@ -473,32 +444,33 @@ def _chk_trees(ctx):
     return ok, {"computed": got, "bruteforce": brute}
 
 
-def _chk_stokes(ctx):
-    data = hodge_mod.exterior_derivative(ctx.G)
-    gen = SplitMix64.substream(ctx.seed, 1234)
+def _chk_stokes(G, args):
+    data = hodge_mod.exterior_derivative(G)
+    gen = SplitMix64.substream(args.seed, 1234)
     for k in range(len(data.d)):
         for _ in range(3):
             form = [gen.below(7) - 3 for _ in range(len(data.bases[k]))]
             chain = [gen.below(7) - 3 for _ in range(len(data.bases[k + 1]))]
-            lhs, rhs = hodge_mod.stokes_pairing(ctx.G, k, form, chain)
+            lhs, rhs = hodge_mod.stokes_pairing(G, k, form, chain)
             if lhs != rhs:
                 return False, {"k": k}
     return True, {}
 
 
-def _chk_alexander(ctx):
-    verts = ctx.G.vertices()
+def _chk_alexander(G, args):
+    verts = G.vertices()
     if len(verts) < 5:
         return "skipped:needs-5-vertices", {}
     if len(verts) > 12:
         return "skipped:size", {}
-    res = hodge_mod.alexander_duality_check(ctx.G, verts)
+    res = hodge_mod.alexander_duality_check(G, verts)
     return res["ok"], {
         "reduced_G": {str(k): v for k, v in res["reduced_G"].items()},
         "reduced_dual": {str(k): v for k, v in res["reduced_dual"].items()},
     }
 
 
+# suite -> check(G, args); what several checks share is memoed on G
 CHECKS = {
     "unimodularity": _chk_unimodularity,
     "energy": _chk_energy,
@@ -531,13 +503,12 @@ def cmd_verify(args) -> int:
     if unknown:
         print(f"error: unknown suite(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    ctx = _Ctx(G, seed=args.seed, trials=args.trials)
     checks = []
     any_fail = False
     for name in suites:
         t0 = time.monotonic()
         try:
-            res, witness = CHECKS[name](ctx)
+            res, witness = CHECKS[name](G, args)
         except ResourceLimitError as exc:
             res, witness = f"skipped:resource-cap", {"reason": str(exc)}
         except NumericError as exc:
@@ -589,12 +560,11 @@ def _plain(obj):
 def cmd_spectra(args) -> int:
     G = load_complex(args.input)
     if args.operator == "connection":
-        M = conn_mod.connection_matrix(G).astype(float)
+        vals = spec_mod.connection_eigenvalues(G)
     elif args.operator == "hodge":
-        M = hodge_mod.hodge(G).astype(float)
+        vals = spec_mod.eig_symmetric(hodge_mod.hodge(G).astype(float))
     else:
-        M = spec_mod.kirchhoff_of_complex(G).astype(float)
-    vals = spec_mod.eig_symmetric(M)
+        vals = spec_mod.eig_symmetric(spec_mod.kirchhoff_of_complex(G).astype(float))
     report = {
         "operator": args.operator,
         "order": int(len(vals)),

@@ -13,6 +13,10 @@ operators, the dd = 0 checks, the McKean-Singer supertraces) is
 `exact.matmul`, which uses a float64 BLAS product only where a bound proves
 it exact.  Otherwise floating point appears only in the explicitly numeric
 checks.
+
+The chain complex (bases and read-only matrices d_k) is memoed on its
+complex (see `core`) for as long as the complex lives; the Dirac and Hodge
+operators, Betti numbers and Lefschetz maps all read it.
 """
 
 from __future__ import annotations
@@ -35,13 +39,13 @@ DEFAULT_PAIR_CAP = 4500
 # -- chain complex ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainComplexData:
     """Signed incidence matrices d_k: Lambda^k -> Lambda^(k+1) (shape
     v_{k+1} x v_k) together with the simplex bases per degree."""
 
-    bases: list  # bases[k] = list of k-simplices, canonical order
-    d: list      # d[k] = np int64 array, shape (len(bases[k+1]), len(bases[k]))
+    bases: tuple  # bases[k] = tuple of k-simplices, canonical order
+    d: tuple      # d[k] = read-only int64 array, shape (len(bases[k+1]), len(bases[k]))
 
     @property
     def dims(self) -> tuple:
@@ -49,9 +53,14 @@ class ChainComplexData:
 
 
 def exterior_derivative(G: Complex) -> ChainComplexData:
-    """Build all d_k; verifies d_{k+1} d_k = 0 at construction."""
+    """All d_k, built once per complex and memoed on it; d_{k+1} d_k = 0 is
+    verified at construction."""
+    return G.memo("chain", lambda: _chain_complex(G))
+
+
+def _chain_complex(G: Complex) -> ChainComplexData:
     r = G.max_dim()
-    bases = [G.simplices_of_dim(k) for k in range(r + 1)]
+    bases = tuple(tuple(G.simplices_of_dim(k)) for k in range(r + 1))
     index = [{x: i for i, x in enumerate(b)} for b in bases]
     d = []
     for k in range(r):
@@ -60,16 +69,17 @@ def exterior_derivative(G: Complex) -> ChainComplexData:
             for pos in range(len(y)):
                 face = y[:pos] + y[pos + 1:]
                 mat[row, index[k][face]] = (-1) ** pos
+        mat.setflags(write=False)
         d.append(mat)
     for k in range(len(d) - 1):
         if matmul(d[k + 1], d[k]).any():
             raise InvariantViolation("dd != 0", witness={"degree": k})
-    return ChainComplexData(bases=bases, d=d)
+    return ChainComplexData(bases=bases, d=tuple(d))
 
 
-def dirac(G: Complex, data: ChainComplexData | None = None) -> np.ndarray:
+def dirac(G: Complex) -> np.ndarray:
     """D = d + d^T as one n x n integer matrix in the canonical basis."""
-    data = data or exterior_derivative(G)
+    data = exterior_derivative(G)
     elems = refinement_order(G)
     index = {x: i for i, x in enumerate(elems)}
     n = len(elems)
@@ -83,14 +93,14 @@ def dirac(G: Complex, data: ChainComplexData | None = None) -> np.ndarray:
     return D
 
 
-def hodge(G: Complex, data: ChainComplexData | None = None) -> np.ndarray:
-    D = dirac(G, data)
+def hodge(G: Complex) -> np.ndarray:
+    D = dirac(G)
     return matmul(D, D)
 
 
-def hodge_blocks(G: Complex, data: ChainComplexData | None = None) -> list:
+def hodge_blocks(G: Complex) -> list:
     """H restricted to each degree: H_k = d_k^T d_k + d_{k-1} d_{k-1}^T."""
-    data = data or exterior_derivative(G)
+    data = exterior_derivative(G)
     blocks = []
     for k, base in enumerate(data.bases):
         n = len(base)
@@ -117,11 +127,11 @@ class CohomologyReport:
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
 
 
-def betti(G: Complex, data: ChainComplexData | None = None) -> CohomologyReport:
+def betti(G: Complex) -> CohomologyReport:
     """b_k = v_k - rank(d_k) - rank(d_{k-1}) with exact integer ranks."""
     if G.is_empty:
         return CohomologyReport(betti=(), poincare_poly=(), euler_poly=())
-    data = data or exterior_derivative(G)
+    data = exterior_derivative(G)
     dims = data.dims
     ranks = [rank_exact(m) for m in data.d]
     out = []
@@ -240,11 +250,10 @@ def _cohomology_bases(data: ChainComplexData, k: int) -> tuple:
     return image, kernel[:, [c - t for c in chosen]]
 
 
-def _pullbacks(G: Complex, data: ChainComplexData | None = None):
-    """perm -> induced_cohomology_matrices(G, perm, data), with the chain
-    complex and the H^k bases, which do not depend on the map, computed
-    once for every map."""
-    data = data or exterior_derivative(G)
+def _pullbacks(G: Complex):
+    """perm -> induced_cohomology_matrices(G, perm), with the H^k bases,
+    which do not depend on the map, computed once for every map."""
+    data = exterior_derivative(G)
     spaces = [(base, *_cohomology_bases(data, k)) for k, base in enumerate(data.bases)]
 
     def induced(perm: dict) -> list:
@@ -266,11 +275,10 @@ def _pullbacks(G: Complex, data: ChainComplexData | None = None):
     return induced
 
 
-def induced_cohomology_matrices(G: Complex, perm: dict,
-                                data: ChainComplexData | None = None) -> list:
+def induced_cohomology_matrices(G: Complex, perm: dict) -> list:
     """Matrix of the pullback on each H^k in the chosen representative
     bases, over exact rationals."""
-    return _pullbacks(G, data)(perm)
+    return _pullbacks(G)(perm)
 
 
 def lefschetz(G: Complex, perm: dict) -> dict:

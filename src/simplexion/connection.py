@@ -8,6 +8,12 @@ lex), which makes every matrix here reproducible bit for bit and puts every
 leading principal submatrix in bijection with a subcomplex; by unimodularity
 all leading minors are +-1, so every leading block has an integral inverse
 and the exact determinant, minor signs and inverse need no pivoting.
+
+L and its factorization are memoed on the complex (see `core`) for as long
+as it lives: one elimination of L (`exact.unimodular_factor`) gives det L,
+its leading-minor signs and g = L^-1, certified once by L g = I, and every
+theorem below reads it.  Both arrays are read-only.  The size cap is checked
+on every call, before the memo is read.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ from .exact import (
     bareiss_det,
     charpoly,
     inertia_exact,
-    integer_inverse,
+    jacobi_inertia,
     matmul,
+    unimodular_factor,
 )
 from .refinement import refinement_order, stirling_apply, stirling_matrix
 
@@ -36,19 +43,39 @@ def _check_cap(G: Complex, cap: int):
 
 
 def connection_matrix(G: Complex, dual: bool = False, cap: int = DEFAULT_EXACT_CAP) -> np.ndarray:
-    """L(x,y) = 1 iff x and y intersect (0/1, symmetric, unit diagonal);
-    the dual flag returns 1 - L."""
+    """L(x,y) = 1 iff x and y intersect (0/1, symmetric, unit diagonal),
+    read-only and memoed on G; the dual flag returns a new array 1 - L."""
     _check_cap(G, cap)
+    L = G.memo("connection", lambda: _build_connection(G))
+    return 1 - L if dual else L
+
+
+def _build_connection(G: Complex) -> np.ndarray:
     elems = refinement_order(G)
-    verts = {v: i for i, v in enumerate(sorted(set(v for x in elems for v in x)))}
+    verts = {v: i for i, v in enumerate(G.vertices())}
     B = np.zeros((len(elems), len(verts)), dtype=np.int64)
     for i, x in enumerate(elems):
         for v in x:
             B[i, verts[v]] = 1
     L = (matmul(B, B.T) > 0).astype(np.int64)
-    if dual:
-        return 1 - L
+    L.setflags(write=False)
     return L
+
+
+def _factor(G: Complex, cap: int = DEFAULT_EXACT_CAP) -> tuple:
+    """(leading-minor signs, det, g) of L from one elimination, memoed on
+    G; g is certified by L g = I and read-only."""
+    L = connection_matrix(G, cap=cap)
+    return G.memo("factor", lambda: _certified_factor(L))
+
+
+def _certified_factor(L: np.ndarray) -> tuple:
+    signs, det, g = unimodular_factor(L)
+    if g is not None:
+        if not np.array_equal(matmul(L, g), np.eye(len(g), dtype=g.dtype)):
+            raise InvariantViolation("L * g != I", witness={"n": len(g)})
+        g.setflags(write=False)
+    return signs, det, g
 
 
 def dual_connection_matrix(G: Complex, cap: int = DEFAULT_EXACT_CAP) -> np.ndarray:
@@ -57,27 +84,21 @@ def dual_connection_matrix(G: Complex, cap: int = DEFAULT_EXACT_CAP) -> np.ndarr
 
 def connection_det(G: Complex, cap: int = DEFAULT_EXACT_CAP) -> int:
     """det(L); +-1 for every simplicial complex (unimodularity)."""
-    if G.is_empty:
-        return 1
-    return bareiss_det(connection_matrix(G, cap=cap))
+    return _factor(G, cap)[1]
 
 
 def green_inverse(G: Complex, cap: int = DEFAULT_EXACT_CAP) -> np.ndarray:
     """The integer inverse g = L^-1 (exists and is integral by
-    unimodularity); g(x,y) are the potential energy values."""
-    L = connection_matrix(G, cap=cap)
-    g = integer_inverse(L)
-    if not np.array_equal(matmul(L, g), np.eye(len(g), dtype=g.dtype)):
-        raise InvariantViolation("L * g != I", witness={"n": len(g)})
+    unimodularity), read-only; g(x,y) are the potential energy values."""
+    _, det, g = _factor(G, cap)
+    if g is None:
+        raise InvariantViolation("L is not unimodular", witness={"det": det})
     return g
 
 
-def energy(G: Complex, green: np.ndarray | None = None) -> int:
+def energy(G: Complex) -> int:
     """Total potential energy sum_xy g(x,y); equals chi(G)."""
-    if G.is_empty:
-        return 0
-    g = green_inverse(G) if green is None else green
-    return int(g.sum())
+    return int(green_inverse(G).sum())
 
 
 def green_star(G: Complex, x, y, weights: dict | None = None) -> int:
@@ -129,19 +150,22 @@ def wu_intersection_matrix(G: Complex) -> np.ndarray:
     return M
 
 
-def inertia_of_connection(G: Complex, charpoly_cap: int = 400) -> tuple:
-    """(p, n, z) of L; p - n = chi(G) and z = 0 always."""
-    L = connection_matrix(G)
-    return inertia_exact(L, charpoly_cap=charpoly_cap)
+def inertia_of_connection(G: Complex) -> tuple:
+    """(p, n, z) of L; p - n = chi(G) and z = 0 always.  Jacobi's rule on
+    the leading-minor signs of the memoed factorization."""
+    signs = _factor(G)[0]
+    if signs is None:
+        return inertia_exact(connection_matrix(G))
+    return jacobi_inertia(signs)
 
 
-def supertrace_powers(G: Complex, green: np.ndarray | None = None) -> dict:
+def supertrace_powers(G: Complex) -> dict:
     """str(L^k) for k = -1, 0, 1 where str(A) = sum parity(x) A(x,x);
     all three equal chi(G)."""
     elems = refinement_order(G)
     w = np.array([parity(x) for x in elems], dtype=np.int64)
     L = connection_matrix(G)
-    g = green_inverse(G) if green is None else green
+    g = green_inverse(G)
     return {
         "str_inverse": int((w * np.diag(g)).sum()),
         "str_identity": int(w.sum()),
@@ -222,7 +246,7 @@ def hydrogen_check(G: Complex) -> dict:
     return out
 
 
-def trace_identity(G: Complex, green: np.ndarray | None = None) -> tuple:
+def trace_identity(G: Complex) -> tuple:
     """Three independent computations of the same number:
     tr(L - L^-1); the sum of unit-sphere Euler characteristics; and
     f'(0) - f'(-1) for the generating function of the refinement (whose
@@ -230,7 +254,7 @@ def trace_identity(G: Complex, green: np.ndarray | None = None) -> tuple:
     if G.is_empty:
         return (0, 0, 0)
     L = connection_matrix(G)
-    g = green_inverse(G) if green is None else green
+    g = green_inverse(G)
     a = int(np.trace(L) - np.trace(g))
     b = sum(sphere_euler(G, x) for x in G.simplices)
     f1 = stirling_apply(stirling_matrix(G.max_dim()), G.f_vector())

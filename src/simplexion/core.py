@@ -5,6 +5,14 @@ vertex ids; a complex is a finite set of simplices closed under taking
 nonempty subsets.  All values are immutable and hashable, so they are safe to
 share across threads and usable as cache keys.  The empty complex is a valid
 value (the (-1)-sphere, the zero of the join monoid).
+
+Each Complex carries one memo of what is derived from it: its sorted
+simplices, vertices and f-vector, the connection matrix L with its
+factorization and eigenvalues, the chain complex, the clique complex and its
+GraphContext.  An entry is built on first use and lives as long as the
+complex; arrays in it are read-only.  The memo is a benign idempotent cache:
+two threads may both build an entry, but they build equal values.  Equal but
+distinct complexes do not share a memo.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ class Complex:
     by dimension, then lexicographically.
     """
 
-    __slots__ = ("simplices", "_hash", "_sorted", "_fvector", "_vertices")
+    __slots__ = ("simplices", "_memo")
 
     def __init__(self, simplices: Iterable[Simplex] = (), *, _closed: bool = False):
         sset = frozenset(simplices)
@@ -60,10 +68,7 @@ class Complex:
                                 f"not downward closed: {face} missing under {x}"
                             )
         self.simplices = sset
-        self._hash = None
-        self._sorted = None
-        self._fvector = None
-        self._vertices = None
+        self._memo = {}
 
     @classmethod
     def from_simplices(cls, simplices: Iterable[Simplex]) -> "Complex":
@@ -75,9 +80,7 @@ class Complex:
         return len(self.simplices)
 
     def __iter__(self) -> Iterator[Simplex]:
-        if self._sorted is None:
-            self._sorted = sorted(self.simplices, key=_sort_key)
-        return iter(self._sorted)
+        return iter(self.memo("sorted", lambda: sorted(self.simplices, key=_sort_key)))
 
     def __contains__(self, x) -> bool:
         return x in self.simplices
@@ -86,13 +89,19 @@ class Complex:
         return isinstance(other, Complex) and self.simplices == other.simplices
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.simplices)
-        return self._hash
+        return hash(self.simplices)  # a frozenset keeps its own hash
 
     def __repr__(self) -> str:
         f = self.f_vector()
         return f"Complex(f={f}, chi={self.euler_characteristic()})"
+
+    def memo(self, key: str, build):
+        """The object derived from this complex under key: build() on the
+        first request, the stored object on every later one.  A build that
+        raises stores nothing."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- basic invariants --------------------------------------------------
 
@@ -102,12 +111,8 @@ class Complex:
 
     def vertices(self) -> tuple:
         """All vertex ids, ascending."""
-        if self._vertices is None:
-            vs = set()
-            for x in self.simplices:
-                vs.update(x)
-            self._vertices = tuple(sorted(vs))
-        return self._vertices
+        return self.memo("vertices", lambda: tuple(sorted(
+            {v for x in self.simplices for v in x})))
 
     def max_dim(self) -> int:
         """Maximal dimension; -1 for the empty complex."""
@@ -115,14 +120,13 @@ class Complex:
 
     def f_vector(self) -> tuple:
         """(v_0, ..., v_r): simplex counts per dimension; () when empty."""
-        if self._fvector is None:
-            counts = {}
-            for x in self.simplices:
-                counts[len(x) - 1] = counts.get(len(x) - 1, 0) + 1
-            self._fvector = tuple(
-                counts.get(k, 0) for k in range(self.max_dim() + 1)
-            ) if counts else ()
-        return self._fvector
+        return self.memo("f_vector", self._count_by_dim)
+
+    def _count_by_dim(self) -> tuple:
+        counts = [0] * (self.max_dim() + 1)
+        for x in self.simplices:
+            counts[len(x) - 1] += 1
+        return tuple(counts)
 
     def euler_characteristic(self) -> int:
         """Alternating sum of simplex parities."""
@@ -336,11 +340,6 @@ def _relabel(G: Complex, offset: int) -> tuple:
         (tuple(vmap[v] for v in x) for x in G.simplices), _closed=True
     )
     return relabeled, vmap
-
-
-def normalize_labels(G: Complex) -> Complex:
-    """Relabel vertices densely to 0..m-1 preserving order."""
-    return _relabel(G, 0)[0]
 
 
 def join(G: Complex, H: Complex, return_maps: bool = False):

@@ -20,7 +20,8 @@ Square matrices above SCHUR_LEAF rows whose leading blocks are unimodular,
 as connection matrices in canonical order are, get their determinant,
 leading-minor signs and inverse from a Schur-complement recursion whose
 products all go through `matmul`; any other matrix, and any block where the
-recursion's conditions fail, goes to `echelon`.
+recursion's conditions fail, goes to `echelon`.  `unimodular_factor` gets
+all three from one such pass.
 
 Beside these sit eigenvalue sign counts and the characteristic polynomial:
 Hessenberg reduction mod primes below 2^31 in int64, and the Chinese
@@ -40,13 +41,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantViolation
-
-
-def as_int_matrix(rows) -> np.ndarray:
-    a = np.array(rows, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    return a
 
 
 def _promote(a: np.ndarray) -> np.ndarray:
@@ -315,47 +309,51 @@ def det_cofactor(M) -> int:
     return rec(tuple(range(n)), tuple(range(n)))
 
 
-def _inverse_scaled(A, aug) -> tuple:
-    """(d, d * A^-1 @ aug) from the fraction-free Gauss-Jordan form of
-    [A | aug]; raises ZeroDivisionError when A is singular."""
+def unimodular_factor(M) -> tuple:
+    """(leading-minor signs, det, integer inverse) of a square integer matrix
+    from one elimination: the unit-pivot Schur tier when it applies, else one
+    fraction-free Gauss-Jordan pass over [M | I] with row pivoting.  signs is
+    None when a leading principal minor is zero; the inverse is None unless
+    det = +-1, the only case in which it is integral."""
+    A = np.asarray(M, dtype=np.int64)
     n = len(A)
-    e = echelon(A, aug, full=True)
+    if n == 0:
+        return [], 1, np.zeros((0, 0), dtype=np.int64)
+    if A.ndim != 2 or A.shape[1] != n:
+        raise ValueError("factorization needs a square matrix")
+    fast = _unit_schur(A, True)
+    if fast:
+        return fast
+    e = echelon(A, np.eye(n, dtype=np.int64), full=True)
     if len(e.pivots) < n:
-        raise ZeroDivisionError("matrix is singular")
-    return (int(e.matrix[0, 0]) if n else 1), e.matrix[:, n:]
+        return None, 0, None
+    d = int(e.matrix[n - 1, n - 1])  # every pivot of the Gauss-Jordan form
+    signs = e.signs if e.rows == list(range(n)) else None
+    return signs, e.signs[-1] * abs(d), e.matrix[:, n:] * d if d in (1, -1) else None
 
 
 def integer_inverse(M) -> np.ndarray:
-    """Exact inverse of an integer matrix with all leading principal minors
-    equal to +-1 (e.g. connection matrices in canonical order): every pivot
-    is a unit, so the inverse is integral and the unit-pivot Schur tier (or,
-    up to SCHUR_LEAF rows, plain integer Gauss-Jordan) builds it.  Other
-    nonsingular matrices go through the fraction-free elimination, and the
-    result is checked to be integral.
-    """
-    L = np.asarray(M, dtype=np.int64)
-    fast = _unit_schur(L, True)
-    if fast:
-        return fast[2]
-    d, scaled = _inverse_scaled(L, np.eye(len(L), dtype=np.int64))
-    if d == 1:
-        return scaled
-    bad = np.argwhere(scaled % d != 0)
-    if len(bad):
-        i, j = (int(x) for x in bad[0])
-        raise InvariantViolation(
-            "inverse is not integral",
-            witness={"entry": (i, j, str(Fraction(int(scaled[i, j]), d)))},
-        )
-    return scaled // d
+    """Exact inverse of an integer matrix of determinant +-1, which is
+    integral, from `unimodular_factor`.  Raises ZeroDivisionError when M is
+    singular and InvariantViolation for any other determinant."""
+    _, det, inverse = unimodular_factor(M)
+    if inverse is None:
+        if det == 0:
+            raise ZeroDivisionError("matrix is singular")
+        raise InvariantViolation("inverse is not integral", witness={"det": det})
+    return inverse
 
 
 def fraction_inverse(rows) -> list:
     """Exact rational inverse, as rows of Fractions: the rows are scaled to
     integers by diag(m), and [m A | diag(m)] eliminates to [d I | d A^-1]."""
     A, m = _clear_denominators(rows)
-    d, scaled = _inverse_scaled(A, np.diag(np.array(m, dtype=object)))
-    return [[Fraction(int(v), d) for v in row] for row in scaled]
+    n = len(A)
+    e = echelon(A, np.diag(np.array(m, dtype=object)), full=True)
+    if len(e.pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    d = int(e.matrix[0, 0]) if n else 1
+    return [[Fraction(int(v), d) for v in row] for row in e.matrix[:, n:]]
 
 
 def rank_exact(M) -> int:
@@ -573,31 +571,34 @@ def inertia_from_charpoly(coeffs_desc) -> tuple:
     return p, m, z
 
 
-def inertia_exact(M, charpoly_cap: int = 400) -> tuple:
-    """Exact (positive, negative, zero) signature of a symmetric matrix.
-
-    Characteristic polynomial + Descartes up to charpoly_cap; above that, the
-    Jacobi sign-change rule on leading principal minors (valid only when all
-    of them are nonzero, as for connection matrices in canonical order;
-    raises ZeroDivisionError otherwise so callers can decide).
-    """
+def inertia_exact(M) -> tuple:
+    """Exact (positive, negative, zero) signature of a symmetric matrix:
+    Jacobi's rule on its leading principal minors (Sylvester's law of
+    inertia), or, when one of them is zero and the rule does not apply, the
+    characteristic polynomial with Descartes' rule."""
     A = np.array(M)
-    n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("inertia needs a square matrix")
     if not _is_symmetric(A):
         raise ValueError("inertia_exact needs a symmetric matrix")
-    if n <= charpoly_cap:
+    try:
+        return inertia_via_minor_signs(A)
+    except ZeroDivisionError:
         return inertia_from_charpoly(charpoly(A))
-    return inertia_via_minor_signs(A)
 
 
 def inertia_via_minor_signs(M) -> tuple:
-    """Signature from the sign changes in (1, Delta_1, ..., Delta_n)."""
-    signs = [1] + leading_minor_signs(M)
-    neg = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    n = len(signs) - 1
-    return n - neg, neg, 0
+    """Signature from the sign changes in (1, Delta_1, ..., Delta_n); raises
+    ZeroDivisionError on a zero leading minor."""
+    return jacobi_inertia(leading_minor_signs(M))
+
+
+def jacobi_inertia(signs) -> tuple:
+    """(p, n, 0) of a symmetric matrix from the signs of its nonzero leading
+    principal minors: n counts the sign changes in (1, Delta_1, ...)."""
+    chain = [1] + list(signs)
+    neg = sum(1 for a, b in zip(chain, chain[1:]) if a != b)
+    return len(signs) - neg, neg, 0
 
 
 def _is_symmetric(A: np.ndarray) -> bool:

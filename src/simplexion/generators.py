@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Complex, close, join, POINT
+from .core import Complex, close, join
 from .refinement import order_complex
 from .rng import SplitMix64, substream_uniforms
 
@@ -359,7 +359,3 @@ def ring_product_complex(A: Complex, B: Complex) -> Complex:
         return Complex()
     return order_complex(cells, _cell_less)
 
-
-def unit_complex() -> Complex:
-    """The one-point complex, the multiplicative unit of the strong ring."""
-    return POINT

@@ -33,11 +33,6 @@ _RECURSION_HEADROOM = 100_000
 # -- vertex functions ---------------------------------------------------------
 
 
-def is_locally_injective(G: Complex, f: dict) -> bool:
-    """True when f separates the endpoints of every edge."""
-    return all(f[x[0]] != f[x[1]] for x in G.simplices if len(x) == 2)
-
-
 def require_locally_injective(G: Complex, f: dict):
     for x in G.simplices:
         if len(x) == 2 and f[x[0]] == f[x[1]]:
@@ -224,10 +219,6 @@ class GraphContext:
         self._sphere = {}
         self._ball = {}
 
-    @classmethod
-    def of_complex(cls, G: Complex) -> "GraphContext":
-        return cls(one_skeleton(G))
-
     def full(self) -> frozenset:
         return frozenset(self.adj)
 
@@ -348,25 +339,18 @@ class GraphContext:
 
 
 def _graph_context(G: Complex) -> GraphContext:
-    ctx = _CTX_CACHE.get(G)
-    if ctx is None:
-        ctx = GraphContext.of_complex(G)
-        if len(_CTX_CACHE) > 64:
-            _CTX_CACHE.clear()
-        _CTX_CACHE[G] = ctx
-    return ctx
+    """The GraphContext of G's 1-skeleton, memoed on G with its tables."""
+    return G.memo("graph", lambda: GraphContext(one_skeleton(G)))
 
 
-_CTX_CACHE: dict = {}
-
-
-def _as_clique_complex(G: Complex) -> Complex:
+def clique_complex(G: Complex) -> Complex:
     """G itself when it is the clique complex of its skeleton, else its
-    Barycentric refinement (which always is)."""
+    Barycentric refinement (which always is); memoed on G."""
     from .core import is_whitney
     from .refinement import barycentric
 
-    return G if is_whitney(G) else barycentric(G)
+    H = G.memo("clique", lambda: None if is_whitney(G) else barycentric(G))
+    return G if H is None else H
 
 
 def _guarded(fn, *args):
@@ -388,14 +372,14 @@ def is_contractible(G: Complex) -> bool:
     (dunce-hat style) are reported False by design."""
     if G.is_empty:
         return False
-    H = _as_clique_complex(G)
+    H = clique_complex(G)
     ctx = _graph_context(H)
     return _guarded(ctx.contractible, ctx.full())
 
 
 def is_d_graph(G: Complex, d: int) -> bool:
     """Every vertex sphere is a (d-1)-sphere (discrete d-manifold)."""
-    H = _as_clique_complex(G)
+    H = clique_complex(G)
     ctx = _graph_context(H)
     return _guarded(ctx.d_graph, ctx.full(), d)
 
@@ -403,7 +387,7 @@ def is_d_graph(G: Complex, d: int) -> bool:
 def is_d_sphere(G: Complex, d: int) -> bool:
     if G.is_empty:
         return d == -1
-    H = _as_clique_complex(G)
+    H = clique_complex(G)
     ctx = _graph_context(H)
     return _guarded(ctx.d_sphere, ctx.full(), d)
 
@@ -411,7 +395,7 @@ def is_d_sphere(G: Complex, d: int) -> bool:
 def is_d_ball(G: Complex, d: int) -> bool:
     if G.is_empty:
         return False
-    H = _as_clique_complex(G)
+    H = clique_complex(G)
     ctx = _graph_context(H)
     return _guarded(ctx.d_ball, ctx.full(), d)
 
@@ -425,7 +409,7 @@ def boundary(G: Complex, d: int) -> Complex:
         S = unit_sphere(G, x)
         if S.is_empty:
             continue
-        ctx = GraphContext.of_complex(S)
+        ctx = _graph_context(S)
         if _guarded(ctx.d_ball, ctx.full(), d - 1):
             out.append(x)
     return close(out) if out else Complex()
@@ -435,7 +419,7 @@ def is_d_complex_with_boundary(G: Complex, d: int) -> bool:
     """Every unit sphere is a (d-1)-sphere or a (d-1)-ball."""
     for x in G.simplices:
         S = unit_sphere(G, x)
-        ctx = GraphContext.of_complex(S)
+        ctx = _graph_context(S)
         full = ctx.full()
         if _guarded(ctx.d_sphere, full, d - 1):
             continue
@@ -527,7 +511,7 @@ def reeb_sphere_check(G: Complex, d: int | None = None) -> dict:
     such function exists."""
     if d is None:
         d = G.max_dim()
-    H = _as_clique_complex(G)
+    H = clique_complex(G)
     if not is_d_sphere(H, d):
         raise ValueError(f"not a {d}-sphere")
     ctx = _graph_context(H)

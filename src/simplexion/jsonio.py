@@ -1,6 +1,6 @@
-"""JSON formats: complexes (facet lists, closure implied), graphs, vertex
-functions, exact matrices (decimal-string entries), and canonical dumping
-so identical inputs produce byte-identical files.
+"""JSON formats: complexes (facet lists, closure implied), vertex functions,
+exact matrices (decimal-string entries), and canonical dumping so identical
+inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ import math
 import numpy as np
 
 from .core import Complex, close
+from .errors import ResourceLimitError
+from .refinement import cap_simplices
 
 
 def complex_to_dict(G: Complex, name: str | None = None) -> dict:
@@ -21,24 +23,28 @@ def complex_to_dict(G: Complex, name: str | None = None) -> dict:
 
 
 def complex_from_dict(d: dict) -> Complex:
-    """Closure of the facet list; rejects any vertex that is not a
-    non-negative int (bools and floats included) instead of coercing it."""
+    """Closure of the facet list.  Rejects input that is not an object with
+    a list of facets, and any vertex that is not a non-negative int (bools
+    and floats included), instead of coercing it.  Refuses to close when
+    sum (2^|facet| - 1), an upper bound on the closure's size, exceeds
+    `refinement.cap_simplices()`."""
+    if not isinstance(d, dict):
+        raise ValueError("complex JSON must be an object")
     facets = d.get("facets", [])
+    if not isinstance(facets, list):
+        raise ValueError('"facets" must be a list')
     for f in facets:
         if not isinstance(f, (list, tuple)) or not all(
                 type(v) is int and v >= 0 for v in f):
             raise ValueError(f"facet {f!r}: vertices must be non-negative integers")
+    predicted = sum((1 << len(f)) - 1 for f in facets)
+    limit = cap_simplices()
+    if predicted > limit:
+        raise ResourceLimitError(
+            f"closure could have {predicted} simplices (cap {limit})")
     if not facets:
         return Complex()
     return close(facets)
-
-
-def graph_to_dict(n: int, edges) -> dict:
-    return {"n": n, "edges": [sorted(map(int, e)) for e in sorted(map(tuple, edges))]}
-
-
-def graph_from_dict(d: dict) -> tuple:
-    return int(d["n"]), [tuple(e) for e in d.get("edges", [])]
 
 
 def function_from_dict(d: dict) -> dict:

@@ -74,9 +74,20 @@ def kirchhoff_of_complex(G: Complex) -> np.ndarray:
 # -- zeta ----------------------------------------------------------------------
 
 
+def connection_eigenvalues(G: Complex) -> np.ndarray:
+    """The eigenvalues of L, ascending, from `eig_symmetric`; read-only and
+    memoed on G (no float copy of L and no eigenvectors are kept)."""
+    L = connection_matrix(G)
+    return G.memo("eigenvalues", lambda: _frozen(eig_symmetric(L.astype(float))))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def connection_spectrum_squared(G: Complex) -> np.ndarray:
-    L = connection_matrix(G).astype(float)
-    vals = eig_symmetric(L)
+    vals = connection_eigenvalues(G)
     return np.sort(vals * vals)
 
 
@@ -159,7 +170,7 @@ def barycentric_limit_experiment(G: Complex, levels: int, grid_points: int = 204
         if is_dim1:
             distances.append(float(np.abs(F - target).mean()))
         if len(H) <= 2200:
-            lvals = eig_symmetric(connection_matrix(H).astype(float))
+            lvals = connection_eigenvalues(H)
             min_connection.append(float(np.abs(lvals).min()))
         else:
             min_connection.append(None)

@@ -3,9 +3,9 @@
 Each test prints a single summary line.  The shared corpus is the named
 complexes (solid simplices n<=5, cycles n<=12, cross polytopes d<=3, the
 icosahedron), their first Barycentric refinements within the exact-ops cap,
-and 10,000 random Whitney complexes E(n<=7, p in {0.2, 0.5, 0.8}).  Exact
-objects (Green inverses) are cached per session since several criteria
-share them.
+and 10,000 random Whitney complexes E(n<=7, p in {0.2, 0.5, 0.8}).  The
+fixtures are module-scoped, so each complex's memo (its connection matrix
+and Green inverse) serves every criterion that shares them.
 """
 
 import time
@@ -71,23 +71,6 @@ def random_corpus():
     return out
 
 
-class GreenCache:
-    def __init__(self):
-        self.store = {}
-
-    def get(self, G):
-        g = self.store.get(G)
-        if g is None:
-            g = conn.green_inverse(G, cap=EXACT_CAP)
-            self.store[G] = g
-        return g
-
-
-@pytest.fixture(scope="module")
-def greens():
-    return GreenCache()
-
-
 def test_criterion_01_unimodularity(named, refinements, random_corpus):
     t0 = time.monotonic()
     checked = 0
@@ -102,12 +85,11 @@ def test_criterion_01_unimodularity(named, refinements, random_corpus):
           f"(exact) PASS in {time.monotonic() - t0:.1f}s")
 
 
-def test_criterion_02_energy_and_green_star(named, refinements, random_corpus,
-                                            greens):
+def test_criterion_02_energy_and_green_star(named, refinements, random_corpus):
     t0 = time.monotonic()
     checked = 0
     for name, G in named + refinements:
-        assert conn.energy(G, green=greens.get(G)) == G.euler_characteristic(), name
+        assert conn.energy(G) == G.euler_characteristic(), name
         checked += 1
     for G in random_corpus:
         if not G.is_empty:
@@ -223,7 +205,7 @@ def test_criterion_06_spheres():
           f"two-critical-point functions PASS in {time.monotonic() - t0:.1f}s")
 
 
-def test_criterion_07_hydrogen_zeta_trace(named, refinements, greens):
+def test_criterion_07_hydrogen_zeta_trace(named, refinements):
     t0 = time.monotonic()
     dim1 = [sx.close([(0, 1)]), sx.cycle(4), sx.cycle(5),
             sx.whitney(4, [(0, 1), (0, 2), (0, 3)])]
@@ -235,7 +217,7 @@ def test_criterion_07_hydrogen_zeta_trace(named, refinements, greens):
     for name, G in named + refinements:
         if G.is_empty:
             continue
-        a, b, c = conn.trace_identity(G, green=greens.get(G))
+        a, b, c = conn.trace_identity(G)
         assert a == b == c, name
         count += 1
     print(f"\n[criterion 7] hydrogen L-L^-1=H, zeta symmetry (exact+numeric), "

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -201,9 +202,83 @@ def test_random_cmd_z_scores():
 
 def test_malformed_vertices_rejected(tmp_path):
     path = tmp_path / "bad.json"
-    for facets in ([[0, 1.7, 2]], [[True, 2]]):
-        path.write_text(json.dumps({"facets": facets}))
+    for doc in ({"facets": [[0, 1.7, 2]]}, {"facets": [[True, 2]]}, [1, 2],
+                {"facets": 5}):
+        path.write_text(json.dumps(doc))
         assert run(["analyze", "-i", str(path), "--betti"]) == 2
+        assert run(["verify", "-i", str(path), "--suite", "unimodularity"]) == 2
+
+
+def test_closure_size_capped_before_closing(tmp_path, capsys):
+    # one 40-vertex facet closes to 2^40 - 1 simplices
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"facets": [list(range(40))]}))
+    t0 = time.monotonic()
+    assert run(["verify", "-i", str(path), "--suite", "unimodularity"]) == 3
+    assert time.monotonic() - t0 < 1
+    assert "1099511627775" in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call's first
+    argument; returns the record."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0] if args else None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("refined", [False, True])
+def test_verify_factors_connection_matrix_once(tmp_path, monkeypatch, refined):
+    from simplexion import connection as conn
+    from simplexion.exact import SCHUR_LEAF
+
+    G = sx.cross_polytope(2)
+    if refined:
+        G = sx.barycentric(G)
+    assert (len(G) > SCHUR_LEAF) == refined
+    path = tmp_path / "g.json"
+    write_canonical(complex_to_dict(G), str(path))
+    builds = _count_calls(monkeypatch, conn, "_build_connection")
+    factors = _count_calls(monkeypatch, conn, "unimodular_factor")
+    rep = tmp_path / "rep.json"
+    assert run(["verify", "-i", str(path), "--suite",
+                "unimodularity,energy,inertia,dual-product", "--no-meta",
+                "-o", str(rep)]) == 0
+    assert [c["status"] for c in json.loads(rep.read_text())["checks"]] == ["pass"] * 4
+    assert len(builds) == 1 and len(factors) == 1
+
+
+def test_spectra_connection_eigensolves_once(tmp_path, monkeypatch):
+    from simplexion import spectral as spec
+
+    path = tmp_path / "c6.json"
+    run(["generate", "cycle", "--n", "6", "-o", str(path)])
+    solves = _count_calls(monkeypatch, spec, "eig_symmetric")
+    assert run(["spectra", "-i", str(path), "--operator", "connection", "--zeta",
+                "--no-meta", "-o", str(tmp_path / "s.json")]) == 0
+    assert len(solves) == 1
+
+
+def test_verify_all_builds_each_derived_object_once(tmp_path, monkeypatch):
+    from simplexion import cohomology as coh
+    from simplexion import connection as conn
+
+    ico = sx.icosahedron()
+    path = tmp_path / "ico.json"
+    write_canonical(complex_to_dict(ico), str(path))
+    chains = _count_calls(monkeypatch, coh, "_chain_complex")
+    builds = _count_calls(monkeypatch, conn, "_build_connection")
+    assert run(["verify", "-i", str(path), "--suite", "all", "--no-meta",
+                "-o", str(tmp_path / "rep.json")]) == 0
+    # the Kuenneth partner and product, the Alexander dual and the unit
+    # spheres are other complexes, with memos of their own
+    assert sum(G == ico for G in chains) == 1
+    assert sum(G == ico for G in builds) == 1
 
 
 def test_random_cap():

@@ -198,3 +198,36 @@ def test_exact_cap():
 
     with pytest.raises(ResourceLimitError):
         conn.connection_matrix(sx.cross_polytope(2), cap=5)
+
+
+def test_memo_safety(monkeypatch):
+    from simplexion import cohomology as coh
+    from simplexion import spectral as spec
+    from simplexion.errors import ResourceLimitError
+    from simplexion.exact import matmul
+
+    G = sx.cross_polytope(2)
+    g = conn.green_inverse(G, cap=3000)
+    # the cap is checked on every call, before the memo is read
+    with pytest.raises(ResourceLimitError):
+        conn.connection_matrix(G, cap=5)
+    with pytest.raises(ResourceLimitError):
+        conn.green_inverse(G, cap=5)
+    # memoed arrays are read-only
+    for a in (conn.connection_matrix(G), g, coh.exterior_derivative(G).d[0],
+              spec.connection_eigenvalues(G)):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert conn.dual_connection_matrix(G).flags.writeable
+    # equal but distinct complexes keep their own memos
+    H = sx.cross_polytope(2)
+    assert H == G and H is not G
+    assert conn.connection_matrix(H) is not conn.connection_matrix(G)
+    assert conn.connection_matrix(G) is conn.connection_matrix(G)
+    # g comes from elimination, never from the Green star formula it is
+    # checked against
+    monkeypatch.setattr(conn, "green_star_matrix", None)
+    monkeypatch.setattr(conn, "up_star_weights", None)
+    K = sx.barycentric(sx.cycle(5))
+    g = conn.green_inverse(K)
+    assert np.array_equal(matmul(conn.connection_matrix(K), g), np.eye(len(g), dtype=np.int64))

@@ -10,7 +10,6 @@ from simplexion.exact import (
     fraction_inverse,
     inertia_exact,
     inertia_from_charpoly,
-    inertia_via_minor_signs,
     integer_inverse,
     leading_minor_signs,
     minor_sum_coeffs,
@@ -92,20 +91,20 @@ def test_inertia_from_charpoly_diag():
 
 
 def test_inertia_methods_agree():
+    # inertia_exact (Jacobi's rule, or charpoly on a zero leading minor)
+    # against charpoly and Descartes on every sample
     gen = SplitMix64(14)
-    done = 0
-    while done < 40:
+    zero_minor = 0
+    for _ in range(60):
         n = gen.below(6) + 2
         A = np.array(random_matrix(gen, n, n))
         S = A + A.T
-        inert = inertia_exact(S, charpoly_cap=100)
+        assert inertia_exact(S) == inertia_from_charpoly(charpoly(S))
         try:
-            minor = inertia_via_minor_signs(S)
+            leading_minor_signs(S)
         except ZeroDivisionError:
-            continue
-        if inert[2] == 0:  # minor method only valid for nonsingular leading chain
-            assert inert == minor
-            done += 1
+            zero_minor += 1
+    assert 0 < zero_minor < 60
 
 
 def test_integer_inverse_unimodular():
@@ -234,6 +233,22 @@ def test_prop_leading_minor_signs(M):
             leading_minor_signs(M)
     else:
         assert leading_minor_signs(M) == [_sign(m) for m in minors]
+
+
+@PROPS
+@given(int_matrices(square=True))
+def test_prop_unimodular_factor(M):
+    # one elimination against the cofactor oracle: the minor signs (None on
+    # a zero leading minor), det, and the inverse exactly when det = +-1
+    minors = [det_cofactor([row[:k] for row in M[:k]]) for k in range(1, len(M) + 1)]
+    signs, det, inverse = exact.unimodular_factor(M)
+    assert signs == (None if 0 in minors else [_sign(m) for m in minors])
+    assert det == minors[-1]
+    if abs(det) == 1:
+        eye = np.eye(len(M), dtype=object)
+        assert np.array_equal(np.array(M, dtype=object) @ inverse.astype(object), eye)
+    else:
+        assert inverse is None
 
 
 @PROPS
@@ -472,6 +487,12 @@ def _assert_matches_echelon(M, tier_applies=None):
         assert np.array_equal(got.astype(object), inverse.astype(object))
     if tier_applies:
         assert exact._schur(M, False)[:2] == (signs, det)
+    factor = exact.unimodular_factor(M)
+    assert factor[:2] == (signs, det)
+    if inverse is None:
+        assert factor[2] is None
+    else:
+        assert np.array_equal(factor[2].astype(object), inverse.astype(object))
 
 
 @st.composite

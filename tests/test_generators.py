@@ -206,3 +206,23 @@ def test_clique_block_bounds():
         clique_block(model, 0, 129, 0)
     with pytest.raises(ValueError, match="n capped at 10"):
         clique_block(sx.RandomModel(n=11, p=0.5, seed=1), 0, 1, 0)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return n, draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+
+
+@settings(max_examples=80)
+@given(graphs())
+def test_whitney_facets_are_maximal_cliques(graph):
+    nx = pytest.importorskip("networkx")
+    n, edges = graph
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    cliques = sorted((tuple(sorted(c)) for c in nx.find_cliques(g)),
+                     key=lambda x: (len(x), x))
+    assert sx.whitney(n, edges).facets() == cliques
