@@ -4,11 +4,12 @@ numbers), Lefschetz fixed points, Kuenneth for the strong ring, quadratic
 Alexander duality, and the Stokes pairing.
 
 Orientations come from the global vertex order: each simplex is its sorted
-vertex tuple, and all signs are parities of sorting permutations.  All exact
-linear algebra goes through the one fraction-free elimination kernel of
-`exact` (int64 under a proved bound, Python big integers beyond): its ranks
-drive every Betti number, and the Lefschetz maps on H^k come from its kernel
-bases, pivot columns and solves.  Every integer matrix-matrix product (Hodge
+vertex tuple, and all signs are parities of sorting permutations.  Every
+Betti number, ordinary or quadratic, comes from `exact.rank_exact`, a sparse
+elimination on unit pivots that hands what it leaves to `exact.echelon`, the
+fraction-free elimination kernel (int64 under a proved bound, Python big
+integers beyond).  The Lefschetz maps on H^k come from that kernel's bases,
+pivot columns and solves.  Every integer matrix-matrix product (Hodge
 operators, the dd = 0 checks, the McKean-Singer supertraces) is
 `exact.matmul`, which uses a float64 BLAS product only where a bound proves
 it exact.  Otherwise floating point appears only in the explicitly numeric
@@ -127,24 +128,18 @@ class CohomologyReport:
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
 
 
+def _betti_from_ranks(dims: tuple, mats) -> CohomologyReport:
+    """b_k = v_k - rank(d_k) - rank(d_{k-1}) for the derivatives d_k of a
+    cochain complex with v_k cochains in degree k, with exact ranks."""
+    ranks = [0] + [rank_exact(m) for m in mats] + [0]
+    out = tuple(v - ranks[k] - ranks[k + 1] for k, v in enumerate(dims))
+    return CohomologyReport(betti=out, poincare_poly=out, euler_poly=dims)
+
+
 def betti(G: Complex) -> CohomologyReport:
-    """b_k = v_k - rank(d_k) - rank(d_{k-1}) with exact integer ranks."""
-    if G.is_empty:
-        return CohomologyReport(betti=(), poincare_poly=(), euler_poly=())
+    """Betti numbers from the exact ranks of the d_k."""
     data = exterior_derivative(G)
-    dims = data.dims
-    ranks = [rank_exact(m) for m in data.d]
-    out = []
-    for k, v in enumerate(dims):
-        b = v
-        if k < len(ranks):
-            b -= ranks[k]
-        if k >= 1:
-            b -= ranks[k - 1]
-        out.append(b)
-    return CohomologyReport(
-        betti=tuple(out), poincare_poly=tuple(out), euler_poly=dims
-    )
+    return _betti_from_ranks(data.dims, data.d)
 
 
 def betti_numeric(G: Complex, tol: float = 1e-8) -> tuple:
@@ -222,16 +217,33 @@ def is_automorphism(G: Complex, perm: dict) -> bool:
 
 
 def automorphisms(G: Complex, cap: int = 8) -> list:
-    """All simplicial automorphisms, by brute force over vertex permutations
-    (vertex count capped)."""
+    """All simplicial automorphisms (vertex count capped), in the order of
+    `itertools.permutations` over the vertices.  Images are assigned vertex
+    by vertex, the free ones in ascending order, and an image that breaks
+    adjacency or non-adjacency with a vertex already placed is pruned, as
+    an automorphism preserves both; each complete map is then checked."""
     verts = G.vertices()
     if len(verts) > cap:
         raise ResourceLimitError(f"automorphism search capped at {cap} vertices")
-    out = []
-    for img in itertools.permutations(verts):
-        perm = dict(zip(verts, img))
-        if is_automorphism(G, perm):
-            out.append(perm)
+    nbrs = {v: set() for v in verts}
+    for a, b in G.simplices_of_dim(1):
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    out, perm = [], {}
+
+    def extend(free: list) -> None:
+        if not free:
+            if is_automorphism(G, perm):
+                out.append(dict(perm))
+            return
+        v = verts[len(perm)]
+        for w in free:
+            if all((u in nbrs[v]) == (perm[u] in nbrs[w]) for u in perm):
+                perm[v] = w
+                extend([x for x in free if x != w])
+                del perm[v]
+
+    extend(list(verts))
     return out
 
 
@@ -508,20 +520,8 @@ def interaction_derivative(G: Complex, pair_cap: int = DEFAULT_PAIR_CAP) -> tupl
 def interaction_cohomology(G: Complex, pair_cap: int = DEFAULT_PAIR_CAP) -> CohomologyReport:
     """Quadratic Betti numbers; their alternating sum is the Wu
     characteristic."""
-    if G.is_empty:
-        return CohomologyReport(betti=(), poincare_poly=(), euler_poly=())
     bases, mats = interaction_derivative(G, pair_cap=pair_cap)
-    dims = tuple(len(b) for b in bases)
-    ranks = [rank_exact(m) for m in mats]
-    out = []
-    for k, v in enumerate(dims):
-        b = v
-        if k < len(ranks):
-            b -= ranks[k]
-        if k >= 1:
-            b -= ranks[k - 1]
-        out.append(b)
-    return CohomologyReport(betti=tuple(out), poincare_poly=tuple(out), euler_poly=dims)
+    return _betti_from_ranks(tuple(len(b) for b in bases), mats)
 
 
 def wu_gauss_bonnet(G: Complex) -> dict:

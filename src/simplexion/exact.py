@@ -1,12 +1,17 @@
-"""Exact dense linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers and rationals.
 
 Everything here certifies bit-exact results.  One fraction-free (Bareiss)
-elimination kernel, `echelon`, does all the elimination: forward to a row
-echelon form for determinants, leading-minor signs and ranks, or on to the
+elimination kernel, `echelon`, does the dense elimination: forward to a row
+echelon form for determinants and leading-minor signs, or on to the
 fraction-free Gauss-Jordan form for inverses, kernel bases and solves.  It
 runs on int64 while a bound checked before each step proves every product
 exact, and promotes the matrix to Python big-int object arrays otherwise.
 Rational input has its row denominators cleared first.
+
+`rank_exact` serves the sparse +-1 coboundary and interaction matrices: it
+eliminates on unit pivots, row by row as {column: value} dicts of Python
+integers, and hands the rows it cannot finish (no unit pivot left, or
+fill-in past FILL_LIMIT times the input's nonzeros) to `echelon`.
 
 `matmul` is the one exact integer matrix product.  With bound = max_i
 sum_k |A_ik| * max |B|, every partial sum of every entry of A @ B, in any
@@ -356,12 +361,67 @@ def fraction_inverse(rows) -> list:
     return [[Fraction(int(v), d) for v in row] for row in e.matrix[:, n:]]
 
 
+FILL_LIMIT = 4  # rank_exact hands over past this many times the input's nonzeros
+
+
 def rank_exact(M) -> int:
-    """Rank over the rationals by fraction-free row echelon."""
-    A = np.array(M)
+    """Rank over the rationals: a sparse elimination on unit pivots, then
+    `echelon` on whatever it leaves.
+
+    Each nonzero row is a {column: value} dict.  The columns are walked in
+    order; in each, the shortest remaining row with a +-1 entry there is the
+    pivot, and integer multiples of it are subtracted from the other rows in
+    the column.  These are unimodular row operations on Python integers, so
+    they keep the rank exactly, at any size and without a bound to check.  A
+    column without a unit entry is skipped.  When the columns are done, or
+    once the live nonzeros exceed FILL_LIMIT times the input's, the rows left
+    go to `echelon` as one matrix: rank = pivots + its rank."""
+    A = np.asarray(M)
     if A.size == 0:
         return 0
-    return len(echelon(A).pivots)
+    rows, where = {}, {}  # row -> {column: value}; column -> rows nonzero there
+    at = np.nonzero(A)
+    for i, j, v in zip(*(x.tolist() for x in at), A[at].tolist()):
+        rows.setdefault(i, {})[j] = v
+        where.setdefault(j, set()).add(i)
+    nnz = len(at[0])
+    rank, limit = 0, FILL_LIMIT * nnz
+    for c in range(A.shape[1]):
+        units = [i for i in where.get(c, ()) if rows[i][c] in (1, -1)]
+        if not units:
+            continue
+        p = min(units, key=lambda i: (len(rows[i]), i))
+        pivot = rows.pop(p)
+        for j in pivot:
+            where[j].discard(p)
+        rank += 1
+        nnz -= len(pivot)
+        s = pivot[c]
+        for i in list(where[c]):
+            row = rows[i]
+            f = row[c] * s
+            for j, v in pivot.items():
+                w = row.get(j, 0) - f * v
+                if w:
+                    if j not in row:
+                        where.setdefault(j, set()).add(i)
+                        nnz += 1
+                    row[j] = w
+                else:
+                    del row[j]
+                    where[j].discard(i)
+                    nnz -= 1
+            if not row:
+                del rows[i]
+        if nnz > limit:
+            break
+    if rows:
+        cols = sorted(set().union(*rows.values()))
+        rest = np.array([[row.get(j, 0) for j in cols] for row in rows.values()], dtype=object)
+        with contextlib.suppress(OverflowError):  # else entries stay Python ints
+            rest = rest.astype(np.int64)
+        rank += len(echelon(rest).pivots)
+    return rank
 
 
 def kernel_basis(M) -> np.ndarray:

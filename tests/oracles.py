@@ -1,11 +1,13 @@
 """Test-only oracles: slow, independent implementations that the library's
 fast routines are checked against."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from simplexion.cohomology import is_automorphism
 from simplexion.core import Complex, parity, wu_characteristic
 from simplexion.errors import NumericError
 from simplexion.generators import (
@@ -111,6 +113,14 @@ def rank_fraction(rows) -> int:
                 A[r] = [a - g * b for a, b in zip(A[r], A[rank])]
         rank += 1
     return rank
+
+
+def automorphisms_bruteforce(G: Complex) -> list:
+    """Every vertex permutation that is a simplicial automorphism, in
+    `itertools.permutations` order; the oracle for cohomology.automorphisms."""
+    verts = G.vertices()
+    perms = (dict(zip(verts, img)) for img in itertools.permutations(verts))
+    return [perm for perm in perms if is_automorphism(G, perm)]
 
 
 def wu_characteristic_bruteforce(G: Complex, k: int = 2) -> int:

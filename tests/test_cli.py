@@ -462,3 +462,40 @@ def test_refined_large_outputs_pinned(tmp_path, capsys):
         for got, want in zip(outputs, REFINED_LARGE_PINNED[name]):
             assert _matches(got, want), (name, got)
         assert mckean_singer(G)["exact_zero_powers"] is True
+
+
+HEAVY_PINNED = {
+    ("verify", "K4", "--suite", "kuenneth"):
+        b'{"checks":[{"status":"pass","theorem":"kuenneth","witness":{'
+        b'"connection_kron_ok":true,"connection_spectrum_err":2.842170943040401e-14,'
+        b'"euler_ok":true,"hodge_kron_ok":true,"hodge_spectrum_err":5.329070518200751e-15,'
+        b'"poincare_ok":true}}],"input":"K4.json","pass":true,"simplices":15}',
+    ("analyze", "cross3", "--interaction"):
+        b'{"euler_characteristic":0,"f_vector":[8,24,32,16],'
+        b'"interaction_betti":[0,0,0,1,0,0,1],'
+        b'"interaction_euler_poly":[8,96,456,1088,1376,896,240],"max_dim":3,"simplices":80}',
+    ("verify", "cross3", "--suite", "wu"):
+        b'{"checks":[{"status":"pass","theorem":"wu","witness":{"gauss_bonnet_ok":true,'
+        b'"interaction_alternating":0,"wu":0}}],"input":"cross3.json","pass":true,"simplices":80}',
+}
+
+
+@pytest.mark.parametrize("request_", HEAVY_PINNED, ids=lambda r: "-".join(r[:2]))
+def test_heavy_requests_pinned(tmp_path, capsysbinary, monkeypatch, request_):
+    # the largest exact ranks the CLI meets on the named corpus: the Kuenneth
+    # product of K4 with C4 (a 2208 x 2240 coboundary) and the interaction
+    # cohomology of the 3-dimensional cross-polytope.  Unit pivots finish
+    # every one of them: none is left for the dense elimination.
+    from simplexion import exact
+
+    command, name, *flags = request_
+    kind, size = {"K4": ("complete", "--n"), "cross3": ("cross-polytope", "--dim")}[name]
+    path = tmp_path / f"{name}.json"
+    assert run(["generate", kind, size, name[-1], "-o", str(path)]) == 0
+    capsysbinary.readouterr()
+    dense, echelon = [], exact.echelon
+    monkeypatch.setattr(exact, "echelon", lambda A, *args, **kwargs: (
+        dense.append(A.shape), echelon(A, *args, **kwargs))[1])
+    assert run([command, "-i", str(path), *flags, "--no-meta"]) == 0
+    assert capsysbinary.readouterr().out == HEAVY_PINNED[request_] + b"\n"
+    assert dense == []

@@ -11,7 +11,7 @@ from simplexion.rng import SplitMix64
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mckean_singer_full, supertraces_full
+from oracles import automorphisms_bruteforce, mckean_singer_full, supertraces_full
 
 
 def test_exterior_derivative_k2():
@@ -151,6 +151,26 @@ def test_all_automorphisms_of_cycles():
         for perm in autos:
             r = coh.lefschetz(G, perm)
             assert r["cohomological"] == r["fixed_point_sum"]
+
+
+def test_automorphisms_match_bruteforce(corpus):
+    # the pruned search finds every automorphism, in permutation order
+    # (test_lefschetz_cross3_sample slices the list), including on complexes
+    # whose edges alone allow maps that the triangles then rule out
+    mixed = [sx.close([(0, 1, 2), (2, 3), (3, 4, 5), (5, 6), (1, 6)]),
+             sx.close([(0, 1, 2), (1, 2, 3), (0, 4), (3, 5), (6,)]),
+             sx.close([(0, 1), (1, 2), (0, 2), (3, 4, 5)]),
+             sx.close([])]
+    for G in [G for _, G in corpus if len(G.vertices()) <= 7] + mixed:
+        got = coh.automorphisms(G)
+        assert [list(p.items()) for p in got] == [
+            list(p.items()) for p in automorphisms_bruteforce(G)]
+    assert len(coh.automorphisms(sx.cycle(8))) == 16
+    # S3 on each triangle; the edges would also allow swapping the hollow one
+    # with the filled one
+    assert len(coh.automorphisms(mixed[2])) == 36
+    with pytest.raises(sx.ResourceLimitError):
+        coh.automorphisms(sx.cycle(9))
 
 
 def test_kuenneth_unit():

@@ -601,3 +601,108 @@ def test_leading_minor_signs_zero_minor_above_leaf(at):
     assert bareiss_det(M) == -1
     assert np.array_equal(M @ integer_inverse(M), np.eye(n, dtype=np.int64))
     _assert_matches_echelon(M, tier_applies=False)
+
+
+# -- the sparse unit-pivot rank -------------------------------------------------
+
+from simplexion.exact import echelon  # noqa: E402
+
+
+@st.composite
+def rank_inputs(draw):
+    """Matrices for rank_exact: coboundaries d_k of random Whitney complexes,
+    derivatives of their interaction cohomology, random sparse or dense +-1
+    matrices, and sparse matrices with big-integer object entries."""
+    import simplexion as sx
+    from simplexion.cohomology import exterior_derivative, interaction_derivative
+
+    kind = draw(st.sampled_from(["boundary", "interaction", "sparse", "dense", "big"]))
+    if kind in ("boundary", "interaction"):
+        n = draw(st.integers(3, 7) if kind == "boundary" else st.integers(3, 5))
+        p = draw(st.sampled_from([0.3, 0.6, 0.9]))
+        G = sx.erdos_renyi(sx.RandomModel(n=n, p=p, seed=draw(st.integers(0, 10 ** 6))))
+        mats = (exterior_derivative(G).d if kind == "boundary"
+                else interaction_derivative(G)[1])
+        if not mats:
+            return np.zeros((1, len(G)), dtype=np.int64)
+        return np.array(draw(st.sampled_from(mats)))
+    rows, cols = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    if kind == "dense":
+        rows, cols = min(rows, 10), min(cols, 10)
+        return np.array([[draw(st.sampled_from([-1, 1])) for _ in range(cols)]
+                         for _ in range(rows)], dtype=np.int64)
+    density = draw(st.sampled_from([0.05, 0.15, 0.3]))
+    entry = st.sampled_from([-1, 1]) if kind == "sparse" else st.sampled_from(
+        [-1, 1, 3 ** 45, -(2 ** 80) + 1, 2 ** 63])
+    M = np.zeros((rows, cols), dtype=np.int64 if kind == "sparse" else object)
+    for i in range(rows):
+        for j in range(cols):
+            if draw(st.floats(0, 1)) < density:
+                M[i, j] = draw(entry)
+    return M
+
+
+@settings(PROPS, max_examples=80)
+@given(rank_inputs())
+def test_prop_sparse_rank_matches_oracles(M):
+    want = rank_fraction(M.tolist())
+    assert len(echelon(M).pivots) == want
+    assert rank_exact(M) == want
+
+
+def _spy_echelon(monkeypatch) -> list:
+    """Shapes of the matrices `exact.echelon` receives from here on."""
+    shapes = []
+
+    def spy(A, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return echelon(A, *args, **kwargs)
+
+    monkeypatch.setattr(exact, "echelon", spy)
+    return shapes
+
+
+@settings(PROPS, max_examples=40)
+@given(rank_inputs())
+def test_prop_sparse_rank_without_unit_pivots(M):
+    # 2 M has no +-1 entry: every nonzero row of it goes to echelon as it is
+    with pytest.MonkeyPatch.context() as mp:
+        shapes = _spy_echelon(mp)
+        assert rank_exact(2 * M) == rank_fraction(M.tolist())
+    nonzero_rows = int(np.count_nonzero(M.any(axis=1)))
+    assert shapes == ([(nonzero_rows, int(np.count_nonzero(M.any(axis=0))))]
+                      if nonzero_rows else [])
+
+
+def test_sparse_rank_fill_in_guard(monkeypatch):
+    # the only unit in column 0 is a row of ones; subtracting it twice from
+    # every row below fills the matrix, past FILL_LIMIT times the input's
+    # 3n - 2 nonzeros, so the other n - 1 rows go to echelon at once.
+    # Unguarded, the pass takes one more unit pivot (the -1 of row 1 in
+    # column 1), after which every entry left is 2 or 3.
+    n = 16
+    M = np.eye(n, dtype=np.int64)
+    M[0], M[1:, 0] = 1, 2
+    assert (n - 1) ** 2 > exact.FILL_LIMIT * np.count_nonzero(M)
+    shapes = _spy_echelon(monkeypatch)
+    assert rank_exact(M) == rank_fraction(M.tolist()) == n
+    assert shapes == [(n - 1, n - 1)]
+    monkeypatch.setattr(exact, "FILL_LIMIT", 10 ** 9)
+    shapes.clear()
+    assert rank_exact(M) == n
+    assert shapes == [(n - 2, n - 2)]
+
+
+def test_sparse_rank_rp2_takes_the_fallback(monkeypatch):
+    # the 6-vertex real projective plane: d_1 has rank 10 over Q but not
+    # over Z/2, so no run of unit pivots alone can give its rank
+    import simplexion as sx
+    from simplexion.cohomology import betti, exterior_derivative
+
+    facets = "123 134 145 156 162 235 346 452 563 624".split()
+    rp2 = sx.close([tuple(sorted(map(int, f))) for f in facets])
+    d1 = exterior_derivative(rp2).d[1]
+    shapes = _spy_echelon(monkeypatch)
+    assert rank_exact(d1) == rank_fraction(d1.tolist()) == 10
+    assert shapes and all(rows < len(d1) for rows, _ in shapes)
+    assert betti(rp2).betti == (1, 0, 0)
