@@ -6,7 +6,6 @@ echelon form for determinants and leading-minor signs, or on to the
 fraction-free Gauss-Jordan form for inverses, kernel bases and solves.  It
 runs on int64 while a bound checked before each step proves every product
 exact, and promotes the matrix to Python big-int object arrays otherwise.
-Rational input has its row denominators cleared first.
 
 `rank_exact` serves the sparse +-1 coboundary and interaction matrices: it
 eliminates on unit pivots, row by row as {column: value} dicts of Python
@@ -37,7 +36,6 @@ coefficients.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -137,14 +135,6 @@ def echelon(A, aug=None, full: bool = False) -> Echelon:
         pivots.append(c)
         r += 1
     return Echelon(E, pivots, rows, signs)
-
-
-def _clear_denominators(rows) -> tuple:
-    """(integer object matrix, multipliers): row i scaled by the lcm m_i of
-    its entries' denominators."""
-    fr = [[Fraction(v) for v in row] for row in rows]
-    m = [math.lcm(*(v.denominator for v in row)) for row in fr]
-    return np.array([[int(v * k) for v in row] for row, k in zip(fr, m)], dtype=object), m
 
 
 # -- the exact product and the unit-pivot Schur-complement tier ----------------
@@ -281,39 +271,6 @@ def leading_minor_signs(M) -> list:
     return e.signs
 
 
-def det_exact(M):
-    """Exact determinant: Bareiss over the integers; a Fraction (the
-    determinant of the rows with cleared denominators, divided back) when
-    any entry is a non-integral Fraction."""
-    A, m = _clear_denominators(M.tolist() if isinstance(M, np.ndarray) else M)
-    det = bareiss_det(A)
-    scale = math.prod(m)
-    return det if scale == 1 else Fraction(det, scale)
-
-
-def det_cofactor(M) -> int:
-    """Naive cofactor-expansion determinant; the small-matrix oracle."""
-    A = [list(map(int, row)) for row in M]
-    n = len(A)
-
-    def rec(rows, cols):
-        if len(cols) == 1:
-            return A[rows[0]][cols[0]]
-        total = 0
-        r = rows[0]
-        rest = rows[1:]
-        for i, c in enumerate(cols):
-            if A[r][c] == 0:
-                continue
-            sub = cols[:i] + cols[i + 1:]
-            total += (-1) ** i * A[r][c] * rec(rest, sub)
-        return total
-
-    if n == 0:
-        return 1
-    return rec(tuple(range(n)), tuple(range(n)))
-
-
 def unimodular_factor(M) -> tuple:
     """(leading-minor signs, det, integer inverse) of a square integer matrix
     from one elimination: the unit-pivot Schur tier when it applies, else one
@@ -347,18 +304,6 @@ def integer_inverse(M) -> np.ndarray:
             raise ZeroDivisionError("matrix is singular")
         raise InvariantViolation("inverse is not integral", witness={"det": det})
     return inverse
-
-
-def fraction_inverse(rows) -> list:
-    """Exact rational inverse, as rows of Fractions: the rows are scaled to
-    integers by diag(m), and [m A | diag(m)] eliminates to [d I | d A^-1]."""
-    A, m = _clear_denominators(rows)
-    n = len(A)
-    e = echelon(A, np.diag(np.array(m, dtype=object)), full=True)
-    if len(e.pivots) < n:
-        raise ZeroDivisionError("matrix is singular")
-    d = int(e.matrix[0, 0]) if n else 1
-    return [[Fraction(int(v), d) for v in row] for row in e.matrix[:, n:]]
 
 
 FILL_LIMIT = 4  # rank_exact hands over past this many times the input's nonzeros
@@ -665,42 +610,15 @@ def _is_symmetric(A: np.ndarray) -> bool:
     return A.shape[0] == A.shape[1] and (A == A.T).all()
 
 
-def cauchy_binet_coeffs(F, G, minor_cap: int = 8) -> list:
+def cauchy_binet_coeffs(F, G) -> list:
     """Characteristic-polynomial coefficients p_k of F^T G with
-    p(x) = sum_k p_k (-x)^(m-k), computed via charpoly and, when both
-    dimensions are within minor_cap, cross-checked against the minor-sum
-    sum over |P|=k of det(F_P) det(G_P)."""
+    p(x) = sum_k p_k (-x)^(m-k); by Cauchy-Binet, p_k is the sum over
+    k-subsets P of rows and columns of det(F_P) det(G_P)."""
     F = np.array(F, dtype=object)
     G = np.array(G, dtype=object)
     if F.shape != G.shape:
         raise ValueError("F and G must have identical shape")
-    n, m = F.shape
+    m = F.shape[1]
     cp = charpoly(matmul(F.T, G))  # descending: x^m + c1 x^(m-1) + ...
-    # det(xI - A) = sum_k p_k (-1)^k x^(m-k) * (-1)^m ... normalize:
     # p_k = (-1)^k * coefficient of x^(m-k)
-    pk = [(-1) ** k * cp[k] for k in range(m + 1)]
-    if n <= minor_cap and m <= minor_cap:
-        brute = minor_sum_coeffs(F, G)
-        if brute != pk:
-            raise InvariantViolation(
-                "Cauchy-Binet mismatch", witness={"charpoly": pk, "minors": brute}
-            )
-    return pk
-
-
-def minor_sum_coeffs(F, G) -> list:
-    """sum over k-minors of det(F_P)det(G_P), for k = 0..m (brute force)."""
-    F = np.array(F, dtype=object)
-    G = np.array(G, dtype=object)
-    n, m = F.shape
-    out = [1]
-    for k in range(1, m + 1):
-        total = 0
-        if k <= n:
-            for rows in itertools.combinations(range(n), k):
-                for cols in itertools.combinations(range(m), k):
-                    fp = F[np.ix_(rows, cols)]
-                    gp = G[np.ix_(rows, cols)]
-                    total += det_cofactor(fp.tolist()) * det_cofactor(gp.tolist())
-        out.append(total)
-    return out
+    return [(-1) ** k * cp[k] for k in range(m + 1)]

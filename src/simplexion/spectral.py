@@ -14,7 +14,7 @@ from .cohomology import dirac, hodge
 from .connection import connection_matrix
 from .core import Complex
 from .errors import NumericError
-from .exact import bareiss_det, charpoly
+from .exact import charpoly
 from .refinement import barycentric
 
 KERNEL_RELATIVE_CUTOFF = 1e-10
@@ -186,9 +186,10 @@ def barycentric_limit_experiment(G: Complex, levels: int, grid_points: int = 204
 
 
 def tree_forest_numbers(n: int, edges) -> dict:
-    """Rooted spanning tree count Det(K) (pseudo-determinant, exact via the
-    division-free characteristic polynomial; 0 for a disconnected graph) and
-    rooted spanning forest count det(K + I) (exact Bareiss)."""
+    """Rooted spanning tree count Det(K) (pseudo-determinant; 0 for a
+    disconnected graph) and rooted spanning forest count det(K + I), both
+    exact from the characteristic polynomial cp(x) = det(xI - K) =
+    sum_k c_k x^(n-k): det(K + I) = (-1)^n cp(-1) = sum_k (-1)^k c_k."""
     K = kirchhoff_matrix(n, edges)
     cp = charpoly(K)
     # det(xI - K) = x^n + ...; pseudo-det = (-1)^(n-z) * coefficient of x^z
@@ -197,7 +198,7 @@ def tree_forest_numbers(n: int, edges) -> dict:
         z += 1
     # more than one component (z > 1): no spanning tree
     tree = (-1) ** (n - z) * cp[n - z] if z <= 1 else 0
-    forest = bareiss_det((K + np.eye(n, dtype=np.int64)).astype(object))
+    forest = sum((-1) ** k * c for k, c in enumerate(cp))
     return {"tree": int(tree), "forest": int(forest), "kernel_dim": z}
 
 

@@ -10,6 +10,7 @@ import numpy as np
 from simplexion.cohomology import is_automorphism
 from simplexion.core import Complex, parity, wu_characteristic
 from simplexion.errors import NumericError
+from simplexion.exact import bareiss_det, echelon
 from simplexion.generators import (
     RandomModel,
     erdos_renyi,
@@ -91,6 +92,78 @@ def charpoly_oracle(M) -> list:
 
     p = rec(tuple(range(n)), tuple(range(n))) if n else [1]
     return list(reversed([int(c) for c in p]))  # descending powers
+
+
+def det_cofactor(M) -> int:
+    """Naive cofactor-expansion determinant; the small-matrix oracle."""
+    A = [list(map(int, row)) for row in M]
+    n = len(A)
+
+    def rec(rows, cols):
+        if len(cols) == 1:
+            return A[rows[0]][cols[0]]
+        total = 0
+        r = rows[0]
+        rest = rows[1:]
+        for i, c in enumerate(cols):
+            if A[r][c] == 0:
+                continue
+            sub = cols[:i] + cols[i + 1:]
+            total += (-1) ** i * A[r][c] * rec(rest, sub)
+        return total
+
+    if n == 0:
+        return 1
+    return rec(tuple(range(n)), tuple(range(n)))
+
+
+def _clear_denominators(rows) -> tuple:
+    """(integer object matrix, multipliers): row i scaled by the lcm m_i of
+    its entries' denominators."""
+    fr = [[Fraction(v) for v in row] for row in rows]
+    m = [math.lcm(*(v.denominator for v in row)) for row in fr]
+    return np.array([[int(v * k) for v in row] for row, k in zip(fr, m)], dtype=object), m
+
+
+def det_exact(M):
+    """Exact determinant: Bareiss over the integers; a Fraction (the
+    determinant of the rows with cleared denominators, divided back) when
+    any entry is a non-integral Fraction."""
+    A, m = _clear_denominators(M.tolist() if isinstance(M, np.ndarray) else M)
+    det = bareiss_det(A)
+    scale = math.prod(m)
+    return det if scale == 1 else Fraction(det, scale)
+
+
+def fraction_inverse(rows) -> list:
+    """Exact rational inverse, as rows of Fractions: the rows are scaled to
+    integers by diag(m), and [m A | diag(m)] eliminates to [d I | d A^-1]."""
+    A, m = _clear_denominators(rows)
+    n = len(A)
+    e = echelon(A, np.diag(np.array(m, dtype=object)), full=True)
+    if len(e.pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    d = int(e.matrix[0, 0]) if n else 1
+    return [[Fraction(int(v), d) for v in row] for row in e.matrix[:, n:]]
+
+
+def minor_sum_coeffs(F, G) -> list:
+    """sum over k-minors of det(F_P)det(G_P), for k = 0..m (brute force);
+    the oracle for exact.cauchy_binet_coeffs."""
+    F = np.array(F, dtype=object)
+    G = np.array(G, dtype=object)
+    n, m = F.shape
+    out = [1]
+    for k in range(1, m + 1):
+        total = 0
+        if k <= n:
+            for rows in itertools.combinations(range(n), k):
+                for cols in itertools.combinations(range(m), k):
+                    fp = F[np.ix_(rows, cols)]
+                    gp = G[np.ix_(rows, cols)]
+                    total += det_cofactor(fp.tolist()) * det_cofactor(gp.tolist())
+        out.append(total)
+    return out
 
 
 def rank_fraction(rows) -> int:

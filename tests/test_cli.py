@@ -499,3 +499,53 @@ def test_heavy_requests_pinned(tmp_path, capsysbinary, monkeypatch, request_):
     assert run([command, "-i", str(path), *flags, "--no-meta"]) == 0
     assert capsysbinary.readouterr().out == HEAVY_PINNED[request_] + b"\n"
     assert dense == []
+
+
+# `verify` of the suites that take exact determinants, recorded before
+# dual-product and trees read them from characteristic polynomials: cross0
+# (det(-L Lbar) = -1) and the E(7, 0.8) complexes of seeds 4 (det 0, 95
+# simplices) and 6 (det 1)
+DETERMINANT_SUITES_PINNED = {
+    "cross0": (
+        ["cross-polytope", "--dim", "0"],
+        b'{"checks":[{"status":"pass","theorem":"unimodularity","witness":{"det":1}}'
+        b',{"status":"pass","theorem":"energy","witness":{"chi":2,"green_star_ok":true,"sum_g":2}}'
+        b',{"status":"pass","theorem":"inertia","witness":'
+        b'{"chi":2,"n":0,"numeric_signs_ok":true,"p":2,"z":0}}'
+        b',{"status":"pass","theorem":"dual-product","witness":{"charpoly_ok":true,"det":-1}}'
+        b',{"status":"pass","theorem":"trees","witness":{"bruteforce":{"forest":1,"tree":0}'
+        b',"computed":{"forest":1,"kernel_dim":2,"tree":0}}}'
+        b'],"input":"cross0.json","pass":true,"simplices":2}'),
+    "E4": (
+        ["erdos-renyi", "--n", "7", "--p", "0.8", "--seed", "4"],
+        b'{"checks":[{"status":"pass","theorem":"unimodularity","witness":{"det":-1}}'
+        b',{"status":"pass","theorem":"energy","witness":{"chi":1,"green_star_ok":true,"sum_g":1}}'
+        b',{"status":"pass","theorem":"inertia","witness":'
+        b'{"chi":1,"n":47,"numeric_signs_ok":true,"p":48,"z":0}}'
+        b',{"status":"pass","theorem":"dual-product","witness":{"charpoly_ok":true,"det":0}}'
+        b',{"status":"pass","theorem":"trees","witness":'
+        b'{"bruteforce":{"forest":196608,"tree":84035}'
+        b',"computed":{"forest":196608,"kernel_dim":1,"tree":84035}}}'
+        b'],"input":"E4.json","pass":true,"simplices":95}'),
+    "E6": (
+        ["erdos-renyi", "--n", "7", "--p", "0.8", "--seed", "6"],
+        b'{"checks":[{"status":"pass","theorem":"unimodularity","witness":{"det":1}}'
+        b',{"status":"pass","theorem":"energy","witness":{"chi":0,"green_star_ok":true,"sum_g":0}}'
+        b',{"status":"pass","theorem":"inertia","witness":'
+        b'{"chi":0,"n":10,"numeric_signs_ok":true,"p":10,"z":0}}'
+        b',{"status":"pass","theorem":"dual-product","witness":{"charpoly_ok":true,"det":1}}'
+        b',{"status":"pass","theorem":"trees","witness":{"bruteforce":{"forest":3785,"tree":448}'
+        b',"computed":{"forest":3785,"kernel_dim":1,"tree":448}}}'
+        b'],"input":"E6.json","pass":true,"simplices":20}'),
+}
+
+
+@pytest.mark.parametrize("name", DETERMINANT_SUITES_PINNED)
+def test_determinant_suites_pinned(tmp_path, capsysbinary, name):
+    generate, want = DETERMINANT_SUITES_PINNED[name]
+    path = str(tmp_path / f"{name}.json")
+    assert run(["generate", *generate, "-o", path]) == 0
+    capsysbinary.readouterr()
+    assert run(["verify", "-i", path, "--suite",
+                "unimodularity,energy,inertia,dual-product,trees", "--no-meta"]) == 0
+    assert capsysbinary.readouterr().out == want + b"\n"

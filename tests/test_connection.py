@@ -3,8 +3,9 @@ import pytest
 
 import simplexion as sx
 from simplexion import connection as conn
-from simplexion.exact import det_cofactor
 from simplexion.refinement import refinement_order
+
+from oracles import det_cofactor
 
 
 def test_connection_matrix_k2():
@@ -98,6 +99,19 @@ def test_green_star_matches_inverse(corpus, random_complexes):
     for G in random_complexes[:25]:
         if not G.is_empty:
             assert np.array_equal(conn.green_star_matrix(G), conn.green_inverse(G))
+
+
+def test_green_star_matrix_matches_entrywise(random_complexes):
+    # one bitmask bit per vertex: C70 needs more than 64 bits, and labels
+    # shifted by 10^6 must not reach the masks
+    shift = 10 ** 6
+    c70 = sx.close([(shift + i, shift + (i + 1) % 70) for i in range(70)])
+    for G in [c70, sx.close([(0,)])] + random_complexes[:30]:
+        elems = refinement_order(G)
+        M = conn.green_star_matrix(G)
+        assert M.dtype == np.int64
+        assert M.tolist() == [[conn.green_star(G, x, y) for y in elems] for x in elems]
+    assert conn.green_star_matrix(sx.close([])).shape == (0, 0)
 
 
 def test_wu_intersection_matrix(corpus):
@@ -231,3 +245,50 @@ def test_memo_safety(monkeypatch):
     K = sx.barycentric(sx.cycle(5))
     g = conn.green_inverse(K)
     assert np.array_equal(matmul(conn.connection_matrix(K), g), np.eye(len(g), dtype=np.int64))
+
+
+# -- the dual-product determinant ----------------------------------------------
+
+from unittest import mock  # noqa: E402
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from simplexion import exact  # noqa: E402
+from simplexion.exact import bareiss_det, matmul  # noqa: E402
+
+
+@st.composite
+def whitney_complexes(draw):
+    n = draw(st.integers(1, 8))
+    p = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    return sx.erdos_renyi(sx.RandomModel(n=n, p=p, seed=draw(st.integers(0, 10 ** 6))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(whitney_complexes())
+def test_prop_dual_product_det(G):
+    L = conn.connection_matrix(G)
+    M = -matmul(L, 1 - L)
+    want = bareiss_det(M)
+    if len(M) <= 8:
+        assert want == det_cofactor(M.tolist())
+    res = conn.dual_product_check(G)
+    assert res == {"det": want, "det_ok": True, "charpoly_ok": True}
+    assert want == 1 - G.euler_characteristic()
+    # charpoly_cap=0 takes the determinant by elimination alone
+    assert conn.dual_product_check(G, charpoly_cap=0) == {
+        "det": want, "det_ok": True, "charpoly_ok": None}
+
+
+@settings(max_examples=30, deadline=None)
+@given(whitney_complexes())
+def test_prop_dual_product_runs_no_elimination(G):
+    # below charpoly_cap the determinant comes from the characteristic
+    # polynomial; only the memoed factorization of L may eliminate, once
+    conn.green_inverse(G)
+    with (mock.patch.object(exact, "echelon", wraps=exact.echelon) as echelon,
+          mock.patch.object(conn, "bareiss_det", wraps=conn.bareiss_det) as det):
+        res = conn.dual_product_check(G)
+    assert echelon.call_count == det.call_count == 0
+    assert res["det_ok"] and res["charpoly_ok"]

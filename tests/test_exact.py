@@ -6,18 +6,23 @@ from simplexion.exact import (
     cauchy_binet_coeffs,
     charpoly,
     descartes_positive_roots,
-    det_cofactor,
-    fraction_inverse,
     inertia_exact,
     inertia_from_charpoly,
     integer_inverse,
     leading_minor_signs,
-    minor_sum_coeffs,
     rank_exact,
 )
 from simplexion.rng import SplitMix64
 
-from oracles import berkowitz_charpoly, charpoly_oracle, rank_fraction
+from oracles import (
+    berkowitz_charpoly,
+    charpoly_oracle,
+    det_cofactor,
+    det_exact,
+    fraction_inverse,
+    minor_sum_coeffs,
+    rank_fraction,
+)
 
 
 def random_matrix(gen, rows, cols, lo=-3, hi=3):
@@ -146,7 +151,7 @@ def test_cauchy_binet_random():
     for _ in range(30):
         F = random_matrix(gen, 3, 2)
         G = random_matrix(gen, 3, 2)
-        pk = cauchy_binet_coeffs(F, G)  # raises on charpoly/minor mismatch
+        pk = cauchy_binet_coeffs(F, G)
         assert pk == minor_sum_coeffs(F, G)
 
 
@@ -155,6 +160,7 @@ def test_cauchy_binet_gram_nonnegative():
     for _ in range(20):
         F = random_matrix(gen, 4, 3)
         pk = cauchy_binet_coeffs(F, F)
+        assert pk == minor_sum_coeffs(F, F)
         assert all(c >= 0 for c in pk)
 
 
@@ -165,8 +171,6 @@ def test_cauchy_binet_shape_mismatch():
 
 def test_det_exact_dispatch():
     from fractions import Fraction
-
-    from simplexion.exact import det_exact
 
     assert det_exact([[1, 2], [3, 4]]) == -2
     assert det_exact([[Fraction(1, 2), 1], [1, Fraction(1, 2)]]) == Fraction(-3, 4)
@@ -182,7 +186,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from simplexion.errors import InvariantViolation  # noqa: E402
-from simplexion.exact import det_exact, kernel_basis, solve_exact  # noqa: E402
+from simplexion.exact import kernel_basis, solve_exact  # noqa: E402
 
 PROPS = settings(max_examples=150, deadline=None)
 

@@ -101,6 +101,25 @@ def test_tree_forest_bruteforce_small():
             assert got["tree"] == brute["tree"]
 
 
+def test_forest_count_from_charpoly():
+    # det(K + I) read off the characteristic polynomial of K, against the
+    # brute force and an elimination; n = 0, isolated vertices and
+    # disconnected graphs included
+    from simplexion.exact import bareiss_det
+
+    cases = [(0, []), (1, []), (4, []), (5, [(0, 1), (2, 3)]),
+             (6, [(0, 1), (1, 2), (2, 0), (3, 4)]), (5, [(0, 1), (1, 2), (2, 3), (3, 4)])]
+    gen = SplitMix64(31)
+    for n in (3, 5, 6):
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        cases += [(n, [e for e in pairs if gen.uniform() < 0.4]) for _ in range(6)]
+    for n, edges in cases:
+        forest = spec.tree_forest_numbers(n, edges)["forest"]
+        K = spec.kirchhoff_matrix(n, edges)
+        assert forest == bareiss_det(K + np.eye(n, dtype=np.int64))
+        assert forest == spec.rooted_spanning_counts_bruteforce(n, edges)["forest"]
+
+
 def test_wave_at_zero_and_eigenmode():
     k2 = sx.close([(0, 1)])
     u0 = [1.0, -2.0, 0.5]
