@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--morse", default=None, metavar="FUNC_JSON")
     a.add_argument("--level", default=None, metavar="FUNC_JSON")
     a.add_argument("--level-value", type=float, default=None)
-    a.add_argument("--format", choices=["json", "table", "csv"], default="json")
+    a.add_argument("--format", choices=["json", "table"], default="json")
     a.add_argument("--no-meta", action="store_true")
     a.set_defaults(func=cmd_analyze)
 

@@ -6,6 +6,10 @@ nonempty subsets.  All values are immutable and hashable, so they are safe to
 share across threads and usable as cache keys.  The empty complex is a valid
 value (the (-1)-sphere, the zero of the join monoid).
 
+`order_complex` is the one builder of the complex of chains of a poset: the
+Barycentric refinement, unit spheres, level surfaces and the strong-ring
+product are each one call to it.
+
 Each Complex carries one memo of what is derived from it: its sorted
 simplices, vertices and f-vector, the connection matrix L with its
 factorization and eigenvalues, the chain complex, the clique complex and its
@@ -133,19 +137,11 @@ class Complex:
         return sum(parity(x) for x in self.simplices)
 
     def facets(self) -> list:
-        """Maximal simplices, canonical order."""
-        out = []
-        byvertex = {}
-        for x in self.simplices:
-            for v in x:
-                byvertex.setdefault(v, []).append(x)
-        for x in self:
-            sx = set(x)
-            if not any(
-                len(y) > len(x) and sx.issubset(y) for y in byvertex.get(x[0], ())
-            ):
-                out.append(x)
-        return sorted(out, key=_sort_key)
+        """Maximal simplices, canonical order.  The set is closed, so x is
+        maximal exactly when it is no codimension-1 face of a simplex."""
+        covered = {y[:i] + y[i + 1:] for y in self.simplices if len(y) > 1
+                   for i in range(len(y))}
+        return sorted(self.simplices - covered, key=_sort_key)
 
     def simplices_of_dim(self, k: int) -> list:
         return sorted((x for x in self.simplices if len(x) == k + 1), key=_sort_key)
@@ -247,19 +243,34 @@ def unit_sphere(G: Complex, x: Simplex) -> Complex:
     comparable_elements for the labels); simplices are the chains among
     them, i.e. the Whitney complex of the induced containment graph.
     """
-    elems = comparable_elements(G, x)
-    return _chain_complex_of(elems)
+    return order_complex(comparable_elements(G, x), _faces)
 
 
-def _chain_complex_of(elems: list) -> Complex:
-    """Order complex of a containment-ordered family (vertices = indices)."""
-    n = len(elems)
-    above = [[] for _ in range(n)]
-    sets = [set(e) for e in elems]
-    for i in range(n):
-        for j in range(n):
-            if len(elems[j]) > len(elems[i]) and sets[i] < sets[j]:
-                above[i].append(j)
+def _faces(x: Simplex) -> Iterator[Simplex]:
+    """The proper nonempty faces of a simplex."""
+    for k in range(1, len(x)):
+        yield from itertools.combinations(x, k)
+
+
+def order_complex(elems: list, below) -> Complex:
+    """Order complex of a finite poset: its simplices are the chains, as
+    tuples of indices into elems.
+
+    elems lists the poset in a linear extension (every element after all
+    elements below it); below(e) yields the elements strictly below e, and
+    those not in elems are skipped.  Raises ValueError when below(e) names
+    an element listed at or after e.
+    """
+    index = {e: i for i, e in enumerate(elems)}
+    above = [[] for _ in elems]
+    for j, e in enumerate(elems):
+        for y in below(e):
+            i = index.get(y)
+            if i is None:
+                continue
+            if i >= j:
+                raise ValueError(f"{y!r} is below {e!r} but not listed before it")
+            above[i].append(j)
     chains = []
 
     def extend(chain):
@@ -269,7 +280,7 @@ def _chain_complex_of(elems: list) -> Complex:
             extend(chain)
             chain.pop()
 
-    for i in range(n):
+    for i in range(len(elems)):
         extend([i])
     return Complex(chains, _closed=True)
 

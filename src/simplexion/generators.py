@@ -12,14 +12,14 @@ as `erdos_renyi` followed by the `core` invariants.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from .core import Complex, close, join
-from .refinement import order_complex
+from .core import Complex, _faces, close, join, order_complex
 from .rng import SplitMix64, substream_uniforms
 
 # icosahedron graph: 12 vertices, 30 edges, every vertex degree 5
@@ -259,38 +259,6 @@ def clique_block(model: RandomModel, lo: int, hi: int,
 # -- exact expectation polynomials ------------------------------------------
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] += y
-    return out
-
-
-def _poly_scale(a, c):
-    return [Fraction(c) * x for x in a]
-
-
-def _binomial_pq(k: int, n: int):
-    """p^k (1-p)^(n-k) as a coefficient list."""
-    out = [Fraction(1)]
-    for _ in range(k):
-        out = _poly_mul(out, [Fraction(0), Fraction(1)])
-    for _ in range(n - k):
-        out = _poly_mul(out, [Fraction(1), Fraction(-1)])
-    return out
-
-
 def expected_dimension(n: int, _cache={0: [Fraction(-1)]}) -> list:
     """Coefficients (ascending, exact rationals) of the expected inductive
     dimension of the Whitney complex of an Erdos-Renyi graph on n vertices:
@@ -302,10 +270,13 @@ def expected_dimension(n: int, _cache={0: [Fraction(-1)]}) -> list:
             continue
         acc = [Fraction(1)]
         for k in range(m):
-            term = _poly_scale(
-                _poly_mul(_binomial_pq(k, m - 1), _cache[k]), comb(m - 1, k)
-            )
-            acc = _poly_add(acc, term)
+            # C(m-1, k) p^k (1-p)^(m-1-k), expanded by the binomial theorem
+            weight = [0] * k + [comb(m - 1, k) * comb(m - 1 - k, i) * (-1) ** i
+                                for i in range(m - k)]
+            term = poly_mul(weight, _cache[k])
+            acc += [0] * (len(term) - len(acc))
+            for i, c in enumerate(term):
+                acc[i] += c
         while len(acc) > 1 and acc[-1] == 0:
             acc.pop()
         _cache[m] = acc
@@ -322,6 +293,16 @@ def expected_euler(n: int) -> list:
         out[comb(k, 2)] += (-1) ** (k + 1) * comb(n, k)
     while len(out) > 1 and out[-1] == 0:
         out.pop()
+    return out
+
+
+def poly_mul(a, b) -> list:
+    """Coefficients (ascending) of the product of two polynomials; [] when
+    either factor has no coefficients."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
     return out
 
 
@@ -342,20 +323,16 @@ def product_cells(A: Complex, B: Complex) -> list:
     return [(x, y) for x in A for y in B]
 
 
-def cell_leq(c1, c2) -> bool:
-    return (set(c1[0]) <= set(c2[0])) and (set(c1[1]) <= set(c2[1]))
-
-
-def _cell_less(c1, c2) -> bool:
-    return c1 != c2 and cell_leq(c1, c2)
-
-
 def ring_product_complex(A: Complex, B: Complex) -> Complex:
     """Order complex of the product poset: the Barycentric refinement of the
     product, a genuine simplicial complex.  Vertex i is product_cells(A,B)[i].
     """
-    cells = product_cells(A, B)
-    if not cells:
-        return Complex()
-    return order_complex(cells, _cell_less)
+    return order_complex(product_cells(A, B), _cells_below)
 
+
+def _cells_below(cell):
+    """The product cells strictly below (x, y): face-or-self of x times
+    face-or-self of y, without (x, y) itself."""
+    x, y = cell
+    pairs = itertools.product((*_faces(x), x), (*_faces(y), y))
+    return (c for c in pairs if c != cell)

@@ -17,10 +17,12 @@ from math import comb
 
 from .core import (
     Complex,
+    _faces,
     close,
     induced,
     link,
     one_skeleton,
+    order_complex,
     unit_sphere,
 )
 from .errors import ResourceLimitError
@@ -179,27 +181,9 @@ def level_surface(G: Complex, f: dict, c: float) -> Complex:
         for i, x in enumerate(elems)
         if min(f[v] for v in x) < c < max(f[v] for v in x)
     ]
-    members = [elems[i] for i in crossing]
-    relabel = {i: j for j, i in enumerate(crossing)}
     # chains among crossing simplices = the induced subcomplex of G_1
-    sets = [set(m) for m in members]
-    above = [[] for _ in members]
-    for a in range(len(members)):
-        for b in range(len(members)):
-            if len(members[b]) > len(members[a]) and sets[a] < sets[b]:
-                above[a].append(b)
-    chains = []
-
-    def extend(chain):
-        chains.append(tuple(crossing[i] for i in chain))
-        for j in above[chain[-1]]:
-            chain.append(j)
-            extend(chain)
-            chain.pop()
-
-    for i in range(len(members)):
-        extend([i])
-    return Complex(chains, _closed=True)
+    chains = order_complex([elems[i] for i in crossing], _faces)
+    return Complex((tuple(crossing[i] for i in c) for c in chains), _closed=True)
 
 
 # -- homotopy recursion -------------------------------------------------------

@@ -3,9 +3,10 @@ acting on f-vectors.
 
 The refinement G_1 of a complex G is the order complex of its containment
 poset: vertices are the simplices of G (indexed in canonical order), and the
-simplices of G_1 are the chains.  f-vectors transform linearly under
-refinement; the matrix of that map has entries built from Stirling numbers of
-the second kind, which gives a cheap size prediction used as a memory guard.
+simplices of G_1 are the chains, built by `core.order_complex` (re-exported
+here).  f-vectors transform linearly under refinement; the matrix of that
+map has entries built from Stirling numbers of the second kind, which gives
+a cheap size prediction used as a memory guard.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Complex, _sort_key
+from .core import Complex, _faces, _sort_key, order_complex
 from .errors import ResourceLimitError
 from .exact import solve_exact
 
@@ -87,61 +88,13 @@ def barycentric(G: Complex, cap: int | None = None) -> Complex:
     Vertex i of the result is simplex refinement_order(G)[i].  Refuses to
     build when the Stirling prediction exceeds the cap (resource guard).
     """
-    if G.is_empty:
-        return G
     limit = cap if cap is not None else cap_simplices()
     predicted = sum(predicted_refinement_fvector(G))
     if predicted > limit:
         raise ResourceLimitError(
             f"refinement would have {predicted} simplices (cap {limit})"
         )
-    elems = refinement_order(G)
-    n = len(elems)
-    sets = [set(e) for e in elems]
-    above = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if len(elems[j]) > len(elems[i]) and sets[i] < sets[j]:
-                above[i].append(j)
-    chains = []
-
-    def extend(chain):
-        chains.append(tuple(chain))
-        for j in above[chain[-1]]:
-            chain.append(j)
-            extend(chain)
-            chain.pop()
-
-    for i in range(n):
-        extend([i])
-    return Complex(chains, _closed=True)
-
-
-def order_complex(elements: list, less) -> Complex:
-    """Order complex of an arbitrary finite poset.
-
-    elements: list fixing the vertex indexing; less(a, b): strict order.
-    Simplices of the result are the chains, as index tuples.
-    """
-    n = len(elements)
-    above = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and less(elements[i], elements[j]):
-                above[i].append(j)
-    chains = []
-
-    def extend(chain):
-        chains.append(tuple(sorted(chain)))
-        for j in above[chain[-1]]:
-            chain.append(j)
-            extend(chain)
-            chain.pop()
-
-    # every chain is counted once: grown upward from its unique minimum
-    for i in range(n):
-        extend([i])
-    return Complex(chains, _closed=True)
+    return order_complex(refinement_order(G), _faces)
 
 
 def connection_graph(G: Complex, dual: bool = False) -> tuple:

@@ -196,8 +196,8 @@ def tree_forest_numbers(n: int, edges) -> dict:
     z = 0
     while z <= n and cp[n - z] == 0:
         z += 1
-    # more than one component (z > 1): no spanning tree
-    tree = (-1) ** (n - z) * cp[n - z] if z <= 1 else 0
+    # a spanning tree needs exactly one component (z == 1); n = 0 has none
+    tree = (-1) ** (n - 1) * cp[n - 1] if z == 1 else 0
     forest = sum((-1) ** k * c for k, c in enumerate(cp))
     return {"tree": int(tree), "forest": int(forest), "kernel_dim": z}
 

@@ -196,6 +196,28 @@ def automorphisms_bruteforce(G: Complex) -> list:
     return [perm for perm in perms if is_automorphism(G, perm)]
 
 
+def chains_bruteforce(elems: list, less) -> set:
+    """The chains of a finite poset as index tuples: the nonempty sets of
+    positions in elems whose elements are pairwise comparable under the
+    strict order less(a, b).  Grown one position at a time, in increasing
+    index order, so it needs no linear extension."""
+    def comparable(i, j):
+        return less(elems[i], elems[j]) or less(elems[j], elems[i])
+
+    out = set()
+    frontier = [(i,) for i in range(len(elems))]
+    while frontier:
+        out.update(frontier)
+        frontier = [c + (j,) for c in frontier for j in range(c[-1] + 1, len(elems))
+                    if all(comparable(i, j) for i in c)]
+    return out
+
+
+def facets_bruteforce(G: Complex) -> list:
+    """Simplices contained in no other simplex, canonical order."""
+    return [x for x in G if not any(set(x) < set(y) for y in G.simplices)]
+
+
 def wu_characteristic_bruteforce(G: Complex, k: int = 2) -> int:
     """Direct ordered-tuple recursion with common-intersection pruning.
 

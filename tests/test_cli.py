@@ -132,6 +132,30 @@ def test_verify_all_octahedron(tmp_path):
         assert c["status"] == "pass" or c["status"].startswith("skipped:")
 
 
+def test_verify_all_empty_complex(tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"facets": []}')
+    rep = tmp_path / "rep.json"
+    assert run(["verify", "-i", str(empty), "--suite", "all", "--no-meta",
+                "-o", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    assert data["pass"] is True
+    for c in data["checks"]:
+        assert c["status"] == "pass" or c["status"].startswith("skipped:")
+    trees = next(c for c in data["checks"] if c["theorem"] == "trees")
+    assert trees["witness"]["computed"]["tree"] == 0  # no vertex, no spanning tree
+
+
+def test_analyze_format_choices(tmp_path, capsys):
+    k2 = tmp_path / "k2.json"
+    run(["generate", "complete", "--n", "2", "-o", str(k2)])
+    with pytest.raises(SystemExit) as exc:  # argparse exits with usage code 2
+        run(["analyze", "-i", str(k2), "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    assert run(["analyze", "-i", str(k2), "--format", "table", "--no-meta"]) == 0
+
+
 def test_verify_unknown_suite(tmp_path):
     k2 = tmp_path / "k2.json"
     run(["generate", "complete", "--n", "2", "-o", str(k2)])

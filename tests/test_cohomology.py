@@ -20,6 +20,19 @@ def test_exterior_derivative_k2():
     assert data.dims == (2, 1)
 
 
+def test_dirac_is_signed_incidence(corpus):
+    # D[y, x] = D[x, y] = (-1)^pos when x is y without its vertex at pos
+    for _, G in corpus[:12] + [("empty", sx.Complex())]:
+        elems = sx.refinement.refinement_order(G)
+        index = {x: i for i, x in enumerate(elems)}
+        want = np.zeros((len(elems), len(elems)), dtype=np.int64)
+        for y in elems:
+            for pos in range(len(y) if len(y) > 1 else 0):
+                i, j = index[y], index[y[:pos] + y[pos + 1:]]
+                want[i, j] = want[j, i] = (-1) ** pos
+        assert np.array_equal(coh.dirac(G), want)
+
+
 def test_gradient_rank_c4():
     data = coh.exterior_derivative(sx.cycle(4))
     assert rank_exact(data.d[0]) == 3

@@ -3,15 +3,19 @@ import itertools
 import pytest
 
 import simplexion as sx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from simplexion.core import (
-    _chain_complex_of,
+    _faces,
     comparable_elements,
+    order_complex,
     set_euler,
 )
 from simplexion.generators import poly_eval
 from simplexion.rng import SplitMix64
 
-from oracles import wu_characteristic_bruteforce
+from oracles import facets_bruteforce, wu_characteristic_bruteforce
 
 
 def brute_close(sets):
@@ -163,8 +167,20 @@ def test_sphere_is_join_of_stable_and_unstable(corpus):
             downs = [y for y in elems if len(y) < len(x)]
             ups = [y for y in elems if len(y) > len(x)]
             S = sx.unit_sphere(G, x)
-            J = sx.join(_chain_complex_of(downs), _chain_complex_of(ups))
+            J = sx.join(order_complex(downs, _faces), order_complex(ups, _faces))
             assert S == J
+
+
+def test_facets_are_maximal(corpus):
+    for _, G in corpus + [("empty", sx.Complex())]:
+        assert G.facets() == facets_bruteforce(G)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=4), max_size=5))
+def test_prop_facets_are_maximal(sets):
+    G = sx.close(sets) if sets else sx.Complex()
+    assert G.facets() == facets_bruteforce(G)
 
 
 def test_star_up_down():

@@ -1,14 +1,21 @@
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simplexion as sx
+from simplexion.core import comparable_elements
 from simplexion.errors import ResourceLimitError
+from simplexion.generators import product_cells
+from simplexion.geometry import level_surface
 from simplexion.refinement import (
     order_complex,
     predicted_refinement_fvector,
     refinement_order,
 )
+
+from oracles import chains_bruteforce
 
 
 def stirling2_formula(n, k):
@@ -145,12 +152,76 @@ def test_connection_graph():
     assert sx.connection_graph(pts, dual=True)[1] == [(0, 1)]
 
 
+def _divisors_below(m):
+    return [d for d in range(1, m) if m % d == 0]
+
+
+def _divides_properly(a, b):
+    return a != b and b % a == 0
+
+
 def test_order_complex_general_poset():
     # divisor lattice of 12 under strict divisibility
     elems = [1, 2, 3, 4, 6, 12]
-    oc = order_complex(elems, lambda a, b: a != b and b % a == 0)
+    oc = order_complex(elems, _divisors_below)
+    assert oc.simplices == chains_bruteforce(elems, _divides_properly)
     # chains: contractible poset with minimum -> chi = 1
     assert oc.euler_characteristic() == 1
+    # divisors outside elems (1, 3, 6) are skipped
+    sub = [2, 4, 12]
+    assert order_complex(sub, _divisors_below).simplices == {
+        (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)}
+
+
+def test_order_complex_needs_linear_extension():
+    with pytest.raises(ValueError):
+        order_complex([2, 1, 4], _divisors_below)  # 1 is below 2 but after it
+    with pytest.raises(ValueError):
+        order_complex([1, 2], lambda m: [m])  # an element below itself
+    assert order_complex([], _divisors_below).is_empty
+
+
+def _proper_subset(a, b):
+    return set(a) < set(b)
+
+
+def _cell_less(c, d):
+    return c != d and set(c[0]) <= set(d[0]) and set(c[1]) <= set(d[1])
+
+
+@st.composite
+def closed_complexes(draw, vertices=6, facets=4):
+    sets = draw(st.lists(st.sets(st.integers(0, vertices - 1), min_size=1, max_size=4),
+                         max_size=facets))
+    return sx.close(sets) if sets else sx.Complex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_complexes(), st.data())
+def test_prop_order_complexes_are_chains(G, data):
+    # barycentric, unit spheres and level surfaces against the chains of
+    # their posets under proper containment
+    elems = refinement_order(G)
+    assert sx.barycentric(G).simplices == chains_bruteforce(elems, _proper_subset)
+    for x in elems[::3]:
+        want = chains_bruteforce(comparable_elements(G, x), _proper_subset)
+        assert sx.unit_sphere(G, x).simplices == want
+    verts = G.vertices()
+    order = data.draw(st.permutations(verts))
+    f = {v: i for i, v in enumerate(order)}
+    c = data.draw(st.integers(0, len(verts))) - 0.5
+    crossing = [i for i, x in enumerate(elems)
+                if min(f[v] for v in x) < c < max(f[v] for v in x)]
+    chains = chains_bruteforce([elems[i] for i in crossing], _proper_subset)
+    assert level_surface(G, f, c).simplices == {
+        tuple(crossing[i] for i in ch) for ch in chains}
+
+
+@settings(max_examples=40, deadline=None)
+@given(closed_complexes(vertices=3, facets=2), closed_complexes(vertices=3, facets=2))
+def test_prop_ring_product_is_chains_of_cells(A, B):
+    want = chains_bruteforce(product_cells(A, B), _cell_less)
+    assert sx.ring_product_complex(A, B).simplices == want
 
 
 def test_simplexion_cap_env(monkeypatch):
