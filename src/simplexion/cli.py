@@ -197,7 +197,7 @@ def cmd_generate(args) -> int:
         elif kind == "union":
             G = disjoint_union(A, B)
         else:
-            G = ring_product_complex(A, B)
+            G = ring_product_complex(A, B, cap=args.cap_simplices)
     elif kind == "refine":
         if len(args.input) != 1:
             print("error: refine needs one --input file", file=sys.stderr)

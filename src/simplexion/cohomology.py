@@ -8,12 +8,18 @@ vertex tuple, and all signs are parities of sorting permutations.  Every
 Betti number, ordinary or quadratic, comes from `exact.rank_exact`, a sparse
 elimination on unit pivots that hands what it leaves to `exact.echelon`, the
 fraction-free elimination kernel (int64 under a proved bound, Python big
-integers beyond).  The Lefschetz maps on H^k come from that kernel's bases,
-pivot columns and solves.  Every integer matrix-matrix product (Hodge
-operators, the dd = 0 checks, the McKean-Singer supertraces) is
-`exact.matmul`, which uses a float64 BLAS product only where a bound proves
-it exact.  Otherwise floating point appears only in the explicitly numeric
-checks.
+integers beyond).  The ranks are taken from the top degree down with
+clearing: for the pivot columns X of d_k, which are independent, d_k d_{k-1}
+= 0 gives d_{k-1}[X, :] = -L d_k[:, X'] d_{k-1}[X', :] (X' the other columns,
+L a left inverse of d_k[:, X]), so the rows X of d_{k-1} are dropped before
+it is ranked.  That rests on the dd = 0 check that `exterior_derivative` and
+`interaction_derivative` make when they build the matrices.  The Lefschetz
+maps on H^k come from that kernel's bases and pivot columns, with one
+`exact.solver` factorization per degree for every map.  Every integer
+matrix-matrix product (Hodge operators, the dd = 0 checks, the McKean-Singer
+supertraces) is `exact.matmul`, which uses a float64 BLAS product only where
+a bound proves it exact.  Otherwise floating point appears only in the
+explicitly numeric checks.
 
 The chain complex (bases and read-only matrices d_k) is memoed on its
 complex (see `core`) for as long as the complex lives; the Dirac and Hodge
@@ -30,7 +36,7 @@ import numpy as np
 
 from .core import Complex, close, parity
 from .errors import InvariantViolation, ResourceLimitError
-from .exact import echelon, kernel_basis, matmul, rank_exact, solve_exact
+from .exact import echelon, kernel_basis, matmul, rank_exact, solver
 from .generators import poly_mul, product_cells, ring_product_complex
 from .refinement import refinement_order
 
@@ -118,7 +124,7 @@ def hodge_blocks(G: Complex) -> list:
 # -- Betti numbers ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CohomologyReport:
     betti: tuple
     poincare_poly: tuple  # coefficients b_0, b_1, ...
@@ -131,16 +137,19 @@ class CohomologyReport:
 
 def _betti_from_ranks(dims: tuple, mats) -> CohomologyReport:
     """b_k = v_k - rank(d_k) - rank(d_{k-1}) for the derivatives d_k of a
-    cochain complex with v_k cochains in degree k, with exact ranks."""
-    ranks = [0] + [rank_exact(m) for m in mats] + [0]
+    cochain complex with v_k cochains in degree k, d_{k+1} d_k = 0 checked,
+    with exact ranks from the top degree down, clearing (module docstring)."""
+    ranks, cleared = [0] * (len(mats) + 2), []
+    for k in reversed(range(len(mats))):
+        ranks[k + 1], cleared = rank_exact(np.delete(mats[k], cleared, axis=0))
     out = tuple(v - ranks[k] - ranks[k + 1] for k, v in enumerate(dims))
     return CohomologyReport(betti=out, poincare_poly=out, euler_poly=dims)
 
 
 def betti(G: Complex) -> CohomologyReport:
-    """Betti numbers from the exact ranks of the d_k."""
+    """Betti numbers from the exact ranks of the d_k, memoed on G."""
     data = exterior_derivative(G)
-    return _betti_from_ranks(data.dims, data.d)
+    return G.memo("betti", lambda: _betti_from_ranks(data.dims, data.d))
 
 
 def betti_numeric(G: Complex, tol: float = 1e-8) -> tuple:
@@ -264,15 +273,18 @@ def _cohomology_bases(data: ChainComplexData, k: int) -> tuple:
 
 
 def _pullbacks(G: Complex):
-    """perm -> induced_cohomology_matrices(G, perm), with the H^k bases,
-    which do not depend on the map, computed once for every map."""
+    """perm -> induced_cohomology_matrices(G, perm).  The H^k bases do not
+    depend on the map, so each degree's [image | reps] is factored once by
+    `exact.solver`, and each map then costs two exact products per degree."""
     data = exterior_derivative(G)
     spaces = [(base, *_cohomology_bases(data, k)) for k, base in enumerate(data.bases)]
+    solves = [solver(np.concatenate([image, reps], axis=1)) if reps.shape[1] else None
+              for _, image, reps in spaces]
 
     def induced(perm: dict) -> list:
         out = []
-        for base, image, reps in spaces:
-            if not reps.shape[1]:
+        for (base, image, reps), solve in zip(spaces, solves):
+            if solve is None:
                 out.append([])
                 continue
             # pushforward of basis cochains: T# e_x = sign * e_{T(x)}
@@ -281,8 +293,7 @@ def _pullbacks(G: Complex):
             sign = np.array([permutation_sign_on(x, perm) for x in base], dtype=np.int64)
             pulled = np.zeros_like(reps)
             pulled[target] = sign[:, None] * reps
-            coeffs = solve_exact(np.concatenate([image, reps], axis=1), pulled)
-            out.append(coeffs[image.shape[1]:])
+            out.append(solve(pulled)[image.shape[1]:])
         return out
 
     return induced

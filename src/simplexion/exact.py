@@ -309,9 +309,9 @@ def integer_inverse(M) -> np.ndarray:
 FILL_LIMIT = 4  # rank_exact hands over past this many times the input's nonzeros
 
 
-def rank_exact(M) -> int:
-    """Rank over the rationals: a sparse elimination on unit pivots, then
-    `echelon` on whatever it leaves.
+def rank_exact(M) -> tuple:
+    """(rank over the rationals, the pivot columns): a sparse elimination on
+    unit pivots, then `echelon` on whatever it leaves.
 
     Each nonzero row is a {column: value} dict.  The columns are walked in
     order; in each, the shortest remaining row with a +-1 entry there is the
@@ -320,17 +320,18 @@ def rank_exact(M) -> int:
     they keep the rank exactly, at any size and without a bound to check.  A
     column without a unit entry is skipped.  When the columns are done, or
     once the live nonzeros exceed FILL_LIMIT times the input's, the rows left
-    go to `echelon` as one matrix: rank = pivots + its rank."""
+    go to `echelon` as one matrix, and its pivots join the unit ones.  The
+    pivot columns are independent (the unit ones form a unit triangular block
+    on which the rows left vanish), so where d_k d_{k-1} = 0 has been checked,
+    the rows of d_{k-1} at those of d_k are redundant: `cohomology` clears them."""
     A = np.asarray(M)
-    if A.size == 0:
-        return 0
     rows, where = {}, {}  # row -> {column: value}; column -> rows nonzero there
     at = np.nonzero(A)
     for i, j, v in zip(*(x.tolist() for x in at), A[at].tolist()):
         rows.setdefault(i, {})[j] = v
         where.setdefault(j, set()).add(i)
     nnz = len(at[0])
-    rank, limit = 0, FILL_LIMIT * nnz
+    pivots, limit = [], FILL_LIMIT * nnz
     for c in range(A.shape[1]):
         units = [i for i in where.get(c, ()) if rows[i][c] in (1, -1)]
         if not units:
@@ -339,7 +340,7 @@ def rank_exact(M) -> int:
         pivot = rows.pop(p)
         for j in pivot:
             where[j].discard(p)
-        rank += 1
+        pivots.append(c)
         nnz -= len(pivot)
         s = pivot[c]
         for i in list(where[c]):
@@ -365,8 +366,8 @@ def rank_exact(M) -> int:
         rest = np.array([[row.get(j, 0) for j in cols] for row in rows.values()], dtype=object)
         with contextlib.suppress(OverflowError):  # else entries stay Python ints
             rest = rest.astype(np.int64)
-        rank += len(echelon(rest).pivots)
-    return rank
+        pivots += [cols[j] for j in echelon(rest).pivots]
+    return len(pivots), pivots
 
 
 def kernel_basis(M) -> np.ndarray:
@@ -385,19 +386,27 @@ def kernel_basis(M) -> np.ndarray:
     return K
 
 
-def solve_exact(A, B) -> list:
-    """The unique rational X with A X = B, as rows of Fractions.  Raises
-    ArithmeticError when a column of B is not in the column space of A, or
-    when the columns of A are dependent."""
-    A, B = np.asarray(A), np.asarray(B)
-    n = A.shape[1]
-    e = echelon(A, B, full=True)
-    if e.matrix[len(e.pivots):, n:].any():
-        raise ArithmeticError("inconsistent system")
+def solver(A):
+    """solve(B) -> the unique rational X with A X = B, as rows of Fractions,
+    from one fraction-free Gauss-Jordan elimination of [A | I] for every B.
+    Its row operations T give T A = [d I; 0]: L = T[:n] has L A = d I and
+    N = T[n:] has N A = 0, so B is in the span of A's columns exactly when
+    N B = 0 (T is invertible), and then X = L B / d.  Raises ArithmeticError
+    when A's columns are dependent; solve(B) raises it for B outside them."""
+    A = np.asarray(A)
+    m, n = A.shape
+    e = echelon(A, np.eye(m, dtype=np.int64), full=True)
     if len(e.pivots) < n:
         raise ArithmeticError("solution is not unique")
     d = int(e.matrix[0, 0]) if n else 1
-    return [[Fraction(int(v), d) for v in row] for row in e.matrix[:n, n:]]
+    L, N = e.matrix[:n, n:], e.matrix[n:, n:]
+
+    def solve(B) -> list:
+        if matmul(N, B).any():
+            raise ArithmeticError("inconsistent system")
+        return [[Fraction(int(v), d) for v in row] for row in matmul(L, B)]
+
+    return solve
 
 
 # -- characteristic polynomial and inertia ----------------------------------

@@ -20,6 +20,7 @@ from math import comb
 import numpy as np
 
 from .core import Complex, _faces, close, join, order_complex
+from .refinement import check_cap, predicted_product_fvector
 from .rng import SplitMix64, substream_uniforms
 
 # icosahedron graph: 12 vertices, 30 edges, every vertex degree 5
@@ -323,10 +324,11 @@ def product_cells(A: Complex, B: Complex) -> list:
     return [(x, y) for x in A for y in B]
 
 
-def ring_product_complex(A: Complex, B: Complex) -> Complex:
+def ring_product_complex(A: Complex, B: Complex, cap: int | None = None) -> Complex:
     """Order complex of the product poset: the Barycentric refinement of the
     product, a genuine simplicial complex.  Vertex i is product_cells(A,B)[i].
-    """
+    Refuses to build when the predicted size exceeds the cap."""
+    check_cap("product", sum(predicted_product_fvector(A, B)), cap)
     return order_complex(product_cells(A, B), _cells_below)
 
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from .core import Complex, _faces, _sort_key, order_complex
 from .errors import ResourceLimitError
-from .exact import solve_exact
+from .exact import solver
 
 DEFAULT_CAP = 5_000_000
 
@@ -30,6 +31,13 @@ def cap_simplices(default: int = DEFAULT_CAP) -> int:
     if env:
         return int(env)
     return default
+
+
+def check_cap(what: str, predicted: int, cap: int | None) -> None:
+    """Refuse a predicted simplex count above cap (default cap_simplices())."""
+    limit = cap if cap is not None else cap_simplices()
+    if predicted > limit:
+        raise ResourceLimitError(f"{what} would have {predicted} simplices (cap {limit})")
 
 
 def refinement_order(G: Complex) -> list:
@@ -82,18 +90,27 @@ def predicted_refinement_fvector(G: Complex) -> tuple:
     return stirling_apply(stirling_matrix(r), G.f_vector())
 
 
+def predicted_product_fvector(A: Complex, B: Complex) -> tuple:
+    """f-vector of `generators.ring_product_complex(A, B)`: a chain of k + 1
+    product cells runs through chains of i + 1 simplices of A and j + 1 of B,
+    moving at least one of them in each of its k steps, so with F the
+    refinement f-vectors, f_k = sum_ij F_A[i] F_B[j] C(k, i) C(i, i + j - k)."""
+    fa, fb = predicted_refinement_fvector(A), predicted_refinement_fvector(B)
+    out = [0] * (len(fa) + len(fb) - 1) if fa and fb else []
+    for i, x in enumerate(fa):
+        for j, y in enumerate(fb):
+            for k in range(max(i, j), i + j + 1):
+                out[k] += x * y * comb(k, i) * comb(i, i + j - k)
+    return tuple(out)
+
+
 def barycentric(G: Complex, cap: int | None = None) -> Complex:
     """Barycentric refinement: the complex of chains of simplices of G.
 
     Vertex i of the result is simplex refinement_order(G)[i].  Refuses to
     build when the Stirling prediction exceeds the cap (resource guard).
     """
-    limit = cap if cap is not None else cap_simplices()
-    predicted = sum(predicted_refinement_fvector(G))
-    if predicted > limit:
-        raise ResourceLimitError(
-            f"refinement would have {predicted} simplices (cap {limit})"
-        )
+    check_cap("refinement", sum(predicted_refinement_fvector(G)), cap)
     return order_complex(refinement_order(G), _faces)
 
 
@@ -123,4 +140,4 @@ def euler_unique_vector(r: int) -> list:
     m = r + 1
     # (S^T - I) x = 0 with x_0 = 1: solve A[:, 1:] x' = -A[:, 0]
     A = np.array(stirling_matrix(r), dtype=object).T - np.eye(m, dtype=np.int64)
-    return [Fraction(1)] + [row[0] for row in solve_exact(A[:, 1:], -A[:, :1])]
+    return [Fraction(1)] + [row[0] for row in solver(A[:, 1:])(-A[:, :1])]

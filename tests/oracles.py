@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from simplexion.cohomology import is_automorphism
+from simplexion.cohomology import (
+    _cohomology_bases,
+    exterior_derivative,
+    is_automorphism,
+    permutation_sign_on,
+    simplex_image,
+)
 from simplexion.core import Complex, parity, wu_characteristic
 from simplexion.errors import NumericError
 from simplexion.exact import bareiss_det, echelon
@@ -186,6 +192,55 @@ def rank_fraction(rows) -> int:
                 A[r] = [a - g * b for a, b in zip(A[r], A[rank])]
         rank += 1
     return rank
+
+
+def betti_fraction(dims, mats) -> tuple:
+    """b_k = v_k - rank d_k - rank d_{k-1}, each rank taken by rank_fraction
+    on the whole matrix; the oracle for the cleared ranks of cohomology."""
+    ranks = [0] + [rank_fraction(np.asarray(m).tolist()) for m in mats] + [0]
+    return tuple(v - ranks[k] - ranks[k + 1] for k, v in enumerate(dims))
+
+
+def solve_fraction(A, B) -> list:
+    """The unique rational X with A X = B, as rows of Fractions, by
+    Gauss-Jordan elimination of [A | B] over the rationals; raises
+    ArithmeticError when the columns of A are dependent or a column of B is
+    outside their span.  The oracle for exact.solver."""
+    A, B = np.asarray(A).tolist(), np.asarray(B).tolist()
+    n = len(A[0]) if A else 0
+    M = [[Fraction(v) for v in a + b] for a, b in zip(A, B)]
+    for c in range(n):
+        piv = next((r for r in range(c, len(M)) if M[r][c] != 0), None)
+        if piv is None:
+            raise ArithmeticError("solution is not unique")
+        M[c], M[piv] = M[piv], M[c]
+        M[c] = [v / M[c][c] for v in M[c]]
+        for r in range(len(M)):
+            if r != c and M[r][c] != 0:
+                M[r] = [a - M[r][c] * b for a, b in zip(M[r], M[c])]
+    if any(v != 0 for row in M[n:] for v in row):
+        raise ArithmeticError("inconsistent system")
+    return [row[n:] for row in M[:n]]
+
+
+def induced_cohomology_reference(G: Complex, perm: dict) -> list:
+    """The pullback of perm on each H^k in the representative bases of
+    cohomology._cohomology_bases, by one rational solve per map and degree;
+    the oracle for cohomology.induced_cohomology_matrices."""
+    data = exterior_derivative(G)
+    out = []
+    for k, base in enumerate(data.bases):
+        image, reps = _cohomology_bases(data, k)
+        if not reps.shape[1]:
+            out.append([])
+            continue
+        index = {x: i for i, x in enumerate(base)}
+        pulled = np.zeros_like(reps)
+        for i, x in enumerate(base):
+            pulled[index[simplex_image(x, perm)]] = permutation_sign_on(x, perm) * reps[i]
+        coeffs = solve_fraction(np.concatenate([image, reps], axis=1), pulled)
+        out.append(coeffs[image.shape[1]:])
+    return out
 
 
 def automorphisms_bruteforce(G: Complex) -> list:

@@ -102,6 +102,22 @@ def test_generate_resource_cap(tmp_path):
     assert code == 3
 
 
+def test_generate_product_capped_before_building(tmp_path, capsys):
+    # K4 x K4 has 213,633 simplices (11,520 facets); the prediction refuses
+    # it at once, and K5 x K5 (38,928,961) under the default cap
+    k4, k5, out = (str(tmp_path / f) for f in ("k4.json", "k5.json", "p.json"))
+    run(["generate", "complete", "--n", "4", "-o", k4])
+    run(["generate", "complete", "--n", "5", "-o", k5])
+    t0 = time.monotonic()
+    assert run(["generate", "product", "-i", k4, "-i", k4, "-o", out,
+                "--cap-simplices", "10"]) == 3
+    assert run(["generate", "product", "-i", k5, "-i", k5, "-o", out]) == 3
+    assert time.monotonic() - t0 < 1
+    err = capsys.readouterr().err
+    assert "product would have 213633 simplices (cap 10)" in err
+    assert "product would have 38928961 simplices (cap 5000000)" in err
+
+
 def test_verify_pass_and_skip(tmp_path):
     k2 = tmp_path / "k2.json"
     run(["generate", "complete", "--n", "2", "-o", str(k2)])
@@ -297,12 +313,15 @@ def test_verify_all_builds_each_derived_object_once(tmp_path, monkeypatch):
     write_canonical(complex_to_dict(ico), str(path))
     chains = _count_calls(monkeypatch, coh, "_chain_complex")
     builds = _count_calls(monkeypatch, conn, "_build_connection")
+    ranks = _count_calls(monkeypatch, coh, "_betti_from_ranks")
     assert run(["verify", "-i", str(path), "--suite", "all", "--no-meta",
                 "-o", str(tmp_path / "rep.json")]) == 0
     # the Kuenneth partner and product, the Alexander dual and the unit
-    # spheres are other complexes, with memos of their own
+    # spheres are other complexes, with memos of their own; euler-poincare,
+    # kuenneth and alexander all read the Betti numbers of ico
     assert sum(G == ico for G in chains) == 1
     assert sum(G == ico for G in builds) == 1
+    assert ranks.count(ico.f_vector()) == 1
 
 
 def test_random_cap():
@@ -573,3 +592,47 @@ def test_determinant_suites_pinned(tmp_path, capsysbinary, name):
     assert run(["verify", "-i", path, "--suite",
                 "unimodularity,energy,inertia,dual-product,trees", "--no-meta"]) == 0
     assert capsysbinary.readouterr().out == want + b"\n"
+
+
+# requests whose ranks and Lefschetz maps come from cleared ranks and one
+# factorization per degree, recorded before either: the Alexander dual of
+# C11, the Kuenneth product of C9 with C4, every automorphism of the
+# octahedron and of K5, and the ordinary and quadratic cohomology of the
+# icosahedron
+COHOMOLOGY_PINNED = {
+    ("C11", "verify", "--suite", "alexander"):
+        b'{"checks":[{"status":"pass","theorem":"alexander","witness":'
+        b'{"reduced_G":{"1":1},"reduced_dual":{"7":1}}}],"input":"C11.json",'
+        b'"pass":true,"simplices":22}',
+    ("C9", "verify", "--suite", "kuenneth"):
+        b'{"checks":[{"status":"pass","theorem":"kuenneth","witness":{'
+        b'"connection_kron_ok":true,"connection_spectrum_err":2.5757174171303632e-14,'
+        b'"euler_ok":true,"hodge_kron_ok":true,"hodge_spectrum_err":7.993605777301127e-15,'
+        b'"poincare_ok":true}}],"input":"C9.json","pass":true,"simplices":18}',
+    ("cross2", "verify", "--suite", "lefschetz"):
+        b'{"checks":[{"status":"pass","theorem":"lefschetz","witness":{"all_automorphisms":true,'
+        b'"identity":{"cohomological":2,"fixed_point_sum":2}}}],"input":"cross2.json",'
+        b'"pass":true,"simplices":26}',
+    ("K5", "verify", "--suite", "lefschetz"):
+        b'{"checks":[{"status":"pass","theorem":"lefschetz","witness":{"all_automorphisms":true,'
+        b'"identity":{"cohomological":1,"fixed_point_sum":1}}}],"input":"K5.json",'
+        b'"pass":true,"simplices":31}',
+    ("ico", "analyze", "--betti", "--interaction"):
+        b'{"betti":[1,0,1],"euler_characteristic":2,"euler_poly":[12,30,20],'
+        b'"f_vector":[12,30,20],"interaction_betti":[0,0,1,0,1],'
+        b'"interaction_euler_poly":[12,120,390,480,200],"max_dim":2,'
+        b'"poincare_poly":[1,0,1],"simplices":62}',
+}
+
+
+@pytest.mark.parametrize("request_", COHOMOLOGY_PINNED, ids=lambda r: "-".join(r[:3]))
+def test_cohomology_requests_pinned(tmp_path, capsysbinary, request_):
+    name, command, *flags = request_
+    generate = {"C11": ["cycle", "--n", "11"], "C9": ["cycle", "--n", "9"],
+                "cross2": ["cross-polytope", "--dim", "2"], "K5": ["complete", "--n", "5"],
+                "ico": ["icosahedron"]}[name]
+    path = str(tmp_path / f"{name}.json")
+    assert run(["generate", *generate, "-o", path]) == 0
+    capsysbinary.readouterr()
+    assert run([command, "-i", path, *flags, "--no-meta"]) == 0
+    assert capsysbinary.readouterr().out == COHOMOLOGY_PINNED[request_] + b"\n"

@@ -11,6 +11,7 @@ from simplexion.generators import product_cells
 from simplexion.geometry import level_surface
 from simplexion.refinement import (
     order_complex,
+    predicted_product_fvector,
     predicted_refinement_fvector,
     refinement_order,
 )
@@ -221,7 +222,9 @@ def test_prop_order_complexes_are_chains(G, data):
 @given(closed_complexes(vertices=3, facets=2), closed_complexes(vertices=3, facets=2))
 def test_prop_ring_product_is_chains_of_cells(A, B):
     want = chains_bruteforce(product_cells(A, B), _cell_less)
-    assert sx.ring_product_complex(A, B).simplices == want
+    prod = sx.ring_product_complex(A, B)
+    assert prod.simplices == want
+    assert predicted_product_fvector(A, B) == prod.f_vector()
 
 
 def test_simplexion_cap_env(monkeypatch):
