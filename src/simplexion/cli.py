@@ -397,13 +397,12 @@ def _chk_sard(G, args):
 
 
 def _chk_lefschetz(G, args):
-    lefschetz = hodge_mod._lefschetz_numbers(G)
-    res = lefschetz({v: v for v in G.vertices()})
+    res = hodge_mod._lefschetz_number(G, {v: v for v in G.vertices()})
     ok = res["cohomological"] == res["fixed_point_sum"] == G.euler_characteristic()
     wit = {"identity": res}
     if len(G.vertices()) <= 8:
         for perm in hodge_mod.automorphisms(G):
-            r = lefschetz(perm)
+            r = hodge_mod._lefschetz_number(G, perm)
             if r["cohomological"] != r["fixed_point_sum"]:
                 return False, {"perm": perm, "result": r}
         wit["all_automorphisms"] = True

@@ -4,26 +4,34 @@ numbers), Lefschetz fixed points, Kuenneth for the strong ring, quadratic
 Alexander duality, and the Stokes pairing.
 
 Orientations come from the global vertex order: each simplex is its sorted
-vertex tuple, and all signs are parities of sorting permutations.  Every
-Betti number, ordinary or quadratic, comes from `exact.rank_exact`, a sparse
-elimination on unit pivots that hands what it leaves to `exact.echelon`, the
-fraction-free elimination kernel (int64 under a proved bound, Python big
-integers beyond).  The ranks are taken from the top degree down with
-clearing: for the pivot columns X of d_k, which are independent, d_k d_{k-1}
-= 0 gives d_{k-1}[X, :] = -L d_k[:, X'] d_{k-1}[X', :] (X' the other columns,
-L a left inverse of d_k[:, X]), so the rows X of d_{k-1} are dropped before
-it is ranked.  That rests on the dd = 0 check that `exterior_derivative` and
-`interaction_derivative` make when they build the matrices.  The Lefschetz
-maps on H^k come from that kernel's bases and pivot columns, with one
-`exact.solver` factorization per degree for every map.  Every integer
-matrix-matrix product (Hodge operators, the dd = 0 checks, the McKean-Singer
-supertraces) is `exact.matmul`, which uses a float64 BLAS product only where
-a bound proves it exact.  Otherwise floating point appears only in the
-explicitly numeric checks.
+vertex tuple, and all signs are parities of sorting permutations.
 
-The chain complex (bases and read-only matrices d_k) is memoed on its
-complex (see `core`) for as long as the complex lives; the Dirac and Hodge
-operators, Betti numbers and Lefschetz maps all read it.
+One builder, `_coboundaries`, makes the coboundaries of both cochain
+complexes, the simplicial one and the interaction one on intersecting pairs,
+from their bases and a callback giving the signed faces of a basis element.
+Each d_k is stored once as its nonzero entries, a read-only int64 array of
+rows (row, column, sign) in row order, and d_{k+1} d_k = 0 is checked on the
+entries themselves: every product of an entry of d_{k+1} with one of d_k is
+formed and summed per position, with no dense product.  Every Betti number, ordinary or quadratic, comes from `exact.rank_exact` on
+these entries, a sparse elimination on unit pivots that hands what it leaves
+to `exact.echelon`, the fraction-free elimination kernel (int64 under a
+proved bound, Python big integers beyond).  The ranks are taken from the top
+degree down with clearing: for the pivot columns X of d_k, which are
+independent, d_k d_{k-1} = 0 gives d_{k-1}[X, :] = -L d_k[:, X'] d_{k-1}[X', :]
+(X' the other columns, L a left inverse of d_k[:, X]), so the rows X of
+d_{k-1} are masked out before it is ranked.
+
+A dense d_k is scattered from the entries only where a dense operator is the
+point: Dirac, Hodge and Kuenneth operators, the Lefschetz bases and the
+Stokes pairing.  The Lefschetz maps on H^k come from the elimination kernel's
+bases and pivot columns, with one `exact.solver` factorization per degree for
+every map.  Every integer matrix-matrix product (Hodge operators, the
+Kuenneth dd = 0 check, the McKean-Singer supertraces) is `exact.matmul`,
+which uses a float64 BLAS product only where a bound proves it exact.
+Otherwise floating point appears only in the explicitly numeric checks.
+
+The chain complex and the Lefschetz factorizations are memoed on their
+complex (see `core`) for as long as it lives.
 """
 
 from __future__ import annotations
@@ -46,17 +54,53 @@ DEFAULT_PAIR_CAP = 4500
 # -- chain complex ------------------------------------------------------------
 
 
+def _coboundaries(bases, faces, what: str) -> tuple:
+    """The entries of d_k: C^k -> C^(k+1) for k < len(bases) - 1, row i of
+    d_k holding the (face, sign) terms faces(bases[k + 1][i]) at the faces'
+    indices in bases[k].  d_{k+1} d_k = 0 is checked on the entries (module
+    docstring); the first degree where it fails raises InvariantViolation(what)."""
+    d = []
+    for k in range(len(bases) - 1):
+        index = {x: i for i, x in enumerate(bases[k])}
+        terms = [(i, index[f], s) for i, y in enumerate(bases[k + 1]) for f, s in faces(y)]
+        flat = itertools.chain.from_iterable(terms)  # np.array(terms) is 3-4x slower
+        d.append(np.fromiter(flat, np.int64, 3 * len(terms)).reshape(-1, 3))
+        d[-1].setflags(write=False)
+    for k in range(len(d) - 1):
+        (r, c, s), (rb, cb, sb) = d[k].T, d[k + 1].T
+        # the entries of d_k in row i sit at start[i]:start[i + 1]; an entry
+        # of d_{k+1} in column i makes one term with each of them
+        start = np.searchsorted(r, np.arange(len(bases[k + 1]) + 1))
+        n = np.diff(start)[cb]
+        src = np.repeat(np.arange(len(cb)), n)
+        at = np.arange(len(src)) + np.repeat(start[cb] - np.cumsum(n) + n, n)
+        key = rb[src] * len(bases[k]) + c[at]
+        order = np.argsort(key)
+        runs = np.flatnonzero(np.diff(key[order], prepend=-1))  # where each position starts
+        if np.add.reduceat((sb[src] * s[at])[order], runs).any():
+            raise InvariantViolation(what, witness={"degree": k})
+    return tuple(d)
+
+
 @dataclass(frozen=True)
 class ChainComplexData:
-    """Signed incidence matrices d_k: Lambda^k -> Lambda^(k+1) (shape
-    v_{k+1} x v_k) together with the simplex bases per degree."""
+    """The coboundaries d_k: C^k -> C^(k+1) (shape v_{k+1} x v_k) by their
+    entries, together with the bases per degree."""
 
-    bases: tuple  # bases[k] = tuple of k-simplices, canonical order
-    d: tuple      # d[k] = read-only int64 array, shape (len(bases[k+1]), len(bases[k]))
+    bases: tuple  # bases[k] = the basis elements of degree k, in order
+    d: tuple      # d[k] = the entries of d_k, rows (row, column, sign) in row order
 
     @property
     def dims(self) -> tuple:
         return tuple(len(b) for b in self.bases)
+
+    def dense(self, k: int) -> np.ndarray:
+        """d_k as a dense matrix; for k = len(d), the zero map out of the top."""
+        dims = self.dims + (0,)
+        out = np.zeros((dims[k + 1], dims[k]), dtype=np.int64)
+        if k < len(self.d):
+            out[self.d[k][:, 0], self.d[k][:, 1]] = self.d[k][:, 2]
+        return out
 
 
 def exterior_derivative(G: Complex) -> ChainComplexData:
@@ -65,23 +109,15 @@ def exterior_derivative(G: Complex) -> ChainComplexData:
     return G.memo("chain", lambda: _chain_complex(G))
 
 
+def _simplex_faces(y) -> list:
+    """(face, sign) for each face of the simplex y: y without its vertex at
+    position p, with sign (-1)^p."""
+    return [(y[:p] + y[p + 1:], (-1) ** p) for p in range(len(y))]
+
+
 def _chain_complex(G: Complex) -> ChainComplexData:
-    r = G.max_dim()
-    bases = tuple(tuple(G.simplices_of_dim(k)) for k in range(r + 1))
-    index = [{x: i for i, x in enumerate(b)} for b in bases]
-    d = []
-    for k in range(r):
-        mat = np.zeros((len(bases[k + 1]), len(bases[k])), dtype=np.int64)
-        for row, y in enumerate(bases[k + 1]):
-            for pos in range(len(y)):
-                face = y[:pos] + y[pos + 1:]
-                mat[row, index[k][face]] = (-1) ** pos
-        mat.setflags(write=False)
-        d.append(mat)
-    for k in range(len(d) - 1):
-        if matmul(d[k + 1], d[k]).any():
-            raise InvariantViolation("dd != 0", witness={"degree": k})
-    return ChainComplexData(bases=bases, d=tuple(d))
+    bases = tuple(tuple(G.simplices_of_dim(k)) for k in range(G.max_dim() + 1))
+    return ChainComplexData(bases, _coboundaries(bases, _simplex_faces, "dd != 0"))
 
 
 def _stacked_d(data: ChainComplexData) -> np.ndarray:
@@ -89,8 +125,8 @@ def _stacked_d(data: ChainComplexData) -> np.ndarray:
     n = sum(data.dims)
     offs = np.cumsum([0] + list(data.dims))
     d = np.zeros((n, n), dtype=np.int64)
-    for k, mat in enumerate(data.d):
-        d[offs[k + 1]:offs[k + 2], offs[k]:offs[k + 1]] = mat
+    for k, e in enumerate(data.d):  # scattered in place, without a dense d_k
+        d[offs[k + 1] + e[:, 0], offs[k] + e[:, 1]] = e[:, 2]
     return d
 
 
@@ -109,15 +145,10 @@ def hodge(G: Complex) -> np.ndarray:
 def hodge_blocks(G: Complex) -> list:
     """H restricted to each degree: H_k = d_k^T d_k + d_{k-1} d_{k-1}^T."""
     data = exterior_derivative(G)
-    blocks = []
-    for k, base in enumerate(data.bases):
-        n = len(base)
-        H = np.zeros((n, n), dtype=np.int64)
-        if k < len(data.d):
-            H += matmul(data.d[k].T, data.d[k])
-        if k >= 1:
-            H += matmul(data.d[k - 1], data.d[k - 1].T)
-        blocks.append(H)
+    d = [data.dense(k) for k in range(len(data.bases))]
+    blocks = [matmul(dk.T, dk) for dk in d]
+    for k in range(1, len(d)):
+        blocks[k] += matmul(d[k - 1], d[k - 1].T)
     return blocks
 
 
@@ -136,12 +167,12 @@ class CohomologyReport:
 
 
 def _betti_from_ranks(dims: tuple, mats) -> CohomologyReport:
-    """b_k = v_k - rank(d_k) - rank(d_{k-1}) for the derivatives d_k of a
+    """b_k = v_k - rank(d_k) - rank(d_{k-1}) for the entries d_k of a
     cochain complex with v_k cochains in degree k, d_{k+1} d_k = 0 checked,
     with exact ranks from the top degree down, clearing (module docstring)."""
     ranks, cleared = [0] * (len(mats) + 2), []
     for k in reversed(range(len(mats))):
-        ranks[k + 1], cleared = rank_exact(np.delete(mats[k], cleared, axis=0))
+        ranks[k + 1], cleared = rank_exact(mats[k][~np.isin(mats[k][:, 0], cleared)])
     out = tuple(v - ranks[k] - ranks[k + 1] for k, v in enumerate(dims))
     return CohomologyReport(betti=out, poincare_poly=out, euler_poly=dims)
 
@@ -261,12 +292,11 @@ def _cohomology_bases(data: ChainComplexData, k: int) -> tuple:
     """(image, reps): integer matrices whose columns are a basis of the image
     of d_{k-1} (its pivot columns) and the representatives of H^k (the
     kernel vectors that extend that basis to one of ker d_k)."""
-    nk = len(data.bases[k])
-    dk = data.d[k] if k < len(data.d) else np.zeros((0, nk), dtype=np.int64)
-    kernel = kernel_basis(dk)
-    image = np.zeros((nk, 0), dtype=np.int64)
+    kernel = kernel_basis(data.dense(k))
+    image = np.zeros((len(data.bases[k]), 0), dtype=np.int64)
     if k >= 1:
-        image = data.d[k - 1][:, echelon(data.d[k - 1]).pivots]
+        below = data.dense(k - 1)
+        image = below[:, echelon(below).pivots]
     t = image.shape[1]
     chosen = echelon(np.concatenate([image, kernel], axis=1)).pivots[t:]
     return image, kernel[:, [c - t for c in chosen]]
@@ -301,8 +331,8 @@ def _pullbacks(G: Complex):
 
 def induced_cohomology_matrices(G: Complex, perm: dict) -> list:
     """Matrix of the pullback on each H^k in the chosen representative
-    bases, over exact rationals."""
-    return _pullbacks(G)(perm)
+    bases, over exact rationals; `_pullbacks(G)` is memoed on G."""
+    return G.memo("pullbacks", lambda: _pullbacks(G))(perm)
 
 
 def lefschetz(G: Complex, perm: dict) -> dict:
@@ -313,28 +343,22 @@ def lefschetz(G: Complex, perm: dict) -> dict:
     set-fixed simplices.  The two agree for every simplicial automorphism."""
     if not is_automorphism(G, perm):
         raise ValueError("not a simplicial automorphism")
-    return _lefschetz_numbers(G)(perm)
+    return _lefschetz_number(G, perm)
 
 
-def _lefschetz_numbers(G: Complex):
-    """perm -> lefschetz(G, perm) for automorphisms perm of G, with the H^k
-    bases computed once for every map."""
-    induced = _pullbacks(G)
-
-    def numbers(perm: dict) -> dict:
-        coh = Fraction(0)
-        for k, m in enumerate(induced(perm)):
-            tr = sum(m[i][i] for i in range(len(m))) if m else Fraction(0)
-            coh += (-1) ** k * tr
-        fixed = 0
-        for x in G.simplices:
-            if simplex_image(x, perm) == x:
-                fixed += parity(x) * permutation_sign_on(x, perm)
-        if coh.denominator != 1:
-            raise InvariantViolation("non-integer Lefschetz trace", witness=str(coh))
-        return {"cohomological": int(coh), "fixed_point_sum": fixed}
-
-    return numbers
+def _lefschetz_number(G: Complex, perm: dict) -> dict:
+    """lefschetz(G, perm) for an automorphism perm of G, unchecked."""
+    coh = Fraction(0)
+    for k, m in enumerate(induced_cohomology_matrices(G, perm)):
+        tr = sum(m[i][i] for i in range(len(m))) if m else Fraction(0)
+        coh += (-1) ** k * tr
+    fixed = 0
+    for x in G.simplices:
+        if simplex_image(x, perm) == x:
+            fixed += parity(x) * permutation_sign_on(x, perm)
+    if coh.denominator != 1:
+        raise InvariantViolation("non-integer Lefschetz trace", witness=str(coh))
+    return {"cohomological": int(coh), "fixed_point_sum": fixed}
 
 
 # -- Kuenneth / strong ring ----------------------------------------------------
@@ -350,13 +374,12 @@ def _grade_sign_matrix(bases: list) -> np.ndarray:
 def product_connection_matrix(A: Complex, B: Complex) -> np.ndarray:
     """Connection matrix of the product cells, built from the geometry:
     (x,y) and (x',y') intersect iff both coordinates intersect."""
-    cells = product_cells(A, B)
+    cells = [(set(x), set(y)) for x, y in product_cells(A, B)]
     n = len(cells)
     out = np.zeros((n, n), dtype=np.int64)
-    for i, (x, y) in enumerate(cells):
-        sx, sy = set(x), set(y)
-        for j, (u, v) in enumerate(cells):
-            if sx & set(u) and sy & set(v):
+    for i, (sx, sy) in enumerate(cells):
+        for j, (su, sv) in enumerate(cells):
+            if sx & su and sy & sv:
                 out[i, j] = 1
     return out
 
@@ -466,10 +489,19 @@ def interaction_pairs(G: Complex) -> list:
     return pairs
 
 
-def interaction_derivative(G: Complex, pair_cap: int = DEFAULT_PAIR_CAP) -> tuple:
-    """(bases per degree, matrices d_p) of the pair derivative
-    df(x,y) = f(dx, y) + (-1)^dim(x) f(x, dy), terms whose face no longer
-    meets the partner dropped.  dd = 0 is verified."""
+def _pair_faces(pair) -> list:
+    """(face, sign) terms of the pair derivative df(x,y) = f(dx, y) +
+    (-1)^dim(x) f(x, dy), terms whose face no longer meets the partner
+    dropped."""
+    x, y = pair
+    sgn = (-1) ** (len(x) - 1)
+    return ([((f, y), s) for f, s in _simplex_faces(x) if not set(f).isdisjoint(y)]
+            + [((x, f), sgn * s) for f, s in _simplex_faces(y) if not set(x).isdisjoint(f)])
+
+
+def interaction_derivative(G: Complex, pair_cap: int = DEFAULT_PAIR_CAP) -> ChainComplexData:
+    """The pairs per degree and the entries of the pair derivative, terms
+    from `_pair_faces`.  dd = 0 is verified."""
     pairs = interaction_pairs(G)
     if len(pairs) > pair_cap:
         raise ResourceLimitError(
@@ -479,34 +511,14 @@ def interaction_derivative(G: Complex, pair_cap: int = DEFAULT_PAIR_CAP) -> tupl
     bases = [[] for _ in range(top + 1)]
     for p in pairs:
         bases[len(p[0]) + len(p[1]) - 2].append(p)
-    index = [{p: i for i, p in enumerate(b)} for b in bases]
-    mats = []
-    for k in range(top):
-        mat = np.zeros((len(bases[k + 1]), len(bases[k])), dtype=np.int64)
-        for row, (x, y) in enumerate(bases[k + 1]):
-            sy = set(y)
-            for pos in range(len(x)):
-                face = x[:pos] + x[pos + 1:]
-                if set(face) & sy:
-                    mat[row, index[k][(face, y)]] += (-1) ** pos
-            sgn = (-1) ** (len(x) - 1)
-            sx = set(x)
-            for pos in range(len(y)):
-                face = y[:pos] + y[pos + 1:]
-                if sx & set(face):
-                    mat[row, index[k][(x, face)]] += sgn * (-1) ** pos
-        mats.append(mat)
-    for k in range(len(mats) - 1):
-        if matmul(mats[k + 1], mats[k]).any():
-            raise InvariantViolation("interaction dd != 0", witness={"degree": k})
-    return bases, mats
+    return ChainComplexData(tuple(bases), _coboundaries(bases, _pair_faces, "interaction dd != 0"))
 
 
 def interaction_cohomology(G: Complex, pair_cap: int = DEFAULT_PAIR_CAP) -> CohomologyReport:
     """Quadratic Betti numbers; their alternating sum is the Wu
     characteristic."""
-    bases, mats = interaction_derivative(G, pair_cap=pair_cap)
-    return _betti_from_ranks(tuple(len(b) for b in bases), mats)
+    data = interaction_derivative(G, pair_cap=pair_cap)
+    return _betti_from_ranks(data.dims, data.d)
 
 
 def wu_gauss_bonnet(G: Complex) -> dict:
@@ -585,10 +597,10 @@ def stokes_pairing(G: Complex, k: int, form, chain) -> tuple:
     data = exterior_derivative(G)
     if k < 0 or k >= len(data.bases) - 1:
         raise ValueError("no (k+1)-simplices for this k")
-    dk = data.d[k]
     form = list(form)
     chain = list(chain)
-    if len(form) != dk.shape[1] or len(chain) != dk.shape[0]:
+    dk = data.dense(k)
+    if (len(chain), len(form)) != dk.shape:
         raise ValueError("coefficient vector lengths do not match the bases")
     dF = dk @ np.array(form, dtype=np.int64)
     lhs = int(dF @ np.array(chain, dtype=np.int64))

@@ -27,6 +27,7 @@ import math
 
 import numpy as np
 
+from .cohomology import dirac
 from .core import Complex, parity, set_euler, sphere_euler, star_up, up_star_weights
 from .errors import InvariantViolation, ResourceLimitError
 from .exact import (
@@ -207,31 +208,14 @@ def _charpoly_one_heavy(n: int, lam) -> list:
     return [a - lam * b for a, b in zip(ones + [0], [0] + ones)]
 
 
-def signless_incidence(G: Complex) -> np.ndarray:
-    """n x n matrix with d[x][y] = 1 when x is a codimension-1 face of y."""
-    elems = refinement_order(G)
-    index = {x: i for i, x in enumerate(elems)}
-    n = len(elems)
-    d = np.zeros((n, n), dtype=np.int64)
-    for y in elems:
-        if len(y) == 1:
-            continue
-        j = index[y]
-        for k in range(len(y)):
-            face = y[:k] + y[k + 1:]
-            d[index[face], j] = 1
-    return d
-
-
 def hydrogen_check(G: Complex) -> dict:
     """For one-dimensional complexes, L - L^-1 equals the signless Hodge
-    operator H = (d + d^T)^2 entrywise."""
+    operator H = D^2 entrywise, D = |d + d^T| the unsigned Dirac matrix."""
     if G.max_dim() != 1:
         raise ValueError("hydrogen relation needs a one-dimensional complex")
     L = connection_matrix(G)
     g = green_inverse(G)
-    d = signless_incidence(G)
-    D = d + d.T
+    D = np.abs(dirac(G))
     H = matmul(D, D)
     ok = np.array_equal(L - g, H)
     out = {"ok": bool(ok)}

@@ -7,10 +7,11 @@ fraction-free Gauss-Jordan form for inverses, kernel bases and solves.  It
 runs on int64 while a bound checked before each step proves every product
 exact, and promotes the matrix to Python big-int object arrays otherwise.
 
-`rank_exact` serves the sparse +-1 coboundary and interaction matrices: it
-eliminates on unit pivots, row by row as {column: value} dicts of Python
-integers, and hands the rows it cannot finish (no unit pivot left, or
-fill-in past FILL_LIMIT times the input's nonzeros) to `echelon`.
+`rank_exact` serves the sparse +-1 coboundary and interaction matrices, given
+by their nonzero entries: it eliminates on unit pivots, row by row as
+{column: value} dicts of Python integers, and hands the rows it cannot
+finish (no unit pivot left, or fill-in past FILL_LIMIT times the input's
+nonzeros) to `echelon`.
 
 `matmul` is the one exact integer matrix product.  With bound = max_i
 sum_k |A_ik| * max |B|, every partial sum of every entry of A @ B, in any
@@ -310,8 +311,10 @@ FILL_LIMIT = 4  # rank_exact hands over past this many times the input's nonzero
 
 
 def rank_exact(M) -> tuple:
-    """(rank over the rationals, the pivot columns): a sparse elimination on
-    unit pivots, then `echelon` on whatever it leaves.
+    """(rank over the rationals, the pivot columns) of the integer matrix
+    whose nonzero entries are the rows (row, column, value) of M, in row
+    order, each position once (int64, or Python integers in an object array):
+    a sparse elimination on unit pivots, then `echelon` on whatever it leaves.
 
     Each nonzero row is a {column: value} dict.  The columns are walked in
     order; in each, the shortest remaining row with a +-1 entry there is the
@@ -324,16 +327,14 @@ def rank_exact(M) -> tuple:
     pivot columns are independent (the unit ones form a unit triangular block
     on which the rows left vanish), so where d_k d_{k-1} = 0 has been checked,
     the rows of d_{k-1} at those of d_k are redundant: `cohomology` clears them."""
-    A = np.asarray(M)
     rows, where = {}, {}  # row -> {column: value}; column -> rows nonzero there
-    at = np.nonzero(A)
-    for i, j, v in zip(*(x.tolist() for x in at), A[at].tolist()):
+    for i, j, v in np.asarray(M).tolist():
         rows.setdefault(i, {})[j] = v
         where.setdefault(j, set()).add(i)
-    nnz = len(at[0])
+    nnz = len(M)
     pivots, limit = [], FILL_LIMIT * nnz
-    for c in range(A.shape[1]):
-        units = [i for i in where.get(c, ()) if rows[i][c] in (1, -1)]
+    for c in sorted(where):  # fill-in stays in these columns
+        units = [i for i in where[c] if rows[i][c] in (1, -1)]
         if not units:
             continue
         p = min(units, key=lambda i: (len(rows[i]), i))

@@ -1,6 +1,7 @@
 """Test-only oracles: slow, independent implementations that the library's
 fast routines are checked against."""
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ import numpy as np
 from simplexion.cohomology import (
     _cohomology_bases,
     exterior_derivative,
+    interaction_pairs,
     is_automorphism,
     permutation_sign_on,
     simplex_image,
@@ -192,6 +194,64 @@ def rank_fraction(rows) -> int:
                 A[r] = [a - g * b for a, b in zip(A[r], A[rank])]
         rank += 1
     return rank
+
+
+def entries(M) -> np.ndarray:
+    """The nonzero entries of the dense matrix M as rows (row, column,
+    value) in row order, as exact.rank_exact takes them: int64, or Python
+    integers in an object array where some value does not fit in int64."""
+    A = np.array(M, dtype=object)
+    rows, cols = np.nonzero(A)
+    E = np.column_stack([rows, cols, A[rows, cols]])
+    with contextlib.suppress(OverflowError):
+        E = E.astype(np.int64)
+    return E
+
+
+def chain_complex_dense(G: Complex) -> list:
+    """The dense d_k of G, entry by entry over the faces of each simplex;
+    the oracle for the entries of cohomology.exterior_derivative."""
+    r = G.max_dim()
+    bases = [G.simplices_of_dim(k) for k in range(r + 1)]
+    index = [{x: i for i, x in enumerate(b)} for b in bases]
+    d = []
+    for k in range(r):
+        mat = np.zeros((len(bases[k + 1]), len(bases[k])), dtype=np.int64)
+        for row, y in enumerate(bases[k + 1]):
+            for pos in range(len(y)):
+                face = y[:pos] + y[pos + 1:]
+                mat[row, index[k][face]] = (-1) ** pos
+        d.append(mat)
+    return d
+
+
+def interaction_derivative_dense(G: Complex) -> list:
+    """The dense d_p of the pair derivative df(x,y) = f(dx, y) + (-1)^dim(x)
+    f(x, dy), terms whose face no longer meets the partner dropped, entry by
+    entry; the oracle for the entries of cohomology.interaction_derivative."""
+    pairs = interaction_pairs(G)
+    top = max((len(x) + len(y) - 2 for x, y in pairs), default=-1)
+    bases = [[] for _ in range(top + 1)]
+    for p in pairs:
+        bases[len(p[0]) + len(p[1]) - 2].append(p)
+    index = [{p: i for i, p in enumerate(b)} for b in bases]
+    mats = []
+    for k in range(top):
+        mat = np.zeros((len(bases[k + 1]), len(bases[k])), dtype=np.int64)
+        for row, (x, y) in enumerate(bases[k + 1]):
+            sy = set(y)
+            for pos in range(len(x)):
+                face = x[:pos] + x[pos + 1:]
+                if set(face) & sy:
+                    mat[row, index[k][(face, y)]] += (-1) ** pos
+            sgn = (-1) ** (len(x) - 1)
+            sx = set(x)
+            for pos in range(len(y)):
+                face = y[:pos] + y[pos + 1:]
+                if sx & set(face):
+                    mat[row, index[k][(x, face)]] += sgn * (-1) ** pos
+        mats.append(mat)
+    return mats
 
 
 def betti_fraction(dims, mats) -> tuple:

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from oracles import (
     automorphisms_bruteforce,
     betti_fraction,
+    chain_complex_dense,
     induced_cohomology_reference,
+    interaction_derivative_dense,
     mckean_singer_full,
     supertraces_full,
 )
@@ -22,7 +24,7 @@ from oracles import (
 
 def test_exterior_derivative_k2():
     data = coh.exterior_derivative(sx.close([(0, 1)]))
-    assert data.d[0].tolist() == [[-1, 1]]
+    assert data.dense(0).tolist() == [[-1, 1]]
     assert data.dims == (2, 1)
 
 
@@ -49,6 +51,71 @@ def test_dd_zero(corpus):
         if G.is_empty or len(G) > 150:
             continue
         coh.exterior_derivative(G)  # raises on dd != 0
+
+
+def _assert_same_matrices(data, want):
+    assert len(data.d) == len(want)
+    for k, dense in enumerate(want):
+        assert np.array_equal(data.dense(k), dense)
+        assert len(data.d[k]) == np.count_nonzero(dense)  # each entry once, none zero
+        assert (np.diff(data.d[k][:, 0]) >= 0).all()  # in row order
+
+
+def test_coboundary_entries_match_dense_loops(corpus, random_complexes):
+    for G in [G for _, G in corpus] + random_complexes:
+        _assert_same_matrices(coh.exterior_derivative(G), chain_complex_dense(G))
+        if len(G) <= 40:
+            _assert_same_matrices(coh.interaction_derivative(G), interaction_derivative_dense(G))
+
+
+def _mutated(faces, target, how):
+    """faces, with the terms of the row target changed: its first two faces
+    swapped (each keeping the other's sign), or its first sign flipped."""
+    def mutated(y):
+        terms = list(faces(y))
+        if y == target:
+            (f0, s0), (f1, s1) = terms[:2]
+            assert how == "flip" or s0 != s1  # else the swap changes nothing
+            terms[:2] = [(f1, s0), (f0, s1)] if how == "swap" else [(f0, -s0), (f1, s1)]
+        return terms
+    return mutated
+
+
+@pytest.mark.parametrize("how", ["swap", "flip"])
+@pytest.mark.parametrize("target, degree", [((0, 1, 2), 0), ((0, 1, 2, 3), 1), ((1, 2, 3), 0)])
+def test_dd_check_catches_a_mutated_row(monkeypatch, how, target, degree):
+    # a row of d_k, k = dim(target) - 1, breaks d_k d_{k-1} = 0 first
+    monkeypatch.setattr(coh, "_simplex_faces", _mutated(coh._simplex_faces, target, how))
+    with pytest.raises(sx.InvariantViolation, match="^dd != 0") as err:
+        coh.exterior_derivative(sx.close([(0, 1, 2, 3)]))
+    assert err.value.witness == {"degree": degree}
+
+
+@pytest.mark.parametrize("how", ["swap", "flip"])
+@pytest.mark.parametrize("target, degree", [(((0, 1, 2), (0, 1, 2)), 2),
+                                            (((0, 1, 2), (1, 2)), 1),
+                                            (((0, 1), (0, 1)), 0)])
+def test_interaction_dd_check_catches_a_mutated_row(monkeypatch, how, target, degree):
+    # a pair of degree p has its row in d_{p-1}, which breaks d_{p-1} d_{p-2} = 0
+    monkeypatch.setattr(coh, "_pair_faces", _mutated(coh._pair_faces, target, how))
+    with pytest.raises(sx.InvariantViolation, match="^interaction dd != 0") as err:
+        coh.interaction_derivative(sx.close([(0, 1, 2)]))
+    assert err.value.witness == {"degree": degree}
+
+
+def test_betti_of_ico_3_stays_sparse():
+    # 12,962 simplices: a dense int64 d_1 alone (4320 x 6480) would be 224 MB
+    import tracemalloc
+
+    G = sx.barycentric(sx.barycentric(sx.barycentric(sx.icosahedron())))
+    assert len(G) == 12962
+    tracemalloc.start()
+    try:
+        assert coh.betti(G).betti == (1, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_betti_examples():
@@ -81,8 +148,8 @@ def test_prop_cleared_betti_match_fraction_ranks(kind, n, p, seed, partner):
         n = min(n, {"interaction": 4, "product": 3, "dual": 6}[kind])
     G = sx.erdos_renyi(sx.RandomModel(n=n, p=p, seed=seed))
     if kind == "interaction":
-        bases, mats = coh.interaction_derivative(G)
-        want = betti_fraction(tuple(len(b) for b in bases), mats)
+        data = coh.interaction_derivative(G)
+        want = betti_fraction(data.dims, [data.dense(k) for k in range(len(data.d))])
         assert coh.interaction_cohomology(G).betti == want
         return
     if kind == "product":
@@ -90,17 +157,17 @@ def test_prop_cleared_betti_match_fraction_ranks(kind, n, p, seed, partner):
     elif kind == "dual":
         G = coh.alexander_dual(G, range(n + 1))  # the last vertex is outside G
     data = coh.exterior_derivative(G)
-    assert coh.betti(G).betti == betti_fraction(data.dims, data.d)
+    assert coh.betti(G).betti == betti_fraction(data.dims, [data.dense(k) for k in range(len(data.d))])
 
 
 def test_clearing_drops_the_pivot_rows(monkeypatch, corpus):
     # top degree down: d_{k-1} is ranked on the v_k - rank(d_k) rows left
-    # once the pivot columns of d_k are cleared
+    # once the pivot columns of d_k are cleared (no row of a d_k is zero)
     calls, real = [], coh.rank_exact
 
     def spy(M):
         rank, pivots = real(M)
-        calls.append((np.shape(M), rank))
+        calls.append((len(np.unique(M[:, 0])), rank))
         return rank, pivots
 
     monkeypatch.setattr(coh, "rank_exact", spy)
@@ -110,11 +177,11 @@ def test_clearing_drops_the_pivot_rows(monkeypatch, corpus):
         calls.clear()
         dims = coh.exterior_derivative(G).dims
         coh.betti(G)
-        assert [shape[1] for shape, _ in calls] == list(dims[-2::-1])
+        assert len(calls) == len(dims) - 1
         if calls:
-            assert calls[0][0][0] == dims[-1]
-        for (above, rank), (below, _) in zip(calls, calls[1:]):
-            assert below[0] == above[1] - rank
+            assert calls[0][0] == dims[-1]
+        for v, (_, rank), (below, _) in zip(dims[-2::-1], calls, calls[1:]):
+            assert below == v - rank
             cleared += rank
     assert cleared > 100
 
@@ -406,6 +473,21 @@ def test_lefschetz_octahedron_full_group():
     for perm in autos:
         r = coh.lefschetz(G, perm)
         assert r["cohomological"] == r["fixed_point_sum"]
+
+
+def test_lefschetz_library_calls_share_the_bases(monkeypatch):
+    # the H^k bases and factorizations are memoed on the complex, so the 48
+    # maps of the octahedron, called one by one, build them once per degree
+    calls = []
+    real = coh._cohomology_bases
+    monkeypatch.setattr(coh, "_cohomology_bases",
+                        lambda data, k: calls.append(k) or real(data, k))
+    G = sx.cross_polytope(2)
+    for perm in coh.automorphisms(G):
+        r = coh.lefschetz(G, perm)
+        assert r["cohomological"] == r["fixed_point_sum"]
+        assert len(coh.induced_cohomology_matrices(G, perm)) == 3
+    assert calls == [0, 1, 2]
 
 
 def test_lefschetz_icosahedron_generators():

@@ -19,6 +19,7 @@ from oracles import (
     charpoly_oracle,
     det_cofactor,
     det_exact,
+    entries,
     fraction_inverse,
     minor_sum_coeffs,
     rank_fraction,
@@ -57,13 +58,13 @@ def test_rank_matches_fraction_oracle():
         r = gen.below(5) + 1
         c = gen.below(5) + 1
         M = random_matrix(gen, r, c)
-        assert rank_exact(M)[0] == rank_fraction(M)
+        assert rank_exact(entries(M))[0] == rank_fraction(M)
     # rank-deficient by construction
     for _ in range(20):
         A = np.array(random_matrix(gen, 4, 2))
         B = np.array(random_matrix(gen, 2, 4))
         M = (A @ B).tolist()
-        assert rank_exact(M)[0] == rank_fraction(M) <= 2
+        assert rank_exact(entries(M))[0] == rank_fraction(M) <= 2
 
 
 def test_berkowitz_against_oracle():
@@ -225,7 +226,7 @@ def test_prop_det_matches_cofactor(M):
 @PROPS
 @given(int_matrices())
 def test_prop_rank_matches_fraction(M):
-    assert rank_exact(M)[0] == rank_fraction(M)
+    assert rank_exact(entries(M))[0] == rank_fraction(M)
 
 
 @PROPS
@@ -625,11 +626,10 @@ def rank_inputs(draw):
         n = draw(st.integers(3, 7) if kind == "boundary" else st.integers(3, 5))
         p = draw(st.sampled_from([0.3, 0.6, 0.9]))
         G = sx.erdos_renyi(sx.RandomModel(n=n, p=p, seed=draw(st.integers(0, 10 ** 6))))
-        mats = (exterior_derivative(G).d if kind == "boundary"
-                else interaction_derivative(G)[1])
-        if not mats:
+        data = exterior_derivative(G) if kind == "boundary" else interaction_derivative(G)
+        if not data.d:
             return np.zeros((1, len(G)), dtype=np.int64)
-        return np.array(draw(st.sampled_from(mats)))
+        return data.dense(draw(st.sampled_from(range(len(data.d)))))
     rows, cols = draw(st.integers(1, 24)), draw(st.integers(1, 24))
     if kind == "dense":
         rows, cols = min(rows, 10), min(cols, 10)
@@ -651,7 +651,7 @@ def rank_inputs(draw):
 def test_prop_sparse_rank_matches_oracles(M):
     want = rank_fraction(M.tolist())
     assert len(echelon(M).pivots) == want
-    rank, pivots = rank_exact(M)
+    rank, pivots = rank_exact(entries(M))
     assert rank == len(pivots) == want
     assert rank_fraction(M[:, sorted(pivots)].tolist()) == want  # independent
 
@@ -674,7 +674,7 @@ def test_prop_sparse_rank_without_unit_pivots(M):
     # 2 M has no +-1 entry: every nonzero row of it goes to echelon as it is
     with pytest.MonkeyPatch.context() as mp:
         shapes = _spy_echelon(mp)
-        assert rank_exact(2 * M)[0] == rank_fraction(M.tolist())
+        assert rank_exact(entries(2 * M))[0] == rank_fraction(M.tolist())
     nonzero_rows = int(np.count_nonzero(M.any(axis=1)))
     assert shapes == ([(nonzero_rows, int(np.count_nonzero(M.any(axis=0))))]
                       if nonzero_rows else [])
@@ -691,11 +691,11 @@ def test_sparse_rank_fill_in_guard(monkeypatch):
     M[0], M[1:, 0] = 1, 2
     assert (n - 1) ** 2 > exact.FILL_LIMIT * np.count_nonzero(M)
     shapes = _spy_echelon(monkeypatch)
-    assert rank_exact(M)[0] == rank_fraction(M.tolist()) == n
+    assert rank_exact(entries(M))[0] == rank_fraction(M.tolist()) == n
     assert shapes == [(n - 1, n - 1)]
     monkeypatch.setattr(exact, "FILL_LIMIT", 10 ** 9)
     shapes.clear()
-    assert rank_exact(M)[0] == n
+    assert rank_exact(entries(M))[0] == n
     assert shapes == [(n - 2, n - 2)]
 
 
@@ -707,9 +707,10 @@ def test_sparse_rank_rp2_takes_the_fallback(monkeypatch):
 
     facets = "123 134 145 156 162 235 346 452 563 624".split()
     rp2 = sx.close([tuple(sorted(map(int, f))) for f in facets])
-    d1 = exterior_derivative(rp2).d[1]
+    data = exterior_derivative(rp2)
+    d1 = data.dense(1)
     shapes = _spy_echelon(monkeypatch)
-    assert rank_exact(d1)[0] == rank_fraction(d1.tolist()) == 10
+    assert rank_exact(data.d[1])[0] == rank_fraction(d1.tolist()) == 10
     assert shapes and all(rows < len(d1) for rows, _ in shapes)
     # ranked top down with clearing, d_1 still needs the fallback
     shapes.clear()
