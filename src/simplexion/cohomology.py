@@ -42,11 +42,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Complex, close, parity
+from .core import Complex, _vertex_stars, parity
 from .errors import InvariantViolation, ResourceLimitError
 from .exact import echelon, kernel_basis, matmul, rank_exact, solver
 from .generators import poly_mul, product_cells, ring_product_complex
-from .refinement import refinement_order
 
 DEFAULT_PAIR_CAP = 4500
 
@@ -116,7 +115,7 @@ def _simplex_faces(y) -> list:
 
 
 def _chain_complex(G: Complex) -> ChainComplexData:
-    bases = tuple(tuple(G.simplices_of_dim(k)) for k in range(G.max_dim() + 1))
+    bases = tuple(tuple(group) for _, group in itertools.groupby(G, len))
     return ChainComplexData(bases, _coboundaries(bases, _simplex_faces, "dd != 0"))
 
 
@@ -476,17 +475,12 @@ def kuenneth_check(A: Complex, B: Complex, tol: float = 1e-6,
 
 
 def interaction_pairs(G: Complex) -> list:
-    """Ordered intersecting pairs (x, y), graded by dim x + dim y; both
-    (x, y) and (y, x) appear when x != y."""
-    elems = refinement_order(G)
-    sets = [set(x) for x in elems]
-    pairs = []
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            if sets[i] & sets[j]:
-                pairs.append((x, y))
-    pairs.sort(key=lambda p: (len(p[0]) + len(p[1]), p))
-    return pairs
+    """Ordered intersecting pairs (x, y), graded by dim x + dim y, then
+    lexicographic; both (x, y) and (y, x) appear when x != y.  Two simplices
+    intersect exactly when both lie in one vertex star, so the pairs are
+    read from the stars."""
+    pairs = {(x, y) for star in _vertex_stars(G).values() for x in star for y in star}
+    return sorted(pairs, key=lambda p: (len(p[0]) + len(p[1]), p))
 
 
 def _pair_faces(pair) -> list:

@@ -10,10 +10,15 @@ value (the (-1)-sphere, the zero of the join monoid).
 Barycentric refinement, unit spheres, level surfaces and the strong-ring
 product are each one call to it.
 
+Local queries read two indexes instead of scanning the complex: the vertex
+stars (v -> the simplices containing v) for stars, links, induced subcomplexes
+and intersecting pairs, and the containment graph (x -> the simplices
+comparable to x; the 1-skeleton of G_1) whose neighbourhoods are unit spheres.
+
 Each Complex carries one memo of what is derived from it: its sorted
-simplices, vertices and f-vector, the connection matrix L with its
-factorization and eigenvalues, the chain complex, the clique complex and its
-GraphContext.  An entry is built on first use and lives as long as the
+simplices, vertices, f-vector and the two indexes, the connection matrix L
+with its factorization and eigenvalues, the chain complex, the clique complex,
+and a GraphContext each for it and the containment graph.  An entry is built on first use and lives as long as the
 complex; arrays in it are read-only.  The memo is a benign idempotent cache:
 two threads may both build an entry, but they build equal values.  Equal but
 distinct complexes do not share a memo.
@@ -144,7 +149,7 @@ class Complex:
         return sorted(self.simplices - covered, key=_sort_key)
 
     def simplices_of_dim(self, k: int) -> list:
-        return sorted((x for x in self.simplices if len(x) == k + 1), key=_sort_key)
+        return [x for x in self if len(x) == k + 1]
 
 
 EMPTY = Complex()
@@ -174,12 +179,37 @@ def generating_function(G: Complex) -> list:
 # -- stars, links, spheres -------------------------------------------------
 
 
+def _vertex_stars(G: Complex) -> dict:
+    """v -> the simplices of G containing v, in canonical order; memoed."""
+    def build():
+        stars = {v: [] for v in G.vertices()}
+        for x in G:
+            for v in x:
+                stars[v].append(x)
+        return {v: tuple(s) for v, s in stars.items()}
+    return G.memo("vertex_stars", build)
+
+
+def _containment_graph(G: Complex) -> dict:
+    """x -> the frozenset of simplices y != x comparable to x; memoed.  About
+    3^(d+1) pairs per d-simplex: build it only to read every unit sphere."""
+    def build():
+        adj = {x: set() for x in G.simplices}
+        for y in G.simplices:
+            for x in _faces(y):
+                adj[x].add(y)
+                adj[y].add(x)
+        return {x: frozenset(s) for x, s in adj.items()}
+    return G.memo("containment", build)
+
+
 def star_up(G: Complex, x: Simplex) -> frozenset:
     """{y in G : x is a subset of y} - generally not a subcomplex."""
     if x not in G.simplices:
         raise KeyError(f"{x} not in complex")
+    stars = _vertex_stars(G)
     sx = set(x)
-    return frozenset(y for y in G.simplices if sx.issubset(y))
+    return frozenset(y for y in min((stars[v] for v in x), key=len) if sx.issubset(y))
 
 
 def star_down(G: Complex, x: Simplex) -> Complex:
@@ -228,12 +258,7 @@ def wu_characteristic(G: Complex, k: int = 2) -> int:
 
 def comparable_elements(G: Complex, x: Simplex) -> list:
     """Simplices y != x with y subset of x or x subset of y, canonical order."""
-    if x not in G.simplices:
-        raise KeyError(f"{x} not in complex")
-    sx = set(x)
-    out = [y for y in G.simplices
-           if y != x and (sx.issubset(y) or sx.issuperset(y))]
-    return sorted(out, key=_sort_key)
+    return sorted([*_faces(x), *star_up(G, x) - {x}], key=_sort_key)
 
 
 def unit_sphere(G: Complex, x: Simplex) -> Complex:
@@ -326,9 +351,12 @@ def link(G: Complex, x: Simplex) -> Complex:
 
 
 def induced(G: Complex, W: Iterable[int]) -> Complex:
-    """Induced subcomplex on a vertex subset: all simplices inside W."""
+    """Induced subcomplex on a vertex subset: all simplices inside W, each
+    read from the star of its least vertex.  Vertices outside G are ignored."""
     sw = set(W)
-    return Complex((x for x in G.simplices if sw.issuperset(x)), _closed=True)
+    stars = _vertex_stars(G)
+    return Complex((x for v in sw for x in stars.get(v, ())
+                    if x[0] == v and sw.issuperset(x)), _closed=True)
 
 
 def complex_union(A: Complex, B: Complex) -> Complex:
@@ -414,16 +442,18 @@ def inductive_dimension(G: Complex) -> Fraction:
 
     For a Whitney complex, dim(G) = 1 + average over vertices of
     dim(sphere at the vertex), with dim(empty) = -1; a general complex is
-    measured on its Barycentric refinement graph (same value by definition).
+    measured on its containment graph, the 1-skeleton of its Barycentric
+    refinement (same value by definition).  The recursion there visits the
+    chains of G, so the refinement size cap applies.
     """
     if G.is_empty:
         return Fraction(-1)
     if is_whitney(G):
-        adj = one_skeleton(G)
-        return graph_dimension(adj)
-    from .refinement import barycentric
+        return graph_dimension(one_skeleton(G))
+    from .refinement import check_cap, predicted_refinement_fvector
 
-    return graph_dimension(one_skeleton(barycentric(G)))
+    check_cap("refinement", sum(predicted_refinement_fvector(G)), None)
+    return graph_dimension(_containment_graph(G))
 
 
 def graph_dimension(adj: dict) -> Fraction:

@@ -7,6 +7,11 @@ Gauss-Bonnet, Sard, Morse inequalities) hold when the complex is the clique
 complex of its own 1-skeleton.  A general complex is handled by passing its
 Barycentric refinement, whose vertices are the simplices of the original and
 which is always a clique complex.
+
+The boundary operators read the unit sphere of a simplex x as the
+neighbourhood of x in the containment graph of G (see `core`).  One
+GraphContext on that graph is memoed per complex, so every simplex and both
+`is_d_complex_with_boundary` and `boundary` share one set of homotopy tables.
 """
 
 from __future__ import annotations
@@ -17,13 +22,13 @@ from math import comb
 
 from .core import (
     Complex,
+    _containment_graph,
     _faces,
     close,
     induced,
     link,
     one_skeleton,
     order_complex,
-    unit_sphere,
 )
 from .errors import ResourceLimitError
 from .refinement import refinement_order
@@ -194,7 +199,8 @@ class GraphContext:
 
     Subgraphs are identified by frozensets of vertices; all the recursive
     Evako-style definitions (contractible, d-sphere, d-ball, d-graph) share
-    one memo table per ambient graph.
+    one memo table per ambient graph.  The tables hold finished answers only,
+    so a query cut short by a RecursionError leaves none behind.
     """
 
     def __init__(self, adj: dict):
@@ -219,8 +225,7 @@ class GraphContext:
         got = self._contract.get(sub)
         if got is not None:
             return got
-        self._contract[sub] = False  # cycle guard; recursion only shrinks sub
-        result = False
+        result = False  # every recursive call is on a strictly smaller set
         for v in sorted(sub):
             if self.contractible(self.adj[v] & sub) and self.contractible(
                 sub - {v}
@@ -282,12 +287,10 @@ class GraphContext:
             return len(sub) == 1
         key = (sub, d)
         got = self._ball.get(key)
-        if got is not None:
-            return got
-        self._ball[key] = False
-        result = self._ball_raw(sub, d)
-        self._ball[key] = result
-        return result
+        if got is None:
+            got = self._ball_raw(sub, d)  # recurses in d - 1 only
+            self._ball[key] = got
+        return got
 
     def _ball_raw(self, sub: frozenset, d: int) -> bool:
         if not sub:
@@ -307,24 +310,16 @@ class GraphContext:
             and self.d_sphere(frozenset(boundary), d - 1)
         )
 
-    def boundary_vertices(self, sub: frozenset, d: int) -> frozenset | None:
-        """Vertices with (d-1)-ball spheres, when sub is a d-graph with
-        boundary; None when some sphere is neither ball nor sphere."""
-        out = set()
-        for v in sub:
-            s = self.adj[v] & sub
-            if self.d_sphere(s, d - 1):
-                continue
-            if self.d_ball(s, d - 1):
-                out.add(v)
-            else:
-                return None
-        return frozenset(out)
-
 
 def _graph_context(G: Complex) -> GraphContext:
     """The GraphContext of G's 1-skeleton, memoed on G with its tables."""
     return G.memo("graph", lambda: GraphContext(one_skeleton(G)))
+
+
+def _containment_context(G: Complex) -> GraphContext:
+    """The GraphContext of G's containment graph, memoed on G: adj[x] is the
+    unit sphere of x, and its induced subgraph the sphere's 1-skeleton."""
+    return G.memo("containment_context", lambda: GraphContext(_containment_graph(G)))
 
 
 def clique_complex(G: Complex) -> Complex:
@@ -388,29 +383,17 @@ def boundary(G: Complex, d: int) -> Complex:
     """Boundary of a d-complex with boundary: the subcomplex generated by the
     simplices whose unit sphere (in the containment graph) is a (d-1)-ball.
     The boundary of a boundary is empty."""
-    out = []
-    for x in G.simplices:
-        S = unit_sphere(G, x)
-        if S.is_empty:
-            continue
-        ctx = _graph_context(S)
-        if _guarded(ctx.d_ball, ctx.full(), d - 1):
-            out.append(x)
+    ctx = _containment_context(G)
+    out = _guarded(lambda: [x for x in G.simplices if ctx.d_ball(ctx.adj[x], d - 1)])
     return close(out) if out else Complex()
 
 
 def is_d_complex_with_boundary(G: Complex, d: int) -> bool:
     """Every unit sphere is a (d-1)-sphere or a (d-1)-ball."""
-    for x in G.simplices:
-        S = unit_sphere(G, x)
-        ctx = _graph_context(S)
-        full = ctx.full()
-        if _guarded(ctx.d_sphere, full, d - 1):
-            continue
-        if _guarded(ctx.d_ball, full, d - 1):
-            continue
-        return False
-    return True
+    ctx = _containment_context(G)
+    return _guarded(lambda: all(ctx.d_sphere(ctx.adj[x], d - 1)
+                                or ctx.d_ball(ctx.adj[x], d - 1)
+                                for x in G.simplices))
 
 
 # -- Morse theory -------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from .cohomology import dirac, hodge
 from .connection import connection_matrix
-from .core import Complex
+from .core import Complex, _faces
 from .errors import NumericError
 from .exact import charpoly
 from .refinement import barycentric
@@ -129,19 +129,10 @@ def limit_curve_dim1(grid: np.ndarray) -> np.ndarray:
 def refinement_graph_kirchhoff(G: Complex) -> np.ndarray:
     """Kirchhoff Laplacian of the containment graph of G (the graph whose
     clique complex is the Barycentric refinement: vertices are the simplices,
-    edges the comparable pairs)."""
-    from .refinement import refinement_order
-
-    elems = refinement_order(G)
-    sets = [set(x) for x in elems]
-    edges = []
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if len(elems[i]) != len(elems[j]) and (
-                sets[i] < sets[j] or sets[j] < sets[i]
-            ):
-                edges.append((i, j))
-    return kirchhoff_matrix(len(elems), edges)
+    edges the comparable pairs), in the canonical simplex order."""
+    index = {x: i for i, x in enumerate(G)}
+    edges = [(index[f], j) for j, y in enumerate(G) for f in _faces(y)]
+    return kirchhoff_matrix(len(index), edges)
 
 
 def barycentric_limit_experiment(G: Complex, levels: int, grid_points: int = 2048,

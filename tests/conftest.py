@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import settings
 
@@ -38,4 +40,24 @@ def random_complexes():
     for i in range(60):
         model = sx.RandomModel(n=ns[i % 5], p=ps[i % 3], seed=40_000 + i)
         out.append(sx.erdos_renyi(model))
+    return out
+
+
+@pytest.fixture(scope="session")
+def local_corpus(corpus, random_complexes):
+    """(name, complex) pairs for comparing the star-index queries with
+    whole-complex scans: the corpus, the random Whitney complexes, the first
+    refinements of corpus members with at most 60 simplices, and small
+    non-flag and non-manifold complexes."""
+    out = list(corpus)
+    out += [(f"random{i}", G) for i, G in enumerate(random_complexes)]
+    out += [(f"{name}_1", sx.barycentric(G)) for name, G in corpus if len(G) <= 60]
+    rim = [(0, i) for i in range(1, 5)] + [(i, i % 4 + 1) for i in range(1, 5)]
+    out += [
+        ("boundary_K4", sx.close(itertools.combinations(range(4), 3))),
+        ("triangles_at_vertex", sx.close([(0, 1, 2), (2, 3, 4)])),
+        ("triangle_and_edge", sx.close([(0, 1, 2), (2, 3)])),
+        ("wheel", sx.whitney(5, rim)),
+        ("solid_ball", sx.join(sx.close([(0,)]), sx.cross_polytope(2))),
+    ]
     return out

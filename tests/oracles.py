@@ -16,7 +16,7 @@ from simplexion.cohomology import (
     permutation_sign_on,
     simplex_image,
 )
-from simplexion.core import Complex, parity, wu_characteristic
+from simplexion.core import Complex, close, parity, wu_characteristic
 from simplexion.errors import NumericError
 from simplexion.exact import bareiss_det, echelon
 from simplexion.generators import (
@@ -521,3 +521,65 @@ def random_statistics_oracle(n: int, p: float, trials: int, seed: int,
             "sample": len(wu_vals),
         }
     return out
+
+
+def star_up_scan(G: Complex, x) -> frozenset:
+    """The simplices containing x, by a scan of the whole complex."""
+    if x not in G.simplices:
+        raise KeyError(f"{x} not in complex")
+    return frozenset(y for y in G.simplices if set(x).issubset(y))
+
+
+def comparable_elements_scan(G: Complex, x) -> list:
+    """The simplices y != x comparable to x, by a scan of the whole complex."""
+    if x not in G.simplices:
+        raise KeyError(f"{x} not in complex")
+    sx = set(x)
+    out = [y for y in G.simplices if y != x and (sx.issubset(y) or sx.issuperset(y))]
+    return sorted(out, key=lambda y: (len(y), y))
+
+
+def induced_scan(G: Complex, W) -> Complex:
+    """The simplices inside W, by a scan of the whole complex."""
+    sw = set(W)
+    return Complex((x for x in G.simplices if sw.issuperset(x)), _closed=True)
+
+
+def interaction_pairs_scan(G: Complex) -> list:
+    """The ordered intersecting pairs, by testing all n^2 pairs."""
+    elems = sorted(G.simplices, key=lambda y: (len(y), y))
+    pairs = [(x, y) for x in elems for y in elems if set(x) & set(y)]
+    return sorted(pairs, key=lambda p: (len(p[0]) + len(p[1]), p))
+
+
+def containment_kirchhoff_scan(G: Complex) -> np.ndarray:
+    """Kirchhoff matrix of the containment graph, testing all n^2 pairs."""
+    elems = sorted(G.simplices, key=lambda y: (len(y), y))
+    K = np.zeros((len(elems), len(elems)), dtype=np.int64)
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            if i != j and (set(x) < set(y) or set(y) < set(x)):
+                K[i, j] = -1
+                K[i, i] += 1
+    return K
+
+
+def _unit_sphere_contexts(G: Complex):
+    """(simplex, GraphContext of its unit sphere built as its own complex)."""
+    from simplexion.core import one_skeleton, unit_sphere
+    from simplexion.geometry import GraphContext
+
+    for x in G.simplices:
+        yield x, GraphContext(one_skeleton(unit_sphere(G, x)))
+
+
+def boundary_unit_spheres(G: Complex, d: int) -> Complex:
+    """The simplices whose unit sphere, built afresh, is a (d-1)-ball, closed."""
+    out = [x for x, ctx in _unit_sphere_contexts(G) if ctx.d_ball(ctx.full(), d - 1)]
+    return close(out) if out else Complex()
+
+
+def is_d_complex_with_boundary_unit_spheres(G: Complex, d: int) -> bool:
+    """Every unit sphere, built afresh, is a (d-1)-sphere or a (d-1)-ball."""
+    return all(ctx.d_sphere(ctx.full(), d - 1) or ctx.d_ball(ctx.full(), d - 1)
+               for _, ctx in _unit_sphere_contexts(G))

@@ -17,6 +17,7 @@ from oracles import (
     chain_complex_dense,
     induced_cohomology_reference,
     interaction_derivative_dense,
+    interaction_pairs_scan,
     mckean_singer_full,
     supertraces_full,
 )
@@ -541,3 +542,8 @@ def test_interaction_distinguishes_cylinder_from_mobius():
     assert coh.interaction_cohomology(mob).betti == (0, 0, 0, 0, 0)
     assert coh.interaction_cohomology(sx.barycentric(cyl)).betti == (0, 0, 1, 1, 0)
     assert coh.interaction_cohomology(sx.barycentric(mob)).betti == (0, 0, 0, 0, 0)
+
+
+def test_interaction_pairs_match_scan(local_corpus):
+    for name, G in local_corpus:
+        assert coh.interaction_pairs(G) == interaction_pairs_scan(G), name

@@ -9,13 +9,20 @@ from hypothesis import strategies as st
 from simplexion.core import (
     _faces,
     comparable_elements,
+    one_skeleton,
     order_complex,
     set_euler,
 )
 from simplexion.generators import poly_eval
 from simplexion.rng import SplitMix64
 
-from oracles import facets_bruteforce, wu_characteristic_bruteforce
+from oracles import (
+    comparable_elements_scan,
+    facets_bruteforce,
+    induced_scan,
+    star_up_scan,
+    wu_characteristic_bruteforce,
+)
 
 
 def brute_close(sets):
@@ -285,3 +292,23 @@ def test_inductive_dimension_bounded_by_max_dim(corpus):
         if len(G) > 60:
             continue
         assert sx.inductive_dimension(G) <= G.max_dim()
+
+
+def test_star_index_queries_match_scans(local_corpus):
+    for name, G in local_corpus:
+        for x in G:
+            assert sx.star_up(G, x) == star_up_scan(G, x), (name, x)
+            assert comparable_elements(G, x) == comparable_elements_scan(G, x), (name, x)
+        V = set(G.vertices())
+        adj = one_skeleton(G)
+        outside = max(V) + 1
+        subsets = [V, set(), {outside}] + [adj[v] for v in V] + [V - {v} | {outside} for v in V]
+        for W in subsets:
+            assert sx.induced(G, W) == induced_scan(G, W), (name, W)
+
+
+def test_star_index_queries_reject_missing_simplex():
+    G = sx.cycle(4)
+    for query in (sx.star_up, comparable_elements, sx.link, sx.sphere_euler):
+        with pytest.raises(KeyError):
+            query(G, (0, 2))

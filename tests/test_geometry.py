@@ -1,11 +1,17 @@
+import inspect
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import simplexion as sx
 from simplexion import geometry as geo
+from simplexion.errors import ResourceLimitError
 from simplexion.refinement import refinement_order
 from simplexion.rng import SplitMix64
+
+from oracles import boundary_unit_spheres, is_d_complex_with_boundary_unit_spheres
 
 
 def wheel(rim=4):
@@ -224,6 +230,58 @@ def test_boundary_formula_3_ball():
 def test_boundary_of_closed_complex_empty():
     assert geo.boundary(sx.cross_polytope(2), 2).is_empty
     assert geo.boundary(sx.cycle(5), 1).is_empty
+
+
+def test_boundary_matches_unit_sphere_oracle(local_corpus):
+    for name, G in local_corpus:
+        for d in {G.max_dim(), G.max_dim() - 1}:
+            want = is_d_complex_with_boundary_unit_spheres(G, d)
+            assert geo.is_d_complex_with_boundary(G, d) == want, (name, d)
+            assert geo.boundary(G, d) == boundary_unit_spheres(G, d), (name, d)
+
+
+def test_boundary_queries_share_one_context(monkeypatch):
+    builds = Counter()
+    memo = sx.Complex.memo
+
+    def counting_memo(self, key, build):
+        return memo(self, key, lambda: builds.update([key]) or build())
+
+    monkeypatch.setattr(sx.Complex, "memo", counting_memo)
+    B = solid_ball_3d()
+    assert geo.is_d_complex_with_boundary(B, 3)
+    assert geo.boundary(B, 3).f_vector() == (6, 12, 8)
+    assert sum(geo.curvature_vector(B).values()) == 1  # reads every vertex star
+    assert builds["containment_context"] == builds["containment"] == 1
+    assert builds["vertex_stars"] == 1
+
+
+def test_boundary_guards_recursion_once_per_call(monkeypatch):
+    calls = []
+    guarded = geo._guarded
+    monkeypatch.setattr(geo, "_guarded", lambda fn, *a: calls.append(fn) or guarded(fn, *a))
+    B = solid_ball_3d()
+    assert geo.is_d_complex_with_boundary(B, 3)
+    geo.boundary(B, 3)
+    assert len(calls) == 2
+
+
+def test_boundary_recursion_error_is_resource_limit(monkeypatch):
+    B = sx.barycentric(solid_ball_3d())  # its queries nest about 90 frames deep
+    low = len(inspect.stack(0)) + 40
+    monkeypatch.setattr(geo, "_RECURSION_HEADROOM", low)  # the guard keeps the low limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(low)
+    try:
+        with pytest.raises(ResourceLimitError):
+            geo.boundary(B, 3)
+        with pytest.raises(ResourceLimitError):
+            geo.is_d_complex_with_boundary(B, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    # the memoed tables kept no answer from the cut-short queries
+    assert geo.is_d_complex_with_boundary(B, 3)
+    assert geo.boundary(B, 3).f_vector() == (26, 72, 48)
 
 
 def test_closed_d_complex_wu_equals_chi():

@@ -9,7 +9,7 @@ from simplexion import connection as conn
 from simplexion import spectral as spec
 from simplexion.rng import SplitMix64
 
-from oracles import jacobi_eigenvalues
+from oracles import containment_kirchhoff_scan, jacobi_eigenvalues
 
 
 def test_eig_symmetric_diag():
@@ -193,3 +193,9 @@ def test_lax_flow_moves_d():
     D0 = coh.dirac(G).astype(complex)
     res = spec.lax_flow(G, gamma=0.0, t_end=0.5, dt=1e-3)
     assert np.abs(res["final"] - D0).max() > 1e-3
+
+
+def test_refinement_graph_kirchhoff_matches_scan(local_corpus):
+    for name, G in local_corpus:
+        K = spec.refinement_graph_kirchhoff(G)
+        assert np.array_equal(K, containment_kirchhoff_scan(G)), name
