@@ -37,6 +37,7 @@ complex (see `core`) for as long as it lives.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -483,6 +484,15 @@ def interaction_pairs(G: Complex) -> list:
     return sorted(pairs, key=lambda p: (len(p[0]) + len(p[1]), p))
 
 
+def interaction_pair_count(G: Complex) -> int:
+    """len(interaction_pairs(G)) without listing them: by inclusion-exclusion
+    over the common face, the sum over s of (-1)^dim(s) U(s)^2, with U(s) the
+    number of simplices containing s."""
+    U = Counter(s for z in G.simplices for k in range(1, len(z) + 1)
+                for s in itertools.combinations(z, k))
+    return sum(parity(s) * u * u for s, u in U.items())
+
+
 def _pair_faces(pair) -> list:
     """(face, sign) terms of the pair derivative df(x,y) = f(dx, y) +
     (-1)^dim(x) f(x, dy), terms whose face no longer meets the partner
@@ -496,11 +506,10 @@ def _pair_faces(pair) -> list:
 def interaction_derivative(G: Complex, pair_cap: int = DEFAULT_PAIR_CAP) -> ChainComplexData:
     """The pairs per degree and the entries of the pair derivative, terms
     from `_pair_faces`.  dd = 0 is verified."""
+    n = interaction_pair_count(G)
+    if n > pair_cap:
+        raise ResourceLimitError(f"{n} interacting pairs exceed cap {pair_cap}")
     pairs = interaction_pairs(G)
-    if len(pairs) > pair_cap:
-        raise ResourceLimitError(
-            f"{len(pairs)} interacting pairs exceed cap {pair_cap}"
-        )
     top = max((len(x) + len(y) - 2 for x, y in pairs), default=-1)
     bases = [[] for _ in range(top + 1)]
     for p in pairs:

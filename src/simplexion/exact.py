@@ -295,18 +295,6 @@ def unimodular_factor(M) -> tuple:
     return signs, e.signs[-1] * abs(d), e.matrix[:, n:] * d if d in (1, -1) else None
 
 
-def integer_inverse(M) -> np.ndarray:
-    """Exact inverse of an integer matrix of determinant +-1, which is
-    integral, from `unimodular_factor`.  Raises ZeroDivisionError when M is
-    singular and InvariantViolation for any other determinant."""
-    _, det, inverse = unimodular_factor(M)
-    if inverse is None:
-        if det == 0:
-            raise ZeroDivisionError("matrix is singular")
-        raise InvariantViolation("inverse is not integral", witness={"det": det})
-    return inverse
-
-
 FILL_LIMIT = 4  # rank_exact hands over past this many times the input's nonzeros
 
 

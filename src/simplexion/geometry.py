@@ -16,7 +16,6 @@ GraphContext on that graph is memoed per complex, so every simplex and both
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import comb
 
@@ -30,11 +29,8 @@ from .core import (
     one_skeleton,
     order_complex,
 )
-from .errors import ResourceLimitError
 from .refinement import refinement_order
 from .rng import SplitMix64
-
-_RECURSION_HEADROOM = 100_000
 
 
 # -- vertex functions ---------------------------------------------------------
@@ -200,7 +196,9 @@ class GraphContext:
     Subgraphs are identified by frozensets of vertices; all the recursive
     Evako-style definitions (contractible, d-sphere, d-ball, d-graph) share
     one memo table per ambient graph.  The tables hold finished answers only,
-    so a query cut short by a RecursionError leaves none behind.
+    so a query cut short by an exception leaves none behind.  Queries recurse
+    only into vertex spheres, each strictly inside its vertex's neighbourhood,
+    so calls nest at most clique number (dimension plus one) deep.
     """
 
     def __init__(self, adj: dict):
@@ -217,23 +215,34 @@ class GraphContext:
 
     def contractible(self, sub: frozenset) -> bool:
         """There is a vertex whose sphere and whose removal are both
-        contractible; single points are contractible, the empty graph is not."""
-        if len(sub) == 1:
-            return True
-        if not sub:
-            return False
+        contractible; single points are contractible, the empty graph is not.
+        The removals are searched depth first on an explicit stack of (set,
+        iterator over its sorted vertices) frames; only the sphere query
+        recurses.  A remainder that succeeds settles every frame True, and a
+        frame that runs out of vertices is settled False."""
+        if len(sub) <= 1:
+            return bool(sub)
         got = self._contract.get(sub)
         if got is not None:
             return got
-        result = False  # every recursive call is on a strictly smaller set
-        for v in sorted(sub):
-            if self.contractible(self.adj[v] & sub) and self.contractible(
-                sub - {v}
-            ):
-                result = True
-                break
-        self._contract[sub] = result
-        return result
+        stack = [(sub, iter(sorted(sub)))]
+        while stack:
+            s, verts = stack[-1]
+            for v in verts:
+                if self.contractible(self.adj[v] & s):
+                    rest = s - {v}
+                    got = len(rest) == 1 or self._contract.get(rest)
+                    if got:
+                        for t, _ in stack:
+                            self._contract[t] = True
+                        return True
+                    if got is None:
+                        stack.append((rest, iter(sorted(rest))))
+                        break
+            else:
+                self._contract[s] = False
+                stack.pop()
+        return False
 
     def removal_order(self, sub: frozenset) -> list | None:
         """A sequence of homotopy steps reducing sub to one vertex: each
@@ -332,18 +341,6 @@ def clique_complex(G: Complex) -> Complex:
     return G if H is None else H
 
 
-def _guarded(fn, *args):
-    limit = sys.getrecursionlimit()
-    if limit < _RECURSION_HEADROOM:
-        sys.setrecursionlimit(_RECURSION_HEADROOM)
-    try:
-        return fn(*args)
-    except RecursionError as exc:
-        raise ResourceLimitError("homotopy recursion exceeded depth") from exc
-    finally:
-        sys.setrecursionlimit(limit)
-
-
 def is_contractible(G: Complex) -> bool:
     """Recursive contractibility (collapsibility in the unit-sphere sense).
     A False answer means no reduction sequence was found by the full
@@ -353,14 +350,14 @@ def is_contractible(G: Complex) -> bool:
         return False
     H = clique_complex(G)
     ctx = _graph_context(H)
-    return _guarded(ctx.contractible, ctx.full())
+    return ctx.contractible(ctx.full())
 
 
 def is_d_graph(G: Complex, d: int) -> bool:
     """Every vertex sphere is a (d-1)-sphere (discrete d-manifold)."""
     H = clique_complex(G)
     ctx = _graph_context(H)
-    return _guarded(ctx.d_graph, ctx.full(), d)
+    return ctx.d_graph(ctx.full(), d)
 
 
 def is_d_sphere(G: Complex, d: int) -> bool:
@@ -368,7 +365,7 @@ def is_d_sphere(G: Complex, d: int) -> bool:
         return d == -1
     H = clique_complex(G)
     ctx = _graph_context(H)
-    return _guarded(ctx.d_sphere, ctx.full(), d)
+    return ctx.d_sphere(ctx.full(), d)
 
 
 def is_d_ball(G: Complex, d: int) -> bool:
@@ -376,7 +373,7 @@ def is_d_ball(G: Complex, d: int) -> bool:
         return False
     H = clique_complex(G)
     ctx = _graph_context(H)
-    return _guarded(ctx.d_ball, ctx.full(), d)
+    return ctx.d_ball(ctx.full(), d)
 
 
 def boundary(G: Complex, d: int) -> Complex:
@@ -384,16 +381,15 @@ def boundary(G: Complex, d: int) -> Complex:
     simplices whose unit sphere (in the containment graph) is a (d-1)-ball.
     The boundary of a boundary is empty."""
     ctx = _containment_context(G)
-    out = _guarded(lambda: [x for x in G.simplices if ctx.d_ball(ctx.adj[x], d - 1)])
+    out = [x for x in G.simplices if ctx.d_ball(ctx.adj[x], d - 1)]
     return close(out) if out else Complex()
 
 
 def is_d_complex_with_boundary(G: Complex, d: int) -> bool:
     """Every unit sphere is a (d-1)-sphere or a (d-1)-ball."""
     ctx = _containment_context(G)
-    return _guarded(lambda: all(ctx.d_sphere(ctx.adj[x], d - 1)
-                                or ctx.d_ball(ctx.adj[x], d - 1)
-                                for x in G.simplices))
+    return all(ctx.d_sphere(ctx.adj[x], d - 1) or ctx.d_ball(ctx.adj[x], d - 1)
+               for x in G.simplices)
 
 
 # -- Morse theory -------------------------------------------------------------
@@ -414,11 +410,11 @@ def morse_analysis(G: Complex, f: dict) -> dict:
     failing = None
     for v in sorted(adj):
         low = _lower_set(adj, f, v)
-        if _guarded(ctx.contractible, low):
+        if ctx.contractible(low):
             continue
         sm = induced(G, low)
         dlow = sm.max_dim() if not sm.is_empty else -1
-        if _guarded(ctx.d_sphere, low, dlow):
+        if ctx.d_sphere(low, dlow):
             indices[v] = 1 + dlow
         else:
             failing = v
@@ -462,7 +458,7 @@ def critical_points(G: Complex, f: dict) -> list:
     out = []
     for v in sorted(adj):
         low = _lower_set(adj, f, v)
-        if not _guarded(ctx.contractible, low):
+        if not ctx.contractible(low):
             out.append(v)
     return out
 

@@ -1,14 +1,11 @@
 """JSON formats: complexes (facet lists, closure implied), vertex functions,
-exact matrices (decimal-string entries), and canonical dumping so identical
-inputs produce byte-identical files.
+and canonical dumping so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
 import math
-
-import numpy as np
 
 from .core import Complex, close
 from .errors import ResourceLimitError
@@ -60,19 +57,6 @@ def function_from_dict(d: dict) -> dict:
         if type(v) is not int and not (type(v) is float and math.isfinite(v)):
             raise ValueError(f"function value {v!r} at {k}: must be a finite number")
     return {int(k): v for k, v in values.items()}
-
-
-def matrix_to_dict(M) -> dict:
-    A = np.asarray(M)
-    return {
-        "rows": int(A.shape[0]),
-        "cols": int(A.shape[1]) if A.ndim > 1 else 1,
-        "entries": [[str(int(v)) for v in row] for row in A],
-    }
-
-
-def matrix_from_dict(d: dict) -> list:
-    return [[int(v) for v in row] for row in d["entries"]]
 
 
 def dumps_canonical(obj) -> str:

@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Complex, _faces, _sort_key, order_complex
+from .core import Complex, _faces, order_complex
 from .errors import ResourceLimitError
 from .exact import solver
 
@@ -41,8 +41,9 @@ def check_cap(what: str, predicted: int, cap: int | None) -> None:
 
 
 def refinement_order(G: Complex) -> list:
-    """The canonical vertex order of G_1: simplices by dimension, then lex."""
-    return sorted(G.simplices, key=_sort_key)
+    """The canonical vertex order of G_1: simplices by dimension, then lex.
+    A fresh copy of the order G memoes for its iteration."""
+    return list(G)
 
 
 @lru_cache(maxsize=32)

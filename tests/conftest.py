@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import settings
@@ -8,6 +9,14 @@ import simplexion as sx
 # every run draws the same examples, so a property failure reproduces
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(autouse=True)
+def recursion_limit_unchanged():
+    """No call may leave the process-global recursion limit changed."""
+    limit = sys.getrecursionlimit()
+    yield
+    assert sys.getrecursionlimit() == limit
 
 
 def named_corpus():

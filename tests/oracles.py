@@ -4,6 +4,7 @@ fast routines are checked against."""
 import contextlib
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from simplexion.generators import (
     expected_euler,
     poly_eval,
 )
+from simplexion.geometry import GraphContext
 from simplexion.rng import SplitMix64
 
 
@@ -564,13 +566,48 @@ def containment_kirchhoff_scan(G: Complex) -> np.ndarray:
     return K
 
 
+class RecursiveGraphContext(GraphContext):
+    """GraphContext whose removal search recurses once per vertex it removes,
+    so a chain of n removals is n frames deep; the same answers and tables as
+    the explicit-stack search."""
+
+    def contractible(self, sub: frozenset) -> bool:
+        if len(sub) == 1:
+            return True
+        if not sub:
+            return False
+        got = self._contract.get(sub)
+        if got is not None:
+            return got
+        result = False  # every recursive call is on a strictly smaller set
+        for v in sorted(sub):
+            if self.contractible(self.adj[v] & sub) and self.contractible(
+                sub - {v}
+            ):
+                result = True
+                break
+        self._contract[sub] = result
+        return result
+
+
+@contextlib.contextmanager
+def deep_recursion(limit: int = 20_000):
+    """Room for `RecursiveGraphContext`, one frame per removed vertex."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(saved, limit))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
 def _unit_sphere_contexts(G: Complex):
-    """(simplex, GraphContext of its unit sphere built as its own complex)."""
+    """(simplex, recursive GraphContext of its unit sphere built as its own
+    complex)."""
     from simplexion.core import one_skeleton, unit_sphere
-    from simplexion.geometry import GraphContext
 
     for x in G.simplices:
-        yield x, GraphContext(one_skeleton(unit_sphere(G, x)))
+        yield x, RecursiveGraphContext(one_skeleton(unit_sphere(G, x)))
 
 
 def boundary_unit_spheres(G: Complex, d: int) -> Complex:

@@ -11,8 +11,6 @@ from simplexion.jsonio import (
     complex_to_dict,
     dumps_canonical,
     load_complex,
-    matrix_from_dict,
-    matrix_to_dict,
     write_canonical,
 )
 
@@ -28,11 +26,6 @@ def test_complex_json_roundtrip():
     assert len(d["facets"]) == 8
     assert complex_from_dict(d) == G
     assert complex_from_dict({"facets": []}).is_empty
-
-
-def test_matrix_json_roundtrip():
-    M = [[1, -2], [3, 10 ** 30]]
-    assert matrix_from_dict(matrix_to_dict(M)) == M
 
 
 def test_generate_and_analyze(tmp_path):

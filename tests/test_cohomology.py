@@ -546,4 +546,17 @@ def test_interaction_distinguishes_cylinder_from_mobius():
 
 def test_interaction_pairs_match_scan(local_corpus):
     for name, G in local_corpus:
-        assert coh.interaction_pairs(G) == interaction_pairs_scan(G), name
+        pairs = interaction_pairs_scan(G)
+        assert coh.interaction_pairs(G) == pairs, name
+        assert coh.interaction_pair_count(G) == len(pairs), name
+
+
+def test_pair_cap_checked_before_listing(monkeypatch):
+    def unlisted(G):
+        raise AssertionError("pairs listed before the cap was checked")
+
+    monkeypatch.setattr(coh, "interaction_pairs", unlisted)
+    G = sx.icosahedron()
+    with pytest.raises(sx.ResourceLimitError) as err:
+        coh.interaction_cohomology(G, pair_cap=100)
+    assert str(err.value) == f"{len(interaction_pairs_scan(G))} interacting pairs exceed cap 100"

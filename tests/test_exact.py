@@ -8,9 +8,9 @@ from simplexion.exact import (
     descartes_positive_roots,
     inertia_exact,
     inertia_from_charpoly,
-    integer_inverse,
     leading_minor_signs,
     rank_exact,
+    unimodular_factor,
 )
 from simplexion.rng import SplitMix64
 
@@ -115,14 +115,16 @@ def test_inertia_methods_agree():
 
 def test_integer_inverse_unimodular():
     M = np.array([[1, 2], [1, 3]], dtype=np.int64)  # det 1, unit leading minors
-    inv = integer_inverse(M)
+    _, det, inv = unimodular_factor(M)
+    assert det == 1
     assert np.array_equal(M @ inv, np.eye(2, dtype=np.int64))
 
 
 def test_integer_inverse_general_pivot():
     # leading pivot -2: the general fraction-free path, still integral
     M = np.array([[-2, 1], [1, -1]], dtype=np.int64)  # det 1
-    inv = integer_inverse(M)
+    _, det, inv = unimodular_factor(M)
+    assert det == 1
     assert np.array_equal(M @ inv, np.eye(2, dtype=np.int64))
 
 
@@ -186,7 +188,6 @@ from fractions import Fraction  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from simplexion.errors import InvariantViolation  # noqa: E402
 from simplexion.exact import kernel_basis, solver  # noqa: E402
 
 PROPS = settings(max_examples=150, deadline=None)
@@ -268,12 +269,13 @@ def test_prop_inverses(M):
         return
     assert np.array_equal(A @ np.array(fraction_inverse(M), dtype=object), eye)
     if max(abs(v) for row in M for v in row) >= 2 ** 31:
-        return  # integer_inverse takes int64 input
+        return  # unimodular_factor takes int64 input
+    _, got, inverse = unimodular_factor(M)
+    assert got == det
     if abs(det) == 1:
-        assert np.array_equal(A @ integer_inverse(M).astype(object), eye)
+        assert np.array_equal(A @ inverse.astype(object), eye)
     else:
-        with pytest.raises(InvariantViolation):
-            integer_inverse(M)
+        assert inverse is None
 
 
 @PROPS
@@ -288,7 +290,7 @@ def test_prop_unit_minor_inverse(n, data):
     U = np.array([[data.draw(unit) if i == j else data.draw(small) if j > i else 0
                    for j in range(n)] for i in range(n)])
     M = L @ U
-    assert np.array_equal(M @ integer_inverse(M), np.eye(n, dtype=np.int64))
+    assert np.array_equal(M @ unimodular_factor(M)[2], np.eye(n, dtype=np.int64))
     assert all(s in (1, -1) for s in leading_minor_signs(M))
 
 
@@ -470,7 +472,7 @@ def _reference(M):
         except ZeroDivisionError:
             signs = None
         det = bareiss_det(M)
-        inverse = integer_inverse(M) if det in (1, -1) else None
+        inverse = unimodular_factor(M)[2]
     return signs, det, inverse
 
 
@@ -487,9 +489,6 @@ def _assert_matches_echelon(M, tier_applies=None):
     else:
         assert leading_minor_signs(M) == signs
     assert bareiss_det(M) == det
-    if inverse is not None:
-        got = integer_inverse(M)
-        assert np.array_equal(got.astype(object), inverse.astype(object))
     if tier_applies:
         assert exact._schur(M, False)[:2] == (signs, det)
     factor = exact.unimodular_factor(M)
@@ -604,7 +603,7 @@ def test_leading_minor_signs_zero_minor_above_leaf(at):
     with pytest.raises(ZeroDivisionError, match=f"order {at + 1}"):
         leading_minor_signs(M)
     assert bareiss_det(M) == -1
-    assert np.array_equal(M @ integer_inverse(M), np.eye(n, dtype=np.int64))
+    assert np.array_equal(M @ unimodular_factor(M)[2], np.eye(n, dtype=np.int64))
     _assert_matches_echelon(M, tier_applies=False)
 
 

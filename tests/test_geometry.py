@@ -7,11 +7,15 @@ import pytest
 
 import simplexion as sx
 from simplexion import geometry as geo
-from simplexion.errors import ResourceLimitError
 from simplexion.refinement import refinement_order
 from simplexion.rng import SplitMix64
 
-from oracles import boundary_unit_spheres, is_d_complex_with_boundary_unit_spheres
+from oracles import (
+    RecursiveGraphContext,
+    boundary_unit_spheres,
+    deep_recursion,
+    is_d_complex_with_boundary_unit_spheres,
+)
 
 
 def wheel(rim=4):
@@ -256,30 +260,83 @@ def test_boundary_queries_share_one_context(monkeypatch):
     assert builds["vertex_stars"] == 1
 
 
-def test_boundary_guards_recursion_once_per_call(monkeypatch):
-    calls = []
-    guarded = geo._guarded
-    monkeypatch.setattr(geo, "_guarded", lambda fn, *a: calls.append(fn) or guarded(fn, *a))
-    B = solid_ball_3d()
-    assert geo.is_d_complex_with_boundary(B, 3)
-    geo.boundary(B, 3)
-    assert len(calls) == 2
+def _homotopy_queries(ctx, d, whole_contractible=True):
+    """Every homotopy query on the whole graph at dimensions d - 1 and d, and
+    the boundary operators' queries on each vertex sphere at d - 1."""
+    full = ctx.full()
+    whole = [(ctx.d_graph(full, e), ctx.d_sphere(full, e), ctx.d_ball(full, e))
+             for e in (d - 1, d)]
+    if whole_contractible:
+        whole.append(ctx.contractible(full))
+    return whole + [(ctx.d_sphere(s, d - 1), ctx.d_ball(s, d - 1)) for s in ctx.adj.values()]
 
 
-def test_boundary_recursion_error_is_resource_limit(monkeypatch):
-    B = sx.barycentric(solid_ball_3d())  # its queries nest about 90 frames deep
-    low = len(inspect.stack(0)) + 40
-    monkeypatch.setattr(geo, "_RECURSION_HEADROOM", low)  # the guard keeps the low limit
+def test_homotopy_search_matches_recursive_oracle(local_corpus):
+    from simplexion.core import _containment_graph, one_skeleton
+
+    for name, G in local_corpus:
+        d = G.max_dim()
+        # chi != 1 rules contractibility out, and on a containment graph the
+        # search that proves it can be exponential (1.25 M subsets, 45 s, on
+        # random19's 26 vertices), so it is asked there only when chi = 1
+        asked = (True, G.euler_characteristic() == 1)
+        for adj, whole in zip((one_skeleton(G), _containment_graph(G)), asked):
+            ctx, ref = geo.GraphContext(adj), RecursiveGraphContext(adj)
+            with deep_recursion():
+                want = _homotopy_queries(ref, d, whole)
+            assert _homotopy_queries(ctx, d, whole) == want, name
+            assert ctx._contract == ref._contract, name
+            assert ctx._sphere == ref._sphere, name
+            assert ctx._ball == ref._ball, name
+
+
+@pytest.fixture
+def shallow_stack():
+    """A recursion limit 60 frames above the test's own depth."""
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(low)
-    try:
-        with pytest.raises(ResourceLimitError):
-            geo.boundary(B, 3)
-        with pytest.raises(ResourceLimitError):
-            geo.is_d_complex_with_boundary(B, 3)
-    finally:
-        sys.setrecursionlimit(limit)
-    # the memoed tables kept no answer from the cut-short queries
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def test_deep_queries_fit_a_shallow_stack(shallow_stack):
+    from simplexion.core import one_skeleton
+
+    ctx = geo.GraphContext(one_skeleton(sx.path(3000)))  # 2999 removals in a row
+    assert ctx.contractible(ctx.full())
+    B = sx.barycentric(solid_ball_3d())
+    assert geo.is_d_complex_with_boundary(B, 3)
+    assert geo.boundary(B, 3).f_vector() == (26, 72, 48)
+    assert geo.is_d_sphere(sx.barycentric(sx.barycentric(sx.icosahedron())), 2)
+
+
+@pytest.mark.parametrize("cut", [1, 10, 100, 1000])
+def test_cut_short_search_leaves_only_finished_answers(monkeypatch, cut):
+    B = sx.barycentric(solid_ball_3d())
+    ctx = geo._containment_context(B)
+    search = geo.GraphContext.contractible
+    depth = calls = 0
+
+    def failing(self, sub):
+        nonlocal depth, calls
+        if depth:  # a sphere query made by a running search
+            calls += 1
+            if calls == cut:
+                raise RuntimeError("cut short")
+        depth += 1
+        try:
+            return search(self, sub)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(geo.GraphContext, "contractible", failing)
+    with pytest.raises(RuntimeError, match="cut short"):
+        geo.boundary(B, 3)
+    monkeypatch.undo()
+    ref = RecursiveGraphContext(ctx.adj)
+    assert all(ref.contractible(s) == v for s, v in ctx._contract.items())
+    assert all(ref.d_sphere(*k) == v for k, v in ctx._sphere.items())
+    assert all(ref.d_ball(*k) == v for k, v in ctx._ball.items())
     assert geo.is_d_complex_with_boundary(B, 3)
     assert geo.boundary(B, 3).f_vector() == (26, 72, 48)
 
