@@ -431,10 +431,7 @@ def _chk_zeta_symmetry(G, args):
 
 
 def _chk_trees(G, args):
-    verts = G.vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [(index[x[0]], index[x[1]]) for x in G.simplices if len(x) == 2]
-    n = len(verts)
+    n, edges = spec_mod.skeleton_edges(G)
     got = spec_mod.tree_forest_numbers(n, edges)
     if n > 7:
         return "skipped:size", {"computed": got}
@@ -494,6 +491,8 @@ CHECKS = {
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     G = load_complex(args.input)
     suites = ALL_SUITES if args.suite == "all" else [
         s.strip() for s in args.suite.split(",") if s.strip()
@@ -509,7 +508,7 @@ def cmd_verify(args) -> int:
         try:
             res, witness = CHECKS[name](G, args)
         except ResourceLimitError as exc:
-            res, witness = f"skipped:resource-cap", {"reason": str(exc)}
+            res, witness = "skipped:resource-cap", {"reason": str(exc)}
         except NumericError as exc:
             res, witness = False, {"numeric_error": str(exc)}
         elapsed = time.monotonic() - t0
@@ -557,6 +556,8 @@ def _plain(obj):
 
 
 def cmd_spectra(args) -> int:
+    if args.limit_levels < 0:
+        raise ValueError("--limit-levels must be >= 0")
     G = load_complex(args.input)
     if args.operator == "connection":
         vals = spec_mod.connection_eigenvalues(G)

@@ -12,10 +12,11 @@ from their bases and a callback giving the signed faces of a basis element.
 Each d_k is stored once as its nonzero entries, a read-only int64 array of
 rows (row, column, sign) in row order, and d_{k+1} d_k = 0 is checked on the
 entries themselves: every product of an entry of d_{k+1} with one of d_k is
-formed and summed per position, with no dense product.  Every Betti number, ordinary or quadratic, comes from `exact.rank_exact` on
-these entries, a sparse elimination on unit pivots that hands what it leaves
-to `exact.echelon`, the fraction-free elimination kernel (int64 under a
-proved bound, Python big integers beyond).  The ranks are taken from the top
+formed and summed per position, with no dense product.  Every Betti number,
+ordinary or quadratic, comes from `exact.rank_exact` on these entries, a
+sparse elimination on unit pivots that hands what it leaves to
+`exact.echelon`, the fraction-free elimination kernel (int64 under a proved
+bound, Python big integers beyond).  The ranks are taken from the top
 degree down with clearing: for the pivot columns X of d_k, which are
 independent, d_k d_{k-1} = 0 gives d_{k-1}[X, :] = -L d_k[:, X'] d_{k-1}[X', :]
 (X' the other columns, L a left inverse of d_k[:, X]), so the rows X of
@@ -47,6 +48,7 @@ from .core import Complex, _vertex_stars, parity
 from .errors import InvariantViolation, ResourceLimitError
 from .exact import echelon, kernel_basis, matmul, rank_exact, solver
 from .generators import poly_mul, product_cells, ring_product_complex
+from .refinement import _meets
 
 DEFAULT_PAIR_CAP = 4500
 
@@ -374,14 +376,9 @@ def _grade_sign_matrix(bases: list) -> np.ndarray:
 def product_connection_matrix(A: Complex, B: Complex) -> np.ndarray:
     """Connection matrix of the product cells, built from the geometry:
     (x,y) and (x',y') intersect iff both coordinates intersect."""
-    cells = [(set(x), set(y)) for x, y in product_cells(A, B)]
-    n = len(cells)
-    out = np.zeros((n, n), dtype=np.int64)
-    for i, (sx, sy) in enumerate(cells):
-        for j, (su, sv) in enumerate(cells):
-            if sx & su and sy & sv:
-                out[i, j] = 1
-    return out
+    cells = product_cells(A, B)
+    xs, ys = [x for x, _ in cells], [y for _, y in cells]
+    return (_meets(xs) & _meets(ys)).astype(np.int64)
 
 
 def kuenneth_check(A: Complex, B: Complex, tol: float = 1e-6,

@@ -10,8 +10,8 @@ all leading minors are +-1, so every leading block has an integral inverse
 and the exact determinant, minor signs and inverse need no pivoting.
 
 L and its factorization are memoed on the complex (see `core`) for as long
-as it lives: one elimination of L (`exact.unimodular_factor`) gives det L,
-its leading-minor signs and g = L^-1, certified once by L g = I, and every
+as it lives: one elimination of L (`exact.factor`) gives det L, its
+leading-minor signs and g = L^-1, certified once by L g = I, and every
 theorem below reads it.  Both arrays are read-only.  The size cap is checked
 on every call, before the memo is read.
 
@@ -30,15 +30,8 @@ import numpy as np
 from .cohomology import dirac
 from .core import Complex, parity, set_euler, sphere_euler, star_up, up_star_weights
 from .errors import InvariantViolation, ResourceLimitError
-from .exact import (
-    bareiss_det,
-    charpoly,
-    inertia_exact,
-    jacobi_inertia,
-    matmul,
-    unimodular_factor,
-)
-from .refinement import refinement_order, stirling_apply, stirling_matrix
+from .exact import charpoly, factor, inertia_from_charpoly, jacobi_inertia, matmul
+from .refinement import _meets, refinement_order, stirling_apply, stirling_matrix
 
 DEFAULT_EXACT_CAP = 3000
 
@@ -59,13 +52,7 @@ def connection_matrix(G: Complex, dual: bool = False, cap: int = DEFAULT_EXACT_C
 
 
 def _build_connection(G: Complex) -> np.ndarray:
-    elems = refinement_order(G)
-    verts = {v: i for i, v in enumerate(G.vertices())}
-    B = np.zeros((len(elems), len(verts)), dtype=np.int64)
-    for i, x in enumerate(elems):
-        for v in x:
-            B[i, verts[v]] = 1
-    L = (matmul(B, B.T) > 0).astype(np.int64)
+    L = _meets(refinement_order(G)).astype(np.int64)
     L.setflags(write=False)
     return L
 
@@ -78,7 +65,7 @@ def _factor(G: Complex, cap: int = DEFAULT_EXACT_CAP) -> tuple:
 
 
 def _certified_factor(L: np.ndarray) -> tuple:
-    signs, det, g = unimodular_factor(L)
+    signs, det, g = factor(L, inverse=True)
     if g is not None:
         if not np.array_equal(matmul(L, g), np.eye(len(g), dtype=g.dtype)):
             raise InvariantViolation("L * g != I", witness={"n": len(g)})
@@ -140,17 +127,11 @@ def green_star_matrix(G: Complex) -> np.ndarray:
 def wu_intersection_matrix(G: Complex) -> np.ndarray:
     """M(x,y) = parity(x) parity(y) chi(W-(x) n W-(y)); its total sum is the
     Wu characteristic (the down-star analogue of the Green star formula)."""
+    # W-(x) n W-(y) = nonempty subsets of x n y, whose parity sum is 1
+    # whenever the common face is nonempty
     elems = refinement_order(G)
-    n = len(elems)
-    M = np.zeros((n, n), dtype=np.int64)
-    sets = [set(x) for x in elems]
-    for i in range(n):
-        for j in range(n):
-            if sets[i] & sets[j]:
-                # W-(x) n W-(y) = nonempty subsets of x n y, whose parity
-                # sum is 1 whenever the common face is nonempty
-                M[i, j] = parity(elems[i]) * parity(elems[j])
-    return M
+    p = np.array([parity(x) for x in elems], dtype=np.int64)
+    return np.outer(p, p) * _meets(elems)
 
 
 def inertia_of_connection(G: Complex) -> tuple:
@@ -158,7 +139,7 @@ def inertia_of_connection(G: Complex) -> tuple:
     the leading-minor signs of the memoed factorization."""
     signs = _factor(G)[0]
     if signs is None:
-        return inertia_exact(connection_matrix(G))
+        return inertia_from_charpoly(charpoly(connection_matrix(G)))
     return jacobi_inertia(signs)
 
 
@@ -198,7 +179,7 @@ def dual_product_check(G: Complex, charpoly_cap: int = 300) -> dict:
         d = connection_det(G) ** 2 * (-1) ** n * cp[n]
         charpoly_ok = cp == _charpoly_one_heavy(n, 1 - chi)
     else:
-        d, charpoly_ok = bareiss_det(-matmul(L, 1 - L)), None
+        d, charpoly_ok = factor(-matmul(L, 1 - L))[1], None
     return {"det": d, "det_ok": d == 1 - chi, "charpoly_ok": charpoly_ok}
 
 

@@ -25,8 +25,8 @@ Square matrices above SCHUR_LEAF rows whose leading blocks are unimodular,
 as connection matrices in canonical order are, get their determinant,
 leading-minor signs and inverse from a Schur-complement recursion whose
 products all go through `matmul`; any other matrix, and any block where the
-recursion's conditions fail, goes to `echelon`.  `unimodular_factor` gets
-all three from one such pass.
+recursion's conditions fail, goes to `echelon`.  `factor` is the one entry
+point for all three: it picks the tier and reads the pivots.
 
 Beside these sit eigenvalue sign counts and the characteristic polynomial:
 Hessenberg reduction mod primes below 2^31 in int64, and the Chinese
@@ -224,75 +224,31 @@ def _schur(M: np.ndarray, inverse: bool) -> tuple:
     return signs, da * ds, np.block([[upper, -_mul(AiB, Si)], [lower, Si]])
 
 
-def _unit_schur(M, inverse: bool):
-    """`_schur` of M when M is a square non-object matrix above SCHUR_LEAF
-    rows and the recursion applies, else None."""
+def factor(M, inverse: bool = False) -> tuple:
+    """(leading-minor signs, det, M^-1) of a square integer matrix from one
+    elimination.  A square non-object matrix above SCHUR_LEAF rows goes to
+    the unit-pivot Schur tier; any other matrix, and any the tier declines,
+    gets one `echelon` pass, a fraction-free Gauss-Jordan on [M | I] when
+    inverse is set.  signs is None when a leading principal minor is zero (a
+    row exchange or a rank deficit); det is a Python int; the inverse is
+    None unless inverse is set and det = +-1, the only case in which it is
+    integral."""
     A = np.asarray(M)
-    if A.dtype == object or A.ndim != 2 or not SCHUR_LEAF < A.shape[0] == A.shape[1]:
-        return None
-    try:
-        return _schur(A.astype(np.int64, copy=False), inverse)
-    except _NoUnitPivots:
-        return None
-
-
-def bareiss_det(M) -> int:
-    """Exact determinant: the unit-pivot Schur tier when it applies, else
-    fraction-free elimination with row pivoting."""
-    A = np.array(M)
-    n, m = A.shape
-    if n != m:
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    fast = _unit_schur(A, False)
-    if fast:
-        return fast[1]
-    e = echelon(A)
-    if len(e.pivots) < n:
-        return 0
-    return e.signs[-1] * abs(int(e.matrix[n - 1, n - 1]))
-
-
-def leading_minor_signs(M) -> list:
-    """Signs of the leading principal minors Delta_1..Delta_n, computed from
-    the unit-pivot Schur tier when it applies, else from the Bareiss pivots.
-    Raises on a zero pivot (the minor-sign inertia rule then does not
-    apply)."""
-    fast = _unit_schur(M, False)
-    if fast:
-        return fast[0]
-    e = echelon(M)
-    n = len(e.rows)
-    plain = [c == k == r for k, (c, r) in enumerate(zip(e.pivots, e.rows))]
-    plain += [False] * (n - len(plain))
-    if not all(plain):
-        k = plain.index(False)
-        raise ZeroDivisionError(f"zero leading principal minor at order {k + 1}")
-    return e.signs
-
-
-def unimodular_factor(M) -> tuple:
-    """(leading-minor signs, det, integer inverse) of a square integer matrix
-    from one elimination: the unit-pivot Schur tier when it applies, else one
-    fraction-free Gauss-Jordan pass over [M | I] with row pivoting.  signs is
-    None when a leading principal minor is zero; the inverse is None unless
-    det = +-1, the only case in which it is integral."""
-    A = np.asarray(M, dtype=np.int64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("factorization needs a square matrix")
     n = len(A)
     if n == 0:
-        return [], 1, np.zeros((0, 0), dtype=np.int64)
-    if A.ndim != 2 or A.shape[1] != n:
-        raise ValueError("factorization needs a square matrix")
-    fast = _unit_schur(A, True)
-    if fast:
-        return fast
-    e = echelon(A, np.eye(n, dtype=np.int64), full=True)
+        return [], 1, np.zeros((0, 0), dtype=np.int64) if inverse else None
+    if A.dtype != object and n > SCHUR_LEAF:
+        with contextlib.suppress(_NoUnitPivots):
+            return _schur(A.astype(np.int64, copy=False), inverse)
+    e = echelon(A, np.eye(n, dtype=np.int64) if inverse else None, full=inverse)
     if len(e.pivots) < n:
         return None, 0, None
-    d = int(e.matrix[n - 1, n - 1])  # every pivot of the Gauss-Jordan form
+    d = int(e.matrix[n - 1, n - 1])  # with inverse, every pivot of the Gauss-Jordan form
     signs = e.signs if e.rows == list(range(n)) else None
-    return signs, e.signs[-1] * abs(d), e.matrix[:, n:] * d if d in (1, -1) else None
+    unit = inverse and d in (1, -1)
+    return signs, e.signs[-1] * abs(d), e.matrix[:, n:] * d if unit else None
 
 
 FILL_LIMIT = 4  # rank_exact hands over past this many times the input's nonzeros
@@ -584,16 +540,10 @@ def inertia_exact(M) -> tuple:
         raise ValueError("inertia needs a square matrix")
     if not _is_symmetric(A):
         raise ValueError("inertia_exact needs a symmetric matrix")
-    try:
-        return inertia_via_minor_signs(A)
-    except ZeroDivisionError:
+    signs = factor(A)[0]
+    if signs is None:
         return inertia_from_charpoly(charpoly(A))
-
-
-def inertia_via_minor_signs(M) -> tuple:
-    """Signature from the sign changes in (1, Delta_1, ..., Delta_n); raises
-    ZeroDivisionError on a zero leading minor."""
-    return jacobi_inertia(leading_minor_signs(M))
+    return jacobi_inertia(signs)
 
 
 def jacobi_inertia(signs) -> tuple:

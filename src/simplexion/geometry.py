@@ -210,9 +210,6 @@ class GraphContext:
     def full(self) -> frozenset:
         return frozenset(self.adj)
 
-    def sphere_at(self, sub: frozenset, v) -> frozenset:
-        return self.adj[v] & sub
-
     def contractible(self, sub: frozenset) -> bool:
         """There is a vertex whose sphere and whose removal are both
         contractible; single points are contractible, the empty graph is not.

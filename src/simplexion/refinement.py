@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import Complex, _faces, order_complex
 from .errors import ResourceLimitError
-from .exact import solver
+from .exact import matmul, solver
 
 DEFAULT_CAP = 5_000_000
 
@@ -120,15 +120,17 @@ def connection_graph(G: Complex, dual: bool = False) -> tuple:
     non-intersecting pairs when dual).  Returns (labels, edges) with labels
     the canonical simplex order and edges as sorted index pairs."""
     labels = refinement_order(G)
-    n = len(labels)
-    sets = [set(x) for x in labels]
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            meets = bool(sets[i] & sets[j])
-            if meets != dual:
-                edges.append((i, j))
-    return labels, edges
+    i, j = np.nonzero(np.triu(_meets(labels) != dual, 1))
+    return labels, list(zip(i.tolist(), j.tolist()))
+
+
+def _meets(xs) -> np.ndarray:
+    """The boolean matrix of which vertex tuples in xs share a vertex: the
+    incidence product B B^T > 0, B[i, v] = 1 iff v is in xs[i]."""
+    verts = {v: k for k, v in enumerate(sorted({v for x in xs for v in x}))}
+    B = np.zeros((len(xs), len(verts)), dtype=np.int64)
+    B[[i for i, x in enumerate(xs) for _ in x], [verts[v] for x in xs for v in x]] = 1
+    return matmul(B, B.T) > 0
 
 
 def euler_unique_vector(r: int) -> list:

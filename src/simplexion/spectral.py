@@ -51,24 +51,29 @@ def eig_symmetric(M, *, symmetry_tol: float = 1e-12,
 
 
 def kirchhoff_matrix(n: int, edges) -> np.ndarray:
-    """Degree matrix minus adjacency matrix, as exact integers."""
+    """Degree matrix minus adjacency matrix, as exact integers; an edge
+    listed twice counts twice."""
+    E = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    a, b = E[:, 0], E[:, 1]
+    if (a == b).any():
+        raise ValueError("self-loop")
     K = np.zeros((n, n), dtype=np.int64)
-    for a, b in edges:
-        if a == b:
-            raise ValueError("self-loop")
-        K[a, b] -= 1
-        K[b, a] -= 1
-        K[a, a] += 1
-        K[b, b] += 1
+    np.add.at(K, (a, b), -1)
+    np.add.at(K, (b, a), -1)
+    np.add.at(K, (E.ravel(), E.ravel()), 1)
     return K
+
+
+def skeleton_edges(G: Complex) -> tuple:
+    """(vertex count, the edges of the 1-skeleton as pairs of indices into
+    G.vertices())."""
+    index = {v: i for i, v in enumerate(G.vertices())}
+    return len(index), [(index[x[0]], index[x[1]]) for x in G.simplices if len(x) == 2]
 
 
 def kirchhoff_of_complex(G: Complex) -> np.ndarray:
     """Kirchhoff Laplacian of the 1-skeleton."""
-    verts = G.vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [(index[x[0]], index[x[1]]) for x in G.simplices if len(x) == 2]
-    return kirchhoff_matrix(len(verts), edges)
+    return kirchhoff_matrix(*skeleton_edges(G))
 
 
 # -- zeta ----------------------------------------------------------------------

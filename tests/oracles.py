@@ -19,13 +19,14 @@ from simplexion.cohomology import (
 )
 from simplexion.core import Complex, close, parity, wu_characteristic
 from simplexion.errors import NumericError
-from simplexion.exact import bareiss_det, echelon
+from simplexion.exact import echelon, factor
 from simplexion.generators import (
     RandomModel,
     erdos_renyi,
     expected_dimension,
     expected_euler,
     poly_eval,
+    product_cells,
 )
 from simplexion.geometry import GraphContext
 from simplexion.rng import SplitMix64
@@ -136,11 +137,11 @@ def _clear_denominators(rows) -> tuple:
 
 
 def det_exact(M):
-    """Exact determinant: Bareiss over the integers; a Fraction (the
+    """Exact determinant: `exact.factor` over the integers; a Fraction (the
     determinant of the rows with cleared denominators, divided back) when
     any entry is a non-integral Fraction."""
     A, m = _clear_denominators(M.tolist() if isinstance(M, np.ndarray) else M)
-    det = bareiss_det(A)
+    det = factor(A)[1]
     scale = math.prod(m)
     return det if scale == 1 else Fraction(det, scale)
 
@@ -552,6 +553,39 @@ def interaction_pairs_scan(G: Complex) -> list:
     elems = sorted(G.simplices, key=lambda y: (len(y), y))
     pairs = [(x, y) for x in elems for y in elems if set(x) & set(y)]
     return sorted(pairs, key=lambda p: (len(p[0]) + len(p[1]), p))
+
+
+def connection_graph_scan(G: Complex, dual: bool = False) -> tuple:
+    """(labels, edges) of the (dual) connection graph, testing all n^2
+    pairs of simplices for a common vertex."""
+    labels = sorted(G.simplices, key=lambda y: (len(y), y))
+    sets = [set(x) for x in labels]
+    edges = [(i, j) for i in range(len(labels)) for j in range(i + 1, len(labels))
+             if bool(sets[i] & sets[j]) != dual]
+    return labels, edges
+
+
+def wu_intersection_matrix_scan(G: Complex) -> np.ndarray:
+    """parity(x) parity(y) where x and y meet, else 0, pair by pair."""
+    elems = sorted(G.simplices, key=lambda y: (len(y), y))
+    M = np.zeros((len(elems), len(elems)), dtype=np.int64)
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            if set(x) & set(y):
+                M[i, j] = parity(x) * parity(y)
+    return M
+
+
+def product_connection_matrix_scan(A: Complex, B: Complex) -> np.ndarray:
+    """1 where product cells (x, y) and (x', y') meet in both coordinates,
+    pair by pair over `generators.product_cells`."""
+    cells = [(set(x), set(y)) for x, y in product_cells(A, B)]
+    out = np.zeros((len(cells), len(cells)), dtype=np.int64)
+    for i, (sx, sy) in enumerate(cells):
+        for j, (su, sv) in enumerate(cells):
+            if sx & su and sy & sv:
+                out[i, j] = 1
+    return out
 
 
 def containment_kirchhoff_scan(G: Complex) -> np.ndarray:

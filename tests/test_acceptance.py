@@ -19,11 +19,7 @@ from simplexion import connection as conn
 from simplexion import geometry as geo
 from simplexion import spectral as spec
 from simplexion.core import is_whitney
-from simplexion.exact import (
-    charpoly,
-    inertia_from_charpoly,
-    inertia_via_minor_signs,
-)
+from simplexion.exact import charpoly, factor, inertia_from_charpoly, jacobi_inertia
 from simplexion.rng import SplitMix64
 
 from oracles import berkowitz_charpoly
@@ -117,7 +113,7 @@ def test_criterion_03_inertia(named, refinements, random_corpus):
             continue
         L = conn.connection_matrix(G, cap=EXACT_CAP)
         chi = G.euler_characteristic()
-        p, n, z = inertia_via_minor_signs(L)
+        p, n, z = jacobi_inertia(factor(L)[0])
         assert (p - n, z) == (chi, 0), name
         minor_runs += 1
         if len(L) <= BERKOWITZ_CAP:
@@ -138,7 +134,7 @@ def test_criterion_03_inertia(named, refinements, random_corpus):
         p, n, z = inertia_from_charpoly(charpoly(L))
         assert (p - n, z) == (chi, 0)
         charpoly_runs += 1
-        assert inertia_via_minor_signs(L) == (p, n, z)
+        assert jacobi_inertia(factor(L)[0]) == (p, n, z)
         minor_runs += 1
         vals = spec.eig_symmetric(L.astype(float))
         assert int((vals > 0).sum()) == p and int((vals < 0).sum()) == n

@@ -171,6 +171,20 @@ def test_verify_unknown_suite(tmp_path):
     assert run(["verify", "-i", str(k2), "--suite", "nonsense"]) == 2
 
 
+def test_verify_and_spectra_reject_bad_counts(tmp_path, capsys):
+    # no trial run and a negative number of refinements are usage errors,
+    # not a pass or an empty limit experiment
+    ico = tmp_path / "ico.json"
+    run(["generate", "icosahedron", "-o", str(ico)])
+    capsys.readouterr()
+    for trials in ("0", "-3"):
+        assert run(["verify", "-i", str(ico), "--suite", "poincare-hopf",
+                    "--trials", trials, "--no-meta"]) == 2
+        assert capsys.readouterr() == ("", "error: --trials must be >= 1\n")
+    assert run(["spectra", "-i", str(ico), "--limit-levels", "-1", "--no-meta"]) == 2
+    assert capsys.readouterr() == ("", "error: --limit-levels must be >= 0\n")
+
+
 def test_verify_byte_identical(tmp_path):
     c5 = tmp_path / "c5.json"
     run(["generate", "cycle", "--n", "5", "-o", str(c5)])
@@ -277,7 +291,7 @@ def test_verify_factors_connection_matrix_once(tmp_path, monkeypatch, refined):
     path = tmp_path / "g.json"
     write_canonical(complex_to_dict(G), str(path))
     builds = _count_calls(monkeypatch, conn, "_build_connection")
-    factors = _count_calls(monkeypatch, conn, "unimodular_factor")
+    factors = _count_calls(monkeypatch, conn, "factor")
     rep = tmp_path / "rep.json"
     assert run(["verify", "-i", str(path), "--suite",
                 "unimodularity,energy,inertia,dual-product", "--no-meta",

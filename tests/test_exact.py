@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from simplexion.exact import (
-    bareiss_det,
     cauchy_binet_coeffs,
     charpoly,
     descartes_positive_roots,
+    factor,
     inertia_exact,
     inertia_from_charpoly,
-    leading_minor_signs,
     rank_exact,
-    unimodular_factor,
 )
 from simplexion.rng import SplitMix64
 
@@ -31,10 +29,13 @@ def random_matrix(gen, rows, cols, lo=-3, hi=3):
 
 
 def test_bareiss_identity_and_known():
-    assert bareiss_det(np.eye(4, dtype=np.int64)) == 1
-    assert bareiss_det([[1, 2], [3, 4]]) == -2
-    assert bareiss_det([[0, 1], [1, 0]]) == -1
-    assert bareiss_det([[0, 0], [0, 1]]) == 0
+    assert factor(np.eye(4, dtype=np.int64))[1] == 1
+    assert factor([[1, 2], [3, 4]])[1] == -2
+    assert factor([[0, 1], [1, 0]])[1] == -1
+    assert factor([[0, 0], [0, 1]])[1] == 0
+    assert factor(np.zeros((0, 0), dtype=np.int64)) == ([], 1, None)
+    with pytest.raises(ValueError):
+        factor([[1, 2, 3], [4, 5, 6]])
 
 
 def test_bareiss_matches_cofactor():
@@ -42,14 +43,14 @@ def test_bareiss_matches_cofactor():
     for n in (1, 2, 3, 4, 5):
         for _ in range(40):
             M = random_matrix(gen, n, n)
-            assert bareiss_det(M) == det_cofactor(M)
+            assert factor(M)[1] == det_cofactor(M)
 
 
 def test_bareiss_big_int_promotion():
     # Hilbert-like matrix scaled to integers has huge intermediate values
     n = 8
     M = [[720720 // (i + j + 1) for j in range(n)] for i in range(n)]
-    assert bareiss_det(M) == det_cofactor(M)
+    assert factor(M)[1] == det_cofactor(M)
 
 
 def test_rank_matches_fraction_oracle():
@@ -106,16 +107,13 @@ def test_inertia_methods_agree():
         A = np.array(random_matrix(gen, n, n))
         S = A + A.T
         assert inertia_exact(S) == inertia_from_charpoly(charpoly(S))
-        try:
-            leading_minor_signs(S)
-        except ZeroDivisionError:
-            zero_minor += 1
+        zero_minor += factor(S)[0] is None
     assert 0 < zero_minor < 60
 
 
 def test_integer_inverse_unimodular():
     M = np.array([[1, 2], [1, 3]], dtype=np.int64)  # det 1, unit leading minors
-    _, det, inv = unimodular_factor(M)
+    _, det, inv = factor(M, inverse=True)
     assert det == 1
     assert np.array_equal(M @ inv, np.eye(2, dtype=np.int64))
 
@@ -123,7 +121,7 @@ def test_integer_inverse_unimodular():
 def test_integer_inverse_general_pivot():
     # leading pivot -2: the general fraction-free path, still integral
     M = np.array([[-2, 1], [1, -1]], dtype=np.int64)  # det 1
-    _, det, inv = unimodular_factor(M)
+    _, det, inv = factor(M, inverse=True)
     assert det == 1
     assert np.array_equal(M @ inv, np.eye(2, dtype=np.int64))
 
@@ -137,11 +135,13 @@ def test_fraction_inverse():
         fraction_inverse([[1, 1], [1, 1]])
 
 
-def test_leading_minor_signs():
-    M = [[1, 0], [0, -1]]
-    assert leading_minor_signs(M) == [1, -1]
-    with pytest.raises(ZeroDivisionError):
-        leading_minor_signs([[0, 1], [1, 0]])
+def test_factor_minor_signs():
+    assert factor([[1, 0], [0, -1]])[0] == [1, -1]
+    # the leading minor of order 1 is zero: no signs, but det and inverse
+    M = [[0, 1], [1, 0]]
+    assert det_cofactor([[0]]) == 0
+    signs, det, inverse = factor(M, inverse=True)
+    assert (signs, det, inverse.tolist()) == (None, -1, M)
 
 
 def test_cauchy_binet_identity():
@@ -221,7 +221,7 @@ def _sign(x):
 @PROPS
 @given(int_matrices(square=True))
 def test_prop_det_matches_cofactor(M):
-    assert bareiss_det(M) == det_exact(M) == det_cofactor(M)
+    assert factor(M)[1] == det_exact(M) == det_cofactor(M)
 
 
 @PROPS
@@ -231,30 +231,27 @@ def test_prop_rank_matches_fraction(M):
 
 
 @PROPS
-@given(int_matrices(square=True))
-def test_prop_leading_minor_signs(M):
+@given(int_matrices(square=True), st.sampled_from([np.int64, object]),
+       st.sampled_from([None, 1, 10 ** 9]))
+def test_prop_factor_matches_oracles(M, dtype, leaf):
+    # factor and factor(inverse=True) on int64 and object input against the
+    # cofactor oracle: the leading-minor signs (None on a zero minor), det,
+    # and the Fraction inverse exactly when det = +-1.  SCHUR_LEAF 10^9 is
+    # _echelon_only; 1 sends every int64 matrix of order 2 or more to the
+    # Schur tier, which declines on a zero or non-unit leading minor
     minors = [det_cofactor([row[:k] for row in M[:k]]) for k in range(1, len(M) + 1)]
-    if 0 in minors:
-        with pytest.raises(ZeroDivisionError):
-            leading_minor_signs(M)
+    signs = None if 0 in minors else [_sign(m) for m in minors]
+    A = np.array(M, dtype=dtype)
+    with pytest.MonkeyPatch.context() as mp:
+        if leaf:
+            mp.setattr(exact, "SCHUR_LEAF", leaf)
+        plain, full = factor(A), factor(A, inverse=True)
+    assert plain == (signs, minors[-1], None)
+    assert full[:2] == (signs, minors[-1])
+    if abs(minors[-1]) == 1:
+        assert full[2].tolist() == fraction_inverse(M)
     else:
-        assert leading_minor_signs(M) == [_sign(m) for m in minors]
-
-
-@PROPS
-@given(int_matrices(square=True))
-def test_prop_unimodular_factor(M):
-    # one elimination against the cofactor oracle: the minor signs (None on
-    # a zero leading minor), det, and the inverse exactly when det = +-1
-    minors = [det_cofactor([row[:k] for row in M[:k]]) for k in range(1, len(M) + 1)]
-    signs, det, inverse = exact.unimodular_factor(M)
-    assert signs == (None if 0 in minors else [_sign(m) for m in minors])
-    assert det == minors[-1]
-    if abs(det) == 1:
-        eye = np.eye(len(M), dtype=object)
-        assert np.array_equal(np.array(M, dtype=object) @ inverse.astype(object), eye)
-    else:
-        assert inverse is None
+        assert full[2] is None
 
 
 @PROPS
@@ -268,9 +265,7 @@ def test_prop_inverses(M):
             fraction_inverse(M)
         return
     assert np.array_equal(A @ np.array(fraction_inverse(M), dtype=object), eye)
-    if max(abs(v) for row in M for v in row) >= 2 ** 31:
-        return  # unimodular_factor takes int64 input
-    _, got, inverse = unimodular_factor(M)
+    _, got, inverse = factor(M, inverse=True)
     assert got == det
     if abs(det) == 1:
         assert np.array_equal(A @ inverse.astype(object), eye)
@@ -290,8 +285,8 @@ def test_prop_unit_minor_inverse(n, data):
     U = np.array([[data.draw(unit) if i == j else data.draw(small) if j > i else 0
                    for j in range(n)] for i in range(n)])
     M = L @ U
-    assert np.array_equal(M @ unimodular_factor(M)[2], np.eye(n, dtype=np.int64))
-    assert all(s in (1, -1) for s in leading_minor_signs(M))
+    assert np.array_equal(M @ factor(M, inverse=True)[2], np.eye(n, dtype=np.int64))
+    assert all(s in (1, -1) for s in factor(M)[0])
 
 
 @PROPS
@@ -397,7 +392,7 @@ def test_charpoly_many_primes_in_batches():
 # -- the exact product and the unit-pivot Schur-complement tier ----------------
 
 from simplexion import exact  # noqa: E402
-from simplexion.exact import matmul  # noqa: E402
+from simplexion.exact import echelon, matmul  # noqa: E402
 
 TIER_EDGES = (2 ** 53, 2 ** 63)  # float64 below the first, int64 below the second
 
@@ -453,8 +448,8 @@ def test_matmul_tiers_at_the_edges():
 
 
 class _echelon_only:
-    """The exact wrappers with the Schur tier switched off: every matrix
-    goes to `echelon`, the reference for the tier."""
+    """`factor` with the Schur tier switched off: every matrix goes to
+    `echelon`, the reference for the tier."""
 
     def __enter__(self):
         self.leaf, exact.SCHUR_LEAF = exact.SCHUR_LEAF, 10 ** 9
@@ -463,40 +458,49 @@ class _echelon_only:
         exact.SCHUR_LEAF = self.leaf
 
 
-def _reference(M):
-    """(signs or None on a zero leading minor, det, integer inverse or None)
-    by `echelon` alone."""
-    with _echelon_only():
-        try:
-            signs = leading_minor_signs(M)
-        except ZeroDivisionError:
-            signs = None
-        det = bareiss_det(M)
-        inverse = unimodular_factor(M)[2]
-    return signs, det, inverse
+def _spy_echelon(monkeypatch) -> list:
+    """Shapes of the matrices `exact.echelon` receives from here on."""
+    shapes = []
+
+    def spy(A, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return echelon(A, *args, **kwargs)
+
+    monkeypatch.setattr(exact, "echelon", spy)
+    return shapes
+
+
+def _schur_serves(M, inverse: bool = True) -> bool:
+    """Whether the Schur tier, called directly, factors M."""
+    try:
+        exact._schur(M, inverse)
+    except exact._NoUnitPivots:
+        return False
+    return True
 
 
 def _assert_matches_echelon(M, tier_applies=None):
-    """The wrappers give the echelon results; tier_applies, when given, is
-    whether the Schur tier serves M."""
-    signs, det, inverse = _reference(M)
-    if tier_applies is None:
-        tier_applies = exact._unit_schur(M, True) is not None
-    assert (exact._unit_schur(M, True) is not None) == tier_applies
-    if signs is None:
-        with pytest.raises(ZeroDivisionError):
-            leading_minor_signs(M)
-    else:
-        assert leading_minor_signs(M) == signs
-    assert bareiss_det(M) == det
-    if tier_applies:
-        assert exact._schur(M, False)[:2] == (signs, det)
-    factor = exact.unimodular_factor(M)
-    assert factor[:2] == (signs, det)
-    if inverse is None:
-        assert factor[2] is None
-    else:
-        assert np.array_equal(factor[2].astype(object), inverse.astype(object))
+    """factor(M) and factor(M, inverse=True) give the `echelon` results, and
+    the Schur tier serves each exactly when `_schur` alone factors M; it
+    serves a call when `echelon` never receives the whole of M.
+    tier_applies, when given, is whether it serves the call with the
+    inverse; one that serves the inverse serves the det alone too."""
+    with _echelon_only():
+        want = factor(M, inverse=True)
+    served = []
+    for inverse in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            shapes = _spy_echelon(mp)
+            got = factor(M, inverse)
+        served.append(len(M) not in (rows for rows, _ in shapes))
+        assert served[-1] == _schur_serves(M, inverse)
+        assert got[:2] == want[:2]
+        if inverse and want[2] is not None:
+            assert np.array_equal(got[2].astype(object), want[2].astype(object))
+        else:
+            assert got[2] is None
+    assert served[1] <= served[0]
+    assert tier_applies in (None, served[1])
 
 
 @st.composite
@@ -566,7 +570,7 @@ def test_schur_tier_runs_every_product_tier(monkeypatch):
                                      (60, 1, {"object"}, False)):
         M = _unit_lu(80, seed, e).astype(np.int64)
         tiers.clear()
-        assert (exact._unit_schur(M, True) is not None) == applies
+        assert _schur_serves(M) == applies
         assert set(tiers) == expect
         _assert_matches_echelon(M, tier_applies=applies)
 
@@ -588,28 +592,26 @@ def test_schur_tier_falls_back_on_a_non_unit_leading_block():
     # not integral, so the tier declines and echelon gives det and inverse
     n = 130
     M = _with_block(n, n // 2 - 1, [[2, 1], [1, 1]])
-    assert exact._unit_schur(M, False) is None
+    assert not _schur_serves(M, inverse=False)
     _assert_matches_echelon(M, tier_applies=False)
-    assert bareiss_det(M) == 1
-    assert leading_minor_signs(M) == [1] * n
+    assert factor(M)[:2] == ([1] * n, 1)
 
 
 @pytest.mark.parametrize("at", [10, 70, 120])
-def test_leading_minor_signs_zero_minor_above_leaf(at):
+def test_factor_zero_minor_above_leaf(at):
     # one zero leading minor, of order at + 1, in the first leaf, in the
     # leading block's recursion, or in the Schur complement's; det is -1
     n = 130
     M = _with_block(n, at, [[0, 1], [1, 0]])
-    with pytest.raises(ZeroDivisionError, match=f"order {at + 1}"):
-        leading_minor_signs(M)
-    assert bareiss_det(M) == -1
-    assert np.array_equal(M @ unimodular_factor(M)[2], np.eye(n, dtype=np.int64))
+    assert rank_fraction(M[:at, :at].tolist()) == at
+    assert rank_fraction(M[:at + 1, :at + 1].tolist()) == at
+    signs, det, inverse = factor(M, inverse=True)
+    assert signs is None and det == -1
+    assert np.array_equal(M @ inverse, np.eye(n, dtype=np.int64))
     _assert_matches_echelon(M, tier_applies=False)
 
 
 # -- the sparse unit-pivot rank -------------------------------------------------
-
-from simplexion.exact import echelon  # noqa: E402
 
 
 @st.composite
@@ -653,18 +655,6 @@ def test_prop_sparse_rank_matches_oracles(M):
     rank, pivots = rank_exact(entries(M))
     assert rank == len(pivots) == want
     assert rank_fraction(M[:, sorted(pivots)].tolist()) == want  # independent
-
-
-def _spy_echelon(monkeypatch) -> list:
-    """Shapes of the matrices `exact.echelon` receives from here on."""
-    shapes = []
-
-    def spy(A, *args, **kwargs):
-        shapes.append(np.shape(A))
-        return echelon(A, *args, **kwargs)
-
-    monkeypatch.setattr(exact, "echelon", spy)
-    return shapes
 
 
 @settings(PROPS, max_examples=40)

@@ -1,5 +1,6 @@
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,6 +152,31 @@ def test_connection_graph():
     pts = sx.close([(0,), (1,)])
     assert sx.connection_graph(pts)[1] == []
     assert sx.connection_graph(pts, dual=True)[1] == [(0, 1)]
+
+
+def test_intersecting_pairs_match_scans(local_corpus):
+    # the incidence-product builders against pair-by-pair scans: the
+    # connection graph and its dual, the Wu intersection matrix, and the
+    # product connection matrix with the point and (up to 100 simplices,
+    # 800 cells) with C4, for which the kron check is independent of L
+    from simplexion.cohomology import product_connection_matrix
+    from simplexion.connection import connection_matrix, wu_intersection_matrix
+
+    from oracles import (
+        connection_graph_scan,
+        product_connection_matrix_scan,
+        wu_intersection_matrix_scan,
+    )
+
+    point, c4 = sx.close([(0,)]), sx.cycle(4)
+    for name, G in local_corpus:
+        for dual in (False, True):
+            assert sx.connection_graph(G, dual) == connection_graph_scan(G, dual), name
+        assert np.array_equal(wu_intersection_matrix(G), wu_intersection_matrix_scan(G)), name
+        for H in [point] + [c4] * (len(G) <= 100):
+            P = product_connection_matrix(G, H)
+            assert np.array_equal(P, product_connection_matrix_scan(G, H)), name
+            assert np.array_equal(P, np.kron(connection_matrix(G), connection_matrix(H))), name
 
 
 def _divisors_below(m):

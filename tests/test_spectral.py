@@ -36,6 +36,11 @@ def test_kirchhoff_c4_spectrum():
     K = spec.kirchhoff_matrix(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     vals = spec.eig_symmetric(K.astype(float))
     assert np.allclose(vals, [0, 2, 2, 4], atol=1e-9)
+    # an edge listed twice counts twice; a self-loop is refused
+    assert spec.kirchhoff_matrix(2, [(0, 1), (1, 0)]).tolist() == [[2, -2], [-2, 2]]
+    assert spec.kirchhoff_matrix(0, []).shape == (0, 0)
+    with pytest.raises(ValueError, match="self-loop"):
+        spec.kirchhoff_matrix(3, [(0, 1), (2, 2)])
 
 
 def test_jacobi_matches_eigh():
@@ -105,7 +110,7 @@ def test_forest_count_from_charpoly():
     # det(K + I) read off the characteristic polynomial of K, against the
     # brute force and an elimination; n = 0, isolated vertices and
     # disconnected graphs included
-    from simplexion.exact import bareiss_det
+    from simplexion.exact import factor
 
     cases = [(0, []), (1, []), (4, []), (5, [(0, 1), (2, 3)]),
              (6, [(0, 1), (1, 2), (2, 0), (3, 4)]), (5, [(0, 1), (1, 2), (2, 3), (3, 4)])]
@@ -116,7 +121,7 @@ def test_forest_count_from_charpoly():
     for n, edges in cases:
         forest = spec.tree_forest_numbers(n, edges)["forest"]
         K = spec.kirchhoff_matrix(n, edges)
-        assert forest == bareiss_det(K + np.eye(n, dtype=np.int64))
+        assert forest == factor(K + np.eye(n, dtype=np.int64))[1]
         assert forest == spec.rooted_spanning_counts_bruteforce(n, edges)["forest"]
 
 
