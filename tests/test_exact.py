@@ -230,28 +230,44 @@ def test_prop_rank_matches_fraction(M):
     assert rank_exact(entries(M))[0] == rank_fraction(M)
 
 
-@PROPS
-@given(int_matrices(square=True), st.sampled_from([np.int64, object]),
-       st.sampled_from([None, 1, 10 ** 9]))
-def test_prop_factor_matches_oracles(M, dtype, leaf):
-    # factor and factor(inverse=True) on int64 and object input against the
-    # cofactor oracle: the leading-minor signs (None on a zero minor), det,
-    # and the Fraction inverse exactly when det = +-1.  SCHUR_LEAF 10^9 is
-    # _echelon_only; 1 sends every int64 matrix of order 2 or more to the
-    # Schur tier, which declines on a zero or non-unit leading minor
-    minors = [det_cofactor([row[:k] for row in M[:k]]) for k in range(1, len(M) + 1)]
-    signs = None if 0 in minors else [_sign(m) for m in minors]
+def _factor_under_leaf(M, dtype, leaf, inverse):
+    # SCHUR_LEAF 10^9 is _echelon_only; 1 sends every int64 matrix of order 2
+    # or more to the Schur tier, which declines on a zero or non-unit leading
+    # minor
     A = np.array(M, dtype=dtype)
     with pytest.MonkeyPatch.context() as mp:
         if leaf:
             mp.setattr(exact, "SCHUR_LEAF", leaf)
-        plain, full = factor(A), factor(A, inverse=True)
-    assert plain == (signs, minors[-1], None)
-    assert full[:2] == (signs, minors[-1])
-    if abs(minors[-1]) == 1:
-        assert full[2].tolist() == fraction_inverse(M)
+        return factor(A, inverse=inverse)
+
+
+FACTOR_INPUTS = (int_matrices(square=True), st.sampled_from([np.int64, object]),
+                 st.sampled_from([None, 1, 10 ** 9]))
+
+
+@PROPS
+@given(*FACTOR_INPUTS)
+def test_prop_leading_minor_signs(M, dtype, leaf):
+    # factor on int64 and object input against the cofactor oracle: the
+    # leading-minor signs, None on a zero minor, and no inverse unasked
+    minors = [det_cofactor([row[:k] for row in M[:k]]) for k in range(1, len(M) + 1)]
+    signs = None if 0 in minors else [_sign(m) for m in minors]
+    assert _factor_under_leaf(M, dtype, leaf, False) == (signs, minors[-1], None)
+
+
+@PROPS
+@given(*FACTOR_INPUTS)
+def test_prop_unimodular_factor(M, dtype, leaf):
+    # factor(inverse=True) against the cofactor oracle: the minor signs, det,
+    # and the Fraction inverse exactly when det = +-1
+    minors = [det_cofactor([row[:k] for row in M[:k]]) for k in range(1, len(M) + 1)]
+    signs, det, inverse = _factor_under_leaf(M, dtype, leaf, True)
+    assert signs == (None if 0 in minors else [_sign(m) for m in minors])
+    assert det == minors[-1]
+    if abs(det) == 1:
+        assert inverse.tolist() == fraction_inverse(M)
     else:
-        assert full[2] is None
+        assert inverse is None
 
 
 @PROPS
