@@ -126,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list from: " + ",".join(ALL_SUITES))
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--trials", type=int, default=20)
-    v.add_argument("--cap-simplices", type=int, default=None)
     v.add_argument("--output", "-o", default=None)
     v.add_argument("--no-meta", action="store_true")
     v.add_argument("--format", choices=["json", "table"], default="json")
@@ -556,13 +555,18 @@ def _plain(obj):
 
 
 def cmd_spectra(args) -> int:
+    """Eigenvalues of one operator, ascending, as order/min/max (all of them
+    with --csv).  The Hodge spectrum is the union of its degree blocks'
+    (`cohomology.hodge_blocks`), each eigensolved and certified on its own;
+    the n x n operator is never formed."""
     if args.limit_levels < 0:
         raise ValueError("--limit-levels must be >= 0")
     G = load_complex(args.input)
     if args.operator == "connection":
         vals = spec_mod.connection_eigenvalues(G)
     elif args.operator == "hodge":
-        vals = spec_mod.eig_symmetric(hodge_mod.hodge(G).astype(float))
+        vals = np.sort(np.concatenate(
+            [np.zeros(0)] + [spec_mod.eig_symmetric(H) for H in hodge_mod.hodge_blocks(G)]))
     else:
         vals = spec_mod.eig_symmetric(spec_mod.kirchhoff_of_complex(G).astype(float))
     report = {

@@ -48,7 +48,7 @@ from .core import Complex, _vertex_stars, parity
 from .errors import InvariantViolation, ResourceLimitError
 from .exact import echelon, kernel_basis, matmul, rank_exact, solver
 from .generators import poly_mul, product_cells, ring_product_complex
-from .refinement import _meets
+from .refinement import DEFAULT_EXACT_CAP, _meets
 
 DEFAULT_PAIR_CAP = 4500
 
@@ -145,7 +145,12 @@ def hodge(G: Complex) -> np.ndarray:
 
 
 def hodge_blocks(G: Complex) -> list:
-    """H restricted to each degree: H_k = d_k^T d_k + d_{k-1} d_{k-1}^T."""
+    """H restricted to each degree: H_k = d_k^T d_k + d_{k-1} d_{k-1}^T.
+
+    In canonical order H = D D is exactly the direct sum of these blocks (D
+    maps degree k only to k - 1 and k + 1, and d d = 0 kills the rest), so
+    the Hodge spectrum is the union of theirs; `hodge` stays the definitional
+    product the blocks are tested against."""
     data = exterior_derivative(G)
     d = [data.dense(k) for k in range(len(data.bases))]
     blocks = [matmul(dk.T, dk) for dk in d]
@@ -382,7 +387,7 @@ def product_connection_matrix(A: Complex, B: Complex) -> np.ndarray:
 
 
 def kuenneth_check(A: Complex, B: Complex, tol: float = 1e-6,
-                   cell_cap: int = 20000) -> dict:
+                   cell_cap: int = DEFAULT_EXACT_CAP) -> dict:
     """The ring homomorphism and spectral statements for A x B:
 
     * Poincare polynomial of the product order complex = product of factor
@@ -393,11 +398,15 @@ def kuenneth_check(A: Complex, B: Complex, tol: float = 1e-6,
     * Hodge operator of the product complex equals
       kron(H_A, I) + kron(I, H_B) exactly (graded tensor derivative), so the
       Hodge spectra add; the numeric spectra are compared as multisets.
+
+    The product operators are dense of order len(A) * len(B), the number of
+    product cells, which is refused above cell_cap before anything is built.
     """
     from .connection import connection_matrix
 
     if len(A) * len(B) > cell_cap:
-        raise ResourceLimitError("product cell count exceeds cap")
+        raise ResourceLimitError(
+            f"product has {len(A) * len(B)} cells; exact dense cap is {cell_cap}")
     pa = betti(A).poincare_poly
     pb = betti(B).poincare_poly
     prod = ring_product_complex(A, B)

@@ -31,9 +31,13 @@ from .cohomology import dirac
 from .core import Complex, parity, set_euler, sphere_euler, star_up, up_star_weights
 from .errors import InvariantViolation, ResourceLimitError
 from .exact import charpoly, factor, inertia_from_charpoly, jacobi_inertia, matmul
-from .refinement import _meets, refinement_order, stirling_apply, stirling_matrix
-
-DEFAULT_EXACT_CAP = 3000
+from .refinement import (
+    DEFAULT_EXACT_CAP,
+    _meets,
+    refinement_order,
+    stirling_apply,
+    stirling_matrix,
+)
 
 
 def _check_cap(G: Complex, cap: int):

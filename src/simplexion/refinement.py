@@ -23,6 +23,7 @@ from .errors import ResourceLimitError
 from .exact import matmul, solver
 
 DEFAULT_CAP = 5_000_000
+DEFAULT_EXACT_CAP = 3000  # rows of a dense exact operator: simplices, or product cells
 
 
 def cap_simplices(default: int = DEFAULT_CAP) -> int:

@@ -185,6 +185,20 @@ def test_verify_and_spectra_reject_bad_counts(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: --limit-levels must be >= 0\n")
 
 
+def test_verify_takes_no_cap_simplices(tmp_path, capsys, monkeypatch):
+    # --cap-simplices belongs to generate refine|product; verify refuses it
+    # as a usage error, and SIMPLEXION_CAP still caps the closure
+    ico = tmp_path / "ico.json"
+    run(["generate", "icosahedron", "-o", str(ico)])
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "-i", str(ico), "--suite", "unimodularity",
+             "--cap-simplices", "10", "--no-meta"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap-simplices 10" in capsys.readouterr().err
+    monkeypatch.setenv("SIMPLEXION_CAP", "10")
+    assert run(["verify", "-i", str(ico), "--suite", "unimodularity", "--no-meta"]) == 3
+
+
 def test_verify_byte_identical(tmp_path):
     c5 = tmp_path / "c5.json"
     run(["generate", "cycle", "--n", "5", "-o", str(c5)])
@@ -309,6 +323,42 @@ def test_spectra_connection_eigensolves_once(tmp_path, monkeypatch):
     assert run(["spectra", "-i", str(path), "--operator", "connection", "--zeta",
                 "--no-meta", "-o", str(tmp_path / "s.json")]) == 0
     assert len(solves) == 1
+
+
+def test_spectra_hodge_eigensolves_each_degree_block(tmp_path, monkeypatch):
+    # one certified eigensolve per degree block H_k, never the n x n H; the
+    # CSV lists all n eigenvalues in ascending order
+    from simplexion import cohomology as coh
+    from simplexion import spectral as spec
+
+    def never(G):
+        raise AssertionError("the whole Hodge operator was formed")
+
+    path, csv = tmp_path / "ico.json", tmp_path / "e.csv"
+    run(["generate", "icosahedron", "-o", str(path)])
+    monkeypatch.setattr(coh, "hodge", never)
+    solves = _count_calls(monkeypatch, spec, "eig_symmetric")
+    assert run(["spectra", "-i", str(path), "--operator", "hodge", "--csv", str(csv),
+                "--no-meta", "-o", str(tmp_path / "s.json")]) == 0
+    assert [M.shape for M in solves] == [(12, 12), (30, 30), (20, 20)]
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert [int(i) for i, _ in rows] == list(range(62))
+    vals = [float(v) for _, v in rows]
+    assert vals == sorted(vals)
+    assert json.loads((tmp_path / "s.json").read_text())["order"] == 62
+
+
+@pytest.mark.parametrize("facets, want", [
+    ([], b'{"max":null,"min":null,"operator":"hodge","order":0}\n'),
+    ([[0]], b'{"max":0.0,"min":0.0,"operator":"hodge","order":1}\n'),
+], ids=["empty", "point"])
+def test_spectra_hodge_small_reports_pinned(tmp_path, capsysbinary, facets, want):
+    path, csv = tmp_path / "g.json", tmp_path / "e.csv"
+    path.write_text(json.dumps({"facets": facets}))
+    assert run(["spectra", "-i", str(path), "--operator", "hodge", "--csv", str(csv),
+                "--no-meta"]) == 0
+    assert capsysbinary.readouterr().out == want
+    assert csv.read_text() == "index,eigenvalue\n" + "0,0.0\n" * len(facets)
 
 
 def test_verify_all_builds_each_derived_object_once(tmp_path, monkeypatch):

@@ -243,6 +243,33 @@ def test_hodge_block_str_zero_k2():
     assert int((w * np.diag(H)).sum()) == 0
 
 
+def test_hodge_blocks_are_the_degree_blocks_of_hodge(local_corpus):
+    # H = D D is exactly the direct sum of the H_k in canonical order, and
+    # the union of the per-block spectra is the whole spectrum; the two
+    # refined-large benchmark inputs are the largest blocks the CLI solves
+    from simplexion.spectral import eig_symmetric
+
+    refined = [("suspC12_1", sx.barycentric(sx.join(sx.cycle(12), sx.cross_polytope(0)))),
+               ("joinC4K2_1", sx.barycentric(sx.join(sx.cycle(4), sx.complete(2)))),
+               ("empty", sx.Complex())]
+    for name, G in local_corpus + refined:
+        H, blocks = coh.hodge(G), coh.hodge_blocks(G)
+        offs = np.cumsum((0,) + G.f_vector())
+        assert len(blocks) == len(offs) - 1, name
+        for k, blk in enumerate(blocks):
+            rows = slice(offs[k], offs[k + 1])
+            assert blk.dtype == H.dtype and np.array_equal(blk, H[rows, rows]), (name, k)
+            off_diagonal = H[rows].copy()
+            off_diagonal[:, rows] = 0
+            assert not off_diagonal.any(), (name, k)
+        if G.is_empty:
+            continue
+        whole = eig_symmetric(H)
+        merged = np.sort(np.concatenate([eig_symmetric(blk) for blk in blocks]))
+        norm = float(np.abs(whole).max())
+        assert np.abs(merged - whole).max() <= 1e-12 * max(1.0, norm), name
+
+
 def test_lefschetz_identity(corpus):
     for _, G in corpus[:10]:
         if G.is_empty or len(G) > 70:
@@ -342,6 +369,21 @@ def test_kuenneth_contractible_product():
     a = sx.close([(0, 1)])
     prod = sx.ring_product_complex(a, a)
     assert coh.betti(prod).betti == (1, 0, 0)
+
+
+def test_kuenneth_cell_cap_checked_before_building(monkeypatch):
+    # ico_1 x C6 has 362 * 12 = 4344 product cells, so its dense product
+    # operators would be 4344 x 4344; the default cap is the dense exact one
+    from simplexion.connection import DEFAULT_EXACT_CAP
+
+    def never(*args, **kwargs):
+        raise AssertionError("product built before the cap was checked")
+
+    monkeypatch.setattr(coh, "ring_product_complex", never)
+    ico_1 = sx.barycentric(sx.icosahedron())
+    assert len(ico_1) * len(sx.cycle(6)) == 4344 > DEFAULT_EXACT_CAP
+    with pytest.raises(sx.ResourceLimitError, match="4344 cells; exact dense cap is 3000"):
+        coh.kuenneth_check(ico_1, sx.cycle(6))
 
 
 def test_kuenneth_k2_c4():

@@ -12,7 +12,6 @@ from simplexion.generators import (
     clique_block,
     poly_eval,
     product_cells,
-    two_point,
 )
 from simplexion.rng import SplitMix64, substream_uniforms
 

@@ -1,14 +1,16 @@
-"""Static checks on the library sources, by an `ast` pass over each module
-of the package (the package `__init__`, which imports to re-export, aside):
-no imported name goes unused, and no f-string lacks a placeholder."""
+"""Static checks on the sources, by an `ast` pass over each module of the
+package (the package `__init__`, which imports to re-export, aside) and each
+test module: no imported name goes unused, and no f-string lacks a
+placeholder."""
 
 import ast
 import pathlib
 
 import pytest
 
-SOURCES = sorted(p for p in (pathlib.Path(__file__).parents[1] / "src" / "simplexion").glob("*.py")
-                 if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).parents[1]
+SOURCES = sorted(p for p in (ROOT / "src" / "simplexion").glob("*.py") if p.name != "__init__.py")
+SOURCES += sorted((ROOT / "tests").glob("*.py"))
 
 
 def _tree(path):
