@@ -42,7 +42,6 @@ from .generators import (
     path,
     poly_eval,
     ring_product_complex,
-    whitney,
 )
 from .jsonio import (
     complex_to_dict,
@@ -50,6 +49,7 @@ from .jsonio import (
     function_from_dict,
     load_complex,
     read_json,
+    whitney_from_dict,
     write_canonical,
 )
 from .refinement import barycentric
@@ -181,8 +181,7 @@ def cmd_generate(args) -> int:
         if len(args.input) != 1:
             print("error: whitney needs one --input graph file", file=sys.stderr)
             return 2
-        d = read_json(args.input[0])
-        G = whitney(int(d["n"]), [tuple(e) for e in d.get("edges", [])])
+        G = whitney_from_dict(read_json(args.input[0]))
     elif kind == "erdos-renyi":
         G = erdos_renyi(RandomModel(n=args.n, p=args.p, seed=args.seed))
     elif kind in {"join", "union", "product"}:

@@ -12,27 +12,35 @@ from their bases and a callback giving the signed faces of a basis element.
 Each d_k is stored once as its nonzero entries, a read-only int64 array of
 rows (row, column, sign) in row order, and d_{k+1} d_k = 0 is checked on the
 entries themselves: every product of an entry of d_{k+1} with one of d_k is
-formed and summed per position, with no dense product.  Every Betti number,
-ordinary or quadratic, comes from `exact.rank_exact` on these entries, a
-sparse elimination on unit pivots that hands what it leaves to
-`exact.echelon`, the fraction-free elimination kernel (int64 under a proved
-bound, Python big integers beyond).  The ranks are taken from the top
-degree down with clearing: for the pivot columns X of d_k, which are
-independent, d_k d_{k-1} = 0 gives d_{k-1}[X, :] = -L d_k[:, X'] d_{k-1}[X', :]
-(X' the other columns, L a left inverse of d_k[:, X]), so the rows X of
-d_{k-1} are masked out before it is ranked.
+formed and summed per position, with no dense product.
+
+Every Betti number, ordinary or quadratic, and every Lefschetz map comes
+from one column reduction R_k = d_k V_k of these entries, `_reduce`, run
+from degree 0 upward.  The low of a column is the row of its last nonzero
+entry.  Each column of d_k, left to right, is reduced against the earlier
+column with the same low until it is zero or its low is new; V_k records
+the column operations.  The values are Python integers, and a Fraction
+only where a quotient is not integral.  Clearing: a nonzero column r of
+R_{k-1} with low j is a cocycle whose entries beyond j vanish, so d_k r = 0
+writes column j of d_k as a combination of the earlier columns, and column
+j reduces to zero; it is skipped.  The columns skipped are rank(d_{k-1}) of
+them, and b_k counts the other columns that reduce to zero.  Their V
+columns, the class cocycles, have lowest entry 1 at their own index; with
+the columns of R_{k-1} they are a basis of ker d_k with distinct lows.  So
+the map a vertex permutation T induces on H^k is read by reducing each
+pushed-forward class cocycle T# z_j from its lowest entry upward against
+that basis: its coefficients on the class cocycles are column j of the
+matrix, and a low outside the basis means T# z_j is not closed.
 
 A dense d_k is scattered from the entries only where a dense operator is the
-point: Dirac, Hodge and Kuenneth operators, the Lefschetz bases and the
-Stokes pairing.  The Lefschetz maps on H^k come from the elimination kernel's
-bases and pivot columns, with one `exact.solver` factorization per degree for
-every map.  Every integer matrix-matrix product (Hodge operators, the
-Kuenneth dd = 0 check, the McKean-Singer supertraces) is `exact.matmul`,
-which uses a float64 BLAS product only where a bound proves it exact.
-Otherwise floating point appears only in the explicitly numeric checks.
+point: Dirac, Hodge and Kuenneth operators and the Stokes pairing.  Every
+integer matrix-matrix product (Hodge operators, the Kuenneth dd = 0 check,
+the McKean-Singer supertraces) is `exact.matmul`, which uses a float64 BLAS
+product only where a bound proves it exact.  Otherwise floating point
+appears only in the explicitly numeric checks.
 
-The chain complex and the Lefschetz factorizations are memoed on their
-complex (see `core`) for as long as it lives.
+The chain complex and its reduction are memoed on their complex (see
+`core`) for as long as it lives.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ import numpy as np
 
 from .core import Complex, _vertex_stars, parity
 from .errors import InvariantViolation, ResourceLimitError
-from .exact import echelon, kernel_basis, matmul, rank_exact, solver
+from .exact import matmul
 from .generators import poly_mul, product_cells, ring_product_complex
 from .refinement import DEFAULT_EXACT_CAP, _meets
 
@@ -173,34 +181,70 @@ class CohomologyReport:
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
 
 
-def _betti_from_ranks(dims: tuple, mats) -> CohomologyReport:
-    """b_k = v_k - rank(d_k) - rank(d_{k-1}) for the entries d_k of a
-    cochain complex with v_k cochains in degree k, d_{k+1} d_k = 0 checked,
-    with exact ranks from the top degree down, clearing (module docstring)."""
-    ranks, cleared = [0] * (len(mats) + 2), []
-    for k in reversed(range(len(mats))):
-        ranks[k + 1], cleared = rank_exact(mats[k][~np.isin(mats[k][:, 0], cleared)])
-    out = tuple(v - ranks[k] - ranks[k + 1] for k, v in enumerate(dims))
+def _subtract(col: dict, q, other: dict) -> None:
+    """col -= q * other on {index: value} vectors, in place; the entries that
+    cancel are dropped."""
+    for i, w in other.items():
+        w = col.get(i, 0) - q * w
+        if w:
+            col[i] = w
+        else:
+            del col[i]
+
+
+def _quotient(a, b):
+    """a / b: an int where b divides a, else a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
+def _reduce(data: ChainComplexData) -> tuple:
+    """(coboundaries, cocycles) for each degree k, from the column reduction
+    R_k = d_k V_k with clearing (module docstring).  coboundaries maps the
+    low of each nonzero column of R_{k-1} to that column, and cocycles maps
+    each column of d_k that reduces to zero, and was not skipped, to its V
+    column, in column order.  Columns are {row: value} dicts, shared through
+    the memo: read, never written."""
+    out, coboundaries = [], {}
+    for k, v in enumerate(data.dims):
+        columns = [{} for _ in range(v)]
+        if k < len(data.d):
+            for i, j, s in data.d[k].tolist():
+                columns[j][i] = s
+        pivots, cocycles = {}, {}  # low -> (R column, V column)
+        for j, col in enumerate(columns):
+            if j in coboundaries:
+                continue
+            ops = {j: 1}
+            while col:
+                low = max(col)
+                if low not in pivots:
+                    pivots[low] = col, ops
+                    break
+                r, w = pivots[low]
+                q = _quotient(col[low], r[low])
+                _subtract(col, q, r)
+                _subtract(ops, q, w)
+            else:
+                cocycles[j] = ops
+        out.append((coboundaries, cocycles))
+        coboundaries = {low: r for low, (r, _) in pivots.items()}
+    return tuple(out)
+
+
+def _reduction(G: Complex) -> tuple:
+    """`_reduce` of G's chain complex, memoed on G."""
+    return G.memo("reduction", lambda: _reduce(exterior_derivative(G)))
+
+
+def _report(dims: tuple, reduction: tuple) -> CohomologyReport:
+    out = tuple(len(cocycles) for _, cocycles in reduction)
     return CohomologyReport(betti=out, poincare_poly=out, euler_poly=dims)
 
 
 def betti(G: Complex) -> CohomologyReport:
-    """Betti numbers from the exact ranks of the d_k, memoed on G."""
-    data = exterior_derivative(G)
-    return G.memo("betti", lambda: _betti_from_ranks(data.dims, data.d))
-
-
-def betti_numeric(G: Complex, tol: float = 1e-8) -> tuple:
-    """Kernel dimensions of the numeric Hodge blocks (eigenvalues below tol);
-    the floating cross-check of the exact ranks."""
-    out = []
-    for H in hodge_blocks(G):
-        if len(H) == 0:
-            out.append(0)
-            continue
-        vals = np.linalg.eigvalsh(H.astype(float))
-        out.append(int((vals < tol).sum()))
-    return tuple(out)
+    """Betti numbers from the column reduction, memoed on G."""
+    return _report(exterior_derivative(G).dims, _reduction(G))
 
 
 def _supertraces(blocks: list, kmax: int) -> list:
@@ -295,51 +339,31 @@ def automorphisms(G: Complex, cap: int = 8) -> list:
     return out
 
 
-def _cohomology_bases(data: ChainComplexData, k: int) -> tuple:
-    """(image, reps): integer matrices whose columns are a basis of the image
-    of d_{k-1} (its pivot columns) and the representatives of H^k (the
-    kernel vectors that extend that basis to one of ker d_k)."""
-    kernel = kernel_basis(data.dense(k))
-    image = np.zeros((len(data.bases[k]), 0), dtype=np.int64)
-    if k >= 1:
-        below = data.dense(k - 1)
-        image = below[:, echelon(below).pivots]
-    t = image.shape[1]
-    chosen = echelon(np.concatenate([image, kernel], axis=1)).pivots[t:]
-    return image, kernel[:, [c - t for c in chosen]]
-
-
-def _pullbacks(G: Complex):
-    """perm -> induced_cohomology_matrices(G, perm).  The H^k bases do not
-    depend on the map, so each degree's [image | reps] is factored once by
-    `exact.solver`, and each map then costs two exact products per degree."""
-    data = exterior_derivative(G)
-    spaces = [(base, *_cohomology_bases(data, k)) for k, base in enumerate(data.bases)]
-    solves = [solver(np.concatenate([image, reps], axis=1)) if reps.shape[1] else None
-              for _, image, reps in spaces]
-
-    def induced(perm: dict) -> list:
-        out = []
-        for (base, image, reps), solve in zip(spaces, solves):
-            if solve is None:
-                out.append([])
-                continue
-            # pushforward of basis cochains: T# e_x = sign * e_{T(x)}
-            index = {x: i for i, x in enumerate(base)}
-            target = [index[simplex_image(x, perm)] for x in base]
-            sign = np.array([permutation_sign_on(x, perm) for x in base], dtype=np.int64)
-            pulled = np.zeros_like(reps)
-            pulled[target] = sign[:, None] * reps
-            out.append(solve(pulled)[image.shape[1]:])
-        return out
-
-    return induced
-
-
 def induced_cohomology_matrices(G: Complex, perm: dict) -> list:
-    """Matrix of the pullback on each H^k in the chosen representative
-    bases, over exact rationals; `_pullbacks(G)` is memoed on G."""
-    return G.memo("pullbacks", lambda: _pullbacks(G))(perm)
+    """Matrix of the pushforward T# e_x = sign(T|x) e_T(x) on each H^k, over
+    exact rationals: column j holds the coefficients of T# z_j on the class
+    cocycles z_i of `_reduce`, read by reducing T# z_j (module docstring).
+    Raises ArithmeticError when T# z_j is not closed."""
+    out = []
+    for base, (coboundaries, cocycles) in zip(exterior_derivative(G).bases, _reduction(G)):
+        row = {j: i for i, j in enumerate(cocycles)}
+        index = {x: i for i, x in enumerate(base)} if cocycles else {}
+        m = [[Fraction(0)] * len(row) for _ in row]
+        for c, z in enumerate(cocycles.values()):
+            image = {index[simplex_image(base[i], perm)]: permutation_sign_on(base[i], perm) * w
+                     for i, w in z.items()}
+            while image:
+                low = max(image)
+                if low in coboundaries:
+                    r = coboundaries[low]
+                    _subtract(image, _quotient(image[low], r[low]), r)
+                elif low in cocycles:
+                    m[row[low]][c] = Fraction(image[low])
+                    _subtract(image, image[low], cocycles[low])
+                else:
+                    raise ArithmeticError("inconsistent system: T# z_j is not closed")
+        out.append(m)
+    return out
 
 
 def lefschetz(G: Complex, perm: dict) -> dict:
@@ -527,7 +551,7 @@ def interaction_cohomology(G: Complex, pair_cap: int = DEFAULT_PAIR_CAP) -> Coho
     """Quadratic Betti numbers; their alternating sum is the Wu
     characteristic."""
     data = interaction_derivative(G, pair_cap=pair_cap)
-    return _betti_from_ranks(data.dims, data.d)
+    return _report(data.dims, _reduce(data))
 
 
 def wu_gauss_bonnet(G: Complex) -> dict:

@@ -17,9 +17,10 @@ comparable to x; the 1-skeleton of G_1) whose neighbourhoods are unit spheres.
 
 Each Complex carries one memo of what is derived from it: its sorted
 simplices, vertices, f-vector and the two indexes, the connection matrix L
-with its factorization and eigenvalues, the chain complex, the clique complex,
-and a GraphContext each for it and the containment graph.  An entry is built
-on first use and lives as long as the complex; arrays in it are read-only.
+with its factorization and eigenvalues, the chain complex and its reduction,
+the clique complex, and a GraphContext each for it and the containment graph.
+An entry is built on first use and lives as long as the complex; arrays in it
+are read-only.
 The memo is a benign idempotent cache: two threads may both build an entry,
 but they build equal values.  Equal but distinct complexes do not share a
 memo.

@@ -3,15 +3,9 @@
 Everything here certifies bit-exact results.  One fraction-free (Bareiss)
 elimination kernel, `echelon`, does the dense elimination: forward to a row
 echelon form for determinants and leading-minor signs, or on to the
-fraction-free Gauss-Jordan form for inverses, kernel bases and solves.  It
-runs on int64 while a bound checked before each step proves every product
-exact, and promotes the matrix to Python big-int object arrays otherwise.
-
-`rank_exact` serves the sparse +-1 coboundary and interaction matrices, given
-by their nonzero entries: it eliminates on unit pivots, row by row as
-{column: value} dicts of Python integers, and hands the rows it cannot
-finish (no unit pivot left, or fill-in past FILL_LIMIT times the input's
-nonzeros) to `echelon`.
+fraction-free Gauss-Jordan form for inverses and solves.  It runs on int64
+while a bound checked before each step proves every product exact, and
+promotes the matrix to Python big-int object arrays otherwise.
 
 `matmul` is the one exact integer matrix product.  With bound = max_i
 sum_k |A_ik| * max |B|, every partial sum of every entry of A @ B, in any
@@ -249,86 +243,6 @@ def factor(M, inverse: bool = False) -> tuple:
     signs = e.signs if e.rows == list(range(n)) else None
     unit = inverse and d in (1, -1)
     return signs, e.signs[-1] * abs(d), e.matrix[:, n:] * d if unit else None
-
-
-FILL_LIMIT = 4  # rank_exact hands over past this many times the input's nonzeros
-
-
-def rank_exact(M) -> tuple:
-    """(rank over the rationals, the pivot columns) of the integer matrix
-    whose nonzero entries are the rows (row, column, value) of M, in row
-    order, each position once (int64, or Python integers in an object array):
-    a sparse elimination on unit pivots, then `echelon` on whatever it leaves.
-
-    Each nonzero row is a {column: value} dict.  The columns are walked in
-    order; in each, the shortest remaining row with a +-1 entry there is the
-    pivot, and integer multiples of it are subtracted from the other rows in
-    the column.  These are unimodular row operations on Python integers, so
-    they keep the rank exactly, at any size and without a bound to check.  A
-    column without a unit entry is skipped.  When the columns are done, or
-    once the live nonzeros exceed FILL_LIMIT times the input's, the rows left
-    go to `echelon` as one matrix, and its pivots join the unit ones.  The
-    pivot columns are independent (the unit ones form a unit triangular block
-    on which the rows left vanish), so where d_k d_{k-1} = 0 has been checked,
-    the rows of d_{k-1} at those of d_k are redundant: `cohomology` clears them."""
-    rows, where = {}, {}  # row -> {column: value}; column -> rows nonzero there
-    for i, j, v in np.asarray(M).tolist():
-        rows.setdefault(i, {})[j] = v
-        where.setdefault(j, set()).add(i)
-    nnz = len(M)
-    pivots, limit = [], FILL_LIMIT * nnz
-    for c in sorted(where):  # fill-in stays in these columns
-        units = [i for i in where[c] if rows[i][c] in (1, -1)]
-        if not units:
-            continue
-        p = min(units, key=lambda i: (len(rows[i]), i))
-        pivot = rows.pop(p)
-        for j in pivot:
-            where[j].discard(p)
-        pivots.append(c)
-        nnz -= len(pivot)
-        s = pivot[c]
-        for i in list(where[c]):
-            row = rows[i]
-            f = row[c] * s
-            for j, v in pivot.items():
-                w = row.get(j, 0) - f * v
-                if w:
-                    if j not in row:
-                        where.setdefault(j, set()).add(i)
-                        nnz += 1
-                    row[j] = w
-                else:
-                    del row[j]
-                    where[j].discard(i)
-                    nnz -= 1
-            if not row:
-                del rows[i]
-        if nnz > limit:
-            break
-    if rows:
-        cols = sorted(set().union(*rows.values()))
-        rest = np.array([[row.get(j, 0) for j in cols] for row in rows.values()], dtype=object)
-        with contextlib.suppress(OverflowError):  # else entries stay Python ints
-            rest = rest.astype(np.int64)
-        pivots += [cols[j] for j in echelon(rest).pivots]
-    return len(pivots), pivots
-
-
-def kernel_basis(M) -> np.ndarray:
-    """Integer basis of the null space of M, one column per non-pivot column
-    f of its reduced row echelon form R, in column order: the column is d
-    times the rational basis vector (1 at f, -R[k, f] at the pivot column
-    of row k), with d the common pivot of the fraction-free Gauss-Jordan
-    form."""
-    e = echelon(M, full=True)
-    n = e.matrix.shape[1]
-    free = sorted(set(range(n)) - set(e.pivots))
-    K = np.zeros((n, len(free)), dtype=e.matrix.dtype)
-    if e.pivots:
-        K[e.pivots] = -e.matrix[:len(e.pivots)][:, free]
-    K[free, range(len(free))] = e.matrix[0, e.pivots[0]] if e.pivots else 1
-    return K
 
 
 def solver(A):

@@ -1,5 +1,5 @@
-"""JSON formats: complexes (facet lists, closure implied), vertex functions,
-and canonical dumping so identical inputs produce byte-identical files.
+"""JSON formats: complexes (facet lists, closure implied), graphs (whose
+Whitney complexes they give), vertex functions, and canonical dumping so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ import math
 
 from .core import Complex, close
 from .errors import ResourceLimitError
+from .generators import whitney
 from .refinement import cap_simplices
 
 
@@ -42,6 +43,25 @@ def complex_from_dict(d: dict) -> Complex:
     if not facets:
         return Complex()
     return close(facets)
+
+
+def whitney_from_dict(d: dict) -> Complex:
+    """The Whitney complex of {"n": vertex count, "edges": [[a, b], ...]}.
+    Rejects input that is not an object, an n that is not an int, and edges
+    that are not a list of two-int lists (bools and floats included),
+    instead of coercing them; `generators.whitney` rejects a negative n and
+    an out-of-range, self-loop or duplicate edge."""
+    if not isinstance(d, dict):
+        raise ValueError("graph JSON must be an object")
+    n, edges = d.get("n"), d.get("edges", [])
+    if type(n) is not int:
+        raise ValueError(f'"n" must be an integer, not {n!r}')
+    if not isinstance(edges, list):
+        raise ValueError('"edges" must be a list')
+    for e in edges:
+        if not isinstance(e, list) or len(e) != 2 or not all(type(v) is int for v in e):
+            raise ValueError(f"edge {e!r}: must be a pair of integer vertices")
+    return whitney(n, [tuple(e) for e in edges])
 
 
 def function_from_dict(d: dict) -> dict:

@@ -10,8 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from simplexion.cohomology import (
-    _cohomology_bases,
-    exterior_derivative,
+    hodge_blocks,
     interaction_pairs,
     is_automorphism,
     permutation_sign_on,
@@ -178,7 +177,7 @@ def minor_sum_coeffs(F, G) -> list:
 
 
 def rank_fraction(rows) -> int:
-    """Rational-elimination rank; independent oracle for rank_exact."""
+    """Rational-elimination rank; the independent oracle for every exact rank."""
     A = [[Fraction(v) for v in row] for row in rows]
     if not A:
         return 0
@@ -201,8 +200,9 @@ def rank_fraction(rows) -> int:
 
 def entries(M) -> np.ndarray:
     """The nonzero entries of the dense matrix M as rows (row, column,
-    value) in row order, as exact.rank_exact takes them: int64, or Python
-    integers in an object array where some value does not fit in int64."""
+    value) in row order, as `cohomology.ChainComplexData` holds them: int64,
+    or Python integers in an object array where some value does not fit in
+    int64."""
     A = np.array(M, dtype=object)
     rows, cols = np.nonzero(A)
     E = np.column_stack([rows, cols, A[rows, cols]])
@@ -286,24 +286,55 @@ def solve_fraction(A, B) -> list:
     return [row[n:] for row in M[:n]]
 
 
-def induced_cohomology_reference(G: Complex, perm: dict) -> list:
-    """The pullback of perm on each H^k in the representative bases of
-    cohomology._cohomology_bases, by one rational solve per map and degree;
-    the oracle for cohomology.induced_cohomology_matrices."""
-    data = exterior_derivative(G)
-    out = []
-    for k, base in enumerate(data.bases):
-        image, reps = _cohomology_bases(data, k)
-        if not reps.shape[1]:
-            out.append([])
-            continue
+def induced_cohomology_reference(G: Complex, cocycles: list, maps: list) -> list:
+    """What is wrong, as strings, with cocycles and maps as the cohomology of
+    G and the matrices of the maps it induces.  cocycles[k] lists the class
+    cocycles z_j of degree k as dense vectors over G.simplices_of_dim(k), and
+    maps lists (perm, M) with M[k] the matrix of perm on H^k.  In each degree:
+
+    * each z_j is a cocycle, d_k z_j = 0;
+    * there are b_k of them, independent modulo im d_{k-1};
+    * T# z_j - sum_i M[k][i][j] z_i lies in im d_{k-1}, with T# e_x =
+      sign(T|x) e_T(x), for every map.
+
+    Every rank is taken by rank_fraction on the dense d_k of
+    chain_complex_dense; the oracle for cohomology.induced_cohomology_matrices."""
+    d = chain_complex_dense(G)
+    bases = [G.simplices_of_dim(k) for k in range(G.max_dim() + 1)]
+    want = betti_fraction([len(b) for b in bases], d)
+    problems = []
+    for k, base in enumerate(bases):
+        Z = np.array([[Fraction(v) for v in z] for z in cocycles[k]], dtype=object)
+        Z = Z.reshape(len(cocycles[k]), len(base)).T  # one column per class
+        image = d[k - 1].astype(object) if k else np.zeros((len(base), 0), dtype=object)
+        rank = rank_fraction(image.T.tolist())
+        if k < len(d) and (d[k].astype(object) @ Z).any():
+            problems.append(f"degree {k}: a class cocycle is not closed")
+        if Z.shape[1] != want[k] or rank_fraction(
+                np.concatenate([image, Z], axis=1).T.tolist()) != rank + want[k]:
+            problems.append(f"degree {k}: the class cocycles are not a basis of H^k")
         index = {x: i for i, x in enumerate(base)}
-        pulled = np.zeros_like(reps)
-        for i, x in enumerate(base):
-            pulled[index[simplex_image(x, perm)]] = permutation_sign_on(x, perm) * reps[i]
-        coeffs = solve_fraction(np.concatenate([image, reps], axis=1), pulled)
-        out.append(coeffs[image.shape[1]:])
-    return out
+        for perm, M in maps:
+            pushed = np.zeros_like(Z)
+            for i, x in enumerate(base):
+                pushed[index[simplex_image(x, perm)]] = permutation_sign_on(x, perm) * Z[i]
+            rest = pushed - Z @ np.array(M[k], dtype=object).reshape(Z.shape[1], Z.shape[1])
+            if rank_fraction(np.concatenate([image, rest], axis=1).T.tolist()) != rank:
+                problems.append(f"degree {k}: the matrix of {perm} is wrong")
+    return problems
+
+
+def betti_numeric(G: Complex, tol: float = 1e-8) -> tuple:
+    """Kernel dimensions of the numeric Hodge blocks (eigenvalues below tol);
+    the floating cross-check of the exact Betti numbers."""
+    out = []
+    for H in hodge_blocks(G):
+        if len(H) == 0:
+            out.append(0)
+            continue
+        vals = np.linalg.eigvalsh(H.astype(float))
+        out.append(int((vals < tol).sum()))
+    return tuple(out)
 
 
 def automorphisms_bruteforce(G: Complex) -> list:

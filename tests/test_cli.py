@@ -81,6 +81,32 @@ def test_generate_whitney(tmp_path):
     assert load_complex(str(out)).f_vector() == (3, 3, 1)
 
 
+@pytest.mark.parametrize("graph, message", [
+    ({"n": "3", "edges": []}, "\"n\" must be an integer, not '3'"),
+    ({"n": 2.7, "edges": []}, '"n" must be an integer, not 2.7'),
+    ({"n": True, "edges": []}, '"n" must be an integer, not True'),
+    ({"edges": [[0, 1]]}, '"n" must be an integer, not None'),
+    ({"n": 3, "edges": [[0, 1.9]]}, "edge [0, 1.9]: must be a pair of integer vertices"),
+    ({"n": 3, "edges": [[0, True]]}, "edge [0, True]: must be a pair of integer vertices"),
+    ({"n": 3, "edges": [[0, 1, 2]]}, "edge [0, 1, 2]: must be a pair of integer vertices"),
+    ({"n": 3, "edges": [5]}, "edge 5: must be a pair of integer vertices"),
+    ([1], "graph JSON must be an object"),
+    ({"n": 3, "edges": 5}, '"edges" must be a list'),
+    ({"n": -1, "edges": []}, "vertex count must be >= 0"),
+    ({"n": 3, "edges": [[0, 3]]}, "edge (0, 3) outside vertex range 0..2"),
+    ({"n": 3, "edges": [[1, 1]]}, "self-loop at vertex 1"),
+    ({"n": 3, "edges": [[0, 1], [1, 0]]}, "duplicate edge (0, 1)"),
+], ids=["n-string", "n-float", "n-bool", "n-missing", "edge-float", "edge-bool",
+        "edge-triple", "edge-int", "top-level-list", "edges-int", "n-negative",
+        "out-of-range", "self-loop", "duplicate"])
+def test_generate_whitney_rejects_malformed_graphs(tmp_path, capsys, graph, message):
+    g, out = tmp_path / "g.json", tmp_path / "w.json"
+    g.write_text(json.dumps(graph))
+    assert run(["generate", "whitney", "-i", str(g), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_generate_usage_errors(tmp_path):
     assert run(["generate", "cycle", "-o", str(tmp_path / "x.json")]) == 2
     assert run(["generate", "cycle", "--n", "2", "-o", str(tmp_path / "x.json")]) == 2
@@ -370,15 +396,16 @@ def test_verify_all_builds_each_derived_object_once(tmp_path, monkeypatch):
     write_canonical(complex_to_dict(ico), str(path))
     chains = _count_calls(monkeypatch, coh, "_chain_complex")
     builds = _count_calls(monkeypatch, conn, "_build_connection")
-    ranks = _count_calls(monkeypatch, coh, "_betti_from_ranks")
+    reductions = _count_calls(monkeypatch, coh, "_reduce")
     assert run(["verify", "-i", str(path), "--suite", "all", "--no-meta",
                 "-o", str(tmp_path / "rep.json")]) == 0
     # the Kuenneth partner and product, the Alexander dual and the unit
     # spheres are other complexes, with memos of their own; euler-poincare,
-    # kuenneth and alexander all read the Betti numbers of ico
+    # kuenneth and alexander read the Betti numbers of ico and lefschetz
+    # its class cocycles, all from one reduction
     assert sum(G == ico for G in chains) == 1
     assert sum(G == ico for G in builds) == 1
-    assert ranks.count(ico.f_vector()) == 1
+    assert [data.dims for data in reductions].count(ico.f_vector()) == 1
 
 
 def test_random_cap():
@@ -584,8 +611,8 @@ HEAVY_PINNED = {
 def test_heavy_requests_pinned(tmp_path, capsysbinary, monkeypatch, request_):
     # the largest exact ranks the CLI meets on the named corpus: the Kuenneth
     # product of K4 with C4 (a 2208 x 2240 coboundary) and the interaction
-    # cohomology of the 3-dimensional cross-polytope.  Unit pivots finish
-    # every one of them: none is left for the dense elimination.
+    # cohomology of the 3-dimensional cross-polytope.  The column reduction
+    # ranks every one of them: none goes to the dense elimination.
     from simplexion import exact
 
     command, name, *flags = request_

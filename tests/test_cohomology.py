@@ -5,7 +5,7 @@ import pytest
 
 import simplexion as sx
 from simplexion import cohomology as coh
-from simplexion.exact import rank_exact, solver
+from simplexion.exact import solver
 from simplexion.rng import SplitMix64
 
 from hypothesis import given, settings
@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from oracles import (
     automorphisms_bruteforce,
     betti_fraction,
+    betti_numeric,
     chain_complex_dense,
     induced_cohomology_reference,
     interaction_derivative_dense,
     interaction_pairs_scan,
     mckean_singer_full,
+    rank_fraction,
     supertraces_full,
 )
 
@@ -43,8 +45,9 @@ def test_dirac_is_signed_incidence(corpus):
 
 
 def test_gradient_rank_c4():
-    data = coh.exterior_derivative(sx.cycle(4))
-    assert rank_exact(data.d[0])[0] == 3
+    # rank(d_0) = 3: the nonzero columns of R_0, which degree 1 skips
+    coboundaries = coh._reduction(sx.cycle(4))[1][0]
+    assert sorted(coboundaries) == [1, 2, 3]
 
 
 def test_dd_zero(corpus):
@@ -161,37 +164,60 @@ def test_prop_cleared_betti_match_fraction_ranks(kind, n, p, seed, partner):
     assert coh.betti(G).betti == betti_fraction(data.dims, [data.dense(k) for k in range(len(data.d))])
 
 
-def test_clearing_drops_the_pivot_rows(monkeypatch, corpus):
-    # top degree down: d_{k-1} is ranked on the v_k - rank(d_k) rows left
-    # once the pivot columns of d_k are cleared (no row of a d_k is zero)
-    calls, real = [], coh.rank_exact
+def test_clearing_drops_the_pivot_rows(corpus):
+    # the columns of d_k skipped are the lows of R_{k-1}: rank(d_{k-1}) of
+    # them, none a class, and each in the span of the columns of d_k before
+    # it, so it would have reduced to zero
+    skipped = 0
+    for _, G in corpus:
+        if len(G) > 70:
+            continue
+        data = coh.exterior_derivative(G)
+        for k, (coboundaries, cocycles) in enumerate(coh._reduction(G)):
+            below = data.dense(k - 1).tolist() if k else []
+            assert len(coboundaries) == rank_fraction(below)
+            assert not set(coboundaries) & set(cocycles)
+            dk = data.dense(k)
+            for j in coboundaries:
+                assert rank_fraction(dk[:, :j + 1].tolist()) == rank_fraction(dk[:, :j].tolist())
+            skipped += len(coboundaries)
+    assert skipped > 100
 
-    def spy(M):
-        rank, pivots = real(M)
-        calls.append((len(np.unique(M[:, 0])), rank))
-        return rank, pivots
 
-    monkeypatch.setattr(coh, "rank_exact", spy)
-    cleared = 0
-    for G in [G for _, G in corpus] + [sx.barycentric(sx.cross_polytope(2))]:
-        G = sx.Complex(G.simplices)  # a fresh memo: the corpus is shared
-        calls.clear()
-        dims = coh.exterior_derivative(G).dims
-        coh.betti(G)
-        assert len(calls) == len(dims) - 1
-        if calls:
-            assert calls[0][0] == dims[-1]
-        for v, (_, rank), (below, _) in zip(dims[-2::-1], calls, calls[1:]):
-            assert below == v - rank
-            cleared += rank
-    assert cleared > 100
+def test_reduction_takes_a_fraction():
+    # d_0 = [[1, 0, 1], [2, 3, 1]]: the second column meets the pivot 2 of
+    # the first with a 3, and the class cocycle of the third column is
+    # -e_0 + e_1 / 3 + e_2
+    entries = np.array([[0, 0, 1], [0, 2, 1], [1, 0, 2], [1, 1, 3], [1, 2, 1]])
+    data = coh.ChainComplexData(((0, 1, 2), (3, 4)), (entries,))
+    (_, classes), (coboundaries, top) = coh._reduce(data)
+    assert classes == {2: {2: 1, 0: -1, 1: Fraction(1, 3)}}
+    assert coboundaries == {1: {1: 2, 0: 1}, 0: {0: Fraction(-3, 2)}} and top == {}
+    assert coh._report(data.dims, coh._reduce(data)).betti == (1, 0) == betti_fraction(
+        data.dims, [data.dense(0)])
+
+
+def test_rp2_reduction_meets_a_two():
+    # the 6-vertex real projective plane: d_1 has rank 10 over Q but not
+    # over Z/2, so its reduction meets an entry 2; H^1 = H^2 = 0 over Q, and
+    # each of the 60 automorphisms has Lefschetz number 1
+    facets = "123 134 145 156 162 235 346 452 563 624".split()
+    rp2 = sx.close([tuple(sorted(map(int, f))) for f in facets])
+    assert coh.betti(rp2).betti == (1, 0, 0)
+    coboundaries = coh._reduction(rp2)[2][0]
+    assert len(coboundaries) == 10
+    assert any(abs(v) == 2 for col in coboundaries.values() for v in col.values())
+    autos = coh.automorphisms(rp2)
+    assert len(autos) == 60
+    for perm in autos:
+        assert coh.lefschetz(rp2, perm) == {"cohomological": 1, "fixed_point_sum": 1}
 
 
 def test_betti_numeric_agrees(corpus):
     for _, G in corpus:
         if G.is_empty or len(G) > 200:
             continue
-        assert coh.betti_numeric(G) == coh.betti(G).betti
+        assert betti_numeric(G) == coh.betti(G).betti
 
 
 def test_mckean_singer(corpus):
@@ -223,18 +249,17 @@ def test_prop_block_supertraces_match_full_powers(sizes, data):
 
 def test_lefschetz_bases_once_per_complex(monkeypatch, tmp_path):
     # verify --suite lefschetz on K4 maps H^k under all 24 automorphisms
-    # and the identity, from one set of H^k bases
+    # and the identity, from one reduction and its class cocycles
     from simplexion.cli import main
     from simplexion.jsonio import complex_to_dict, write_canonical
 
     calls = []
-    real = coh._cohomology_bases
-    monkeypatch.setattr(coh, "_cohomology_bases",
-                        lambda data, k: calls.append(k) or real(data, k))
+    real = coh._reduce
+    monkeypatch.setattr(coh, "_reduce", lambda data: calls.append(data.dims) or real(data))
     path = str(tmp_path / "k4.json")
     write_canonical(complex_to_dict(sx.complete(4)), path)
     assert main(["verify", "-i", path, "--suite", "lefschetz", "--no-meta"]) == 0
-    assert calls == [0, 1, 2, 3]
+    assert calls == [(4, 6, 4, 1)]
 
 
 def test_hodge_block_str_zero_k2():
@@ -301,14 +326,19 @@ def test_induced_cohomology_matrices_pinned():
 
 
 def test_induced_matrices_match_per_map_solves(corpus):
-    # one factorization per degree against a rational solve per map, on
-    # every automorphism of the corpus complexes with at most 8 vertices
-    for _, G in corpus:
+    # the class cocycles are a basis of each H^k, and each induced matrix
+    # maps them as the pushforward does modulo coboundaries, against
+    # rational ranks, on every automorphism of the corpus complexes with
+    # at most 8 vertices
+    for name, G in corpus:
         if len(G.vertices()) > 8:
             continue
-        induced = coh._pullbacks(G)
-        for perm in coh.automorphisms(G):
-            assert induced(perm) == induced_cohomology_reference(G, perm)
+        cocycles = [[[z.get(i, 0) for i in range(len(base))] for z in classes.values()]
+                    for base, (_, classes) in zip(coh.exterior_derivative(G).bases,
+                                                  coh._reduction(G))]
+        maps = [(perm, coh.induced_cohomology_matrices(G, perm))
+                for perm in coh.automorphisms(G)]
+        assert induced_cohomology_reference(G, cocycles, maps) == [], name
 
 
 def test_pullback_outside_the_span_raises():
@@ -519,18 +549,17 @@ def test_lefschetz_octahedron_full_group():
 
 
 def test_lefschetz_library_calls_share_the_bases(monkeypatch):
-    # the H^k bases and factorizations are memoed on the complex, so the 48
-    # maps of the octahedron, called one by one, build them once per degree
+    # the reduction is memoed on the complex, so the 48 maps of the
+    # octahedron, called one by one, reduce it once
     calls = []
-    real = coh._cohomology_bases
-    monkeypatch.setattr(coh, "_cohomology_bases",
-                        lambda data, k: calls.append(k) or real(data, k))
+    real = coh._reduce
+    monkeypatch.setattr(coh, "_reduce", lambda data: calls.append(data.dims) or real(data))
     G = sx.cross_polytope(2)
     for perm in coh.automorphisms(G):
         r = coh.lefschetz(G, perm)
         assert r["cohomological"] == r["fixed_point_sum"]
         assert len(coh.induced_cohomology_matrices(G, perm)) == 3
-    assert calls == [0, 1, 2]
+    assert calls == [(6, 12, 8)]
 
 
 def test_lefschetz_icosahedron_generators():

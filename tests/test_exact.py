@@ -8,7 +8,6 @@ from simplexion.exact import (
     factor,
     inertia_exact,
     inertia_from_charpoly,
-    rank_exact,
 )
 from simplexion.rng import SplitMix64
 
@@ -21,11 +20,24 @@ from oracles import (
     fraction_inverse,
     minor_sum_coeffs,
     rank_fraction,
+    solve_fraction,
 )
 
 
 def random_matrix(gen, rows, cols, lo=-3, hi=3):
     return [[gen.below(hi - lo + 1) + lo for _ in range(cols)] for _ in range(rows)]
+
+
+def reduced(M) -> tuple:
+    """(rank, lows, kernel) of the integer matrix M by the column reduction
+    R = M V of `cohomology._reduce`, M the one coboundary of a cochain
+    complex in two degrees: the lows of the nonzero columns of R, ascending,
+    and {column: V column} for the columns that reduce to zero."""
+    from simplexion.cohomology import ChainComplexData, _reduce
+
+    rows, cols = np.shape(M)
+    (_, kernel), (lows, _) = _reduce(ChainComplexData((range(cols), range(rows)), (entries(M),)))
+    return len(lows), sorted(lows), kernel
 
 
 def test_bareiss_identity_and_known():
@@ -59,13 +71,13 @@ def test_rank_matches_fraction_oracle():
         r = gen.below(5) + 1
         c = gen.below(5) + 1
         M = random_matrix(gen, r, c)
-        assert rank_exact(entries(M))[0] == rank_fraction(M)
+        assert reduced(M)[0] == rank_fraction(M)
     # rank-deficient by construction
     for _ in range(20):
         A = np.array(random_matrix(gen, 4, 2))
         B = np.array(random_matrix(gen, 2, 4))
         M = (A @ B).tolist()
-        assert rank_exact(entries(M))[0] == rank_fraction(M) <= 2
+        assert reduced(M)[0] == rank_fraction(M) <= 2
 
 
 def test_berkowitz_against_oracle():
@@ -188,7 +200,7 @@ from fractions import Fraction  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from simplexion.exact import kernel_basis, solver  # noqa: E402
+from simplexion.exact import solver  # noqa: E402
 
 PROPS = settings(max_examples=150, deadline=None)
 
@@ -227,7 +239,7 @@ def test_prop_det_matches_cofactor(M):
 @PROPS
 @given(int_matrices())
 def test_prop_rank_matches_fraction(M):
-    assert rank_exact(entries(M))[0] == rank_fraction(M)
+    assert reduced(M)[0] == rank_fraction(M)
 
 
 def _factor_under_leaf(M, dtype, leaf, inverse):
@@ -308,12 +320,17 @@ def test_prop_unit_minor_inverse(n, data):
 @PROPS
 @given(int_matrices())
 def test_prop_kernel_basis(M):
-    K = kernel_basis(M)
-    rank = rank_fraction(M)
-    assert K.shape == (len(M[0]), len(M[0]) - rank)
-    assert not (np.array(M, dtype=object) @ K.astype(object)).any()
+    # the V columns of the zero columns of R = M V: a basis of ker M, each
+    # with lowest entry 1 at its own column
+    _, _, kernel = reduced(M)
+    cols = len(M[0])
+    K = np.array([[z.get(i, 0) for z in kernel.values()] for i in range(cols)],
+                 dtype=object).reshape(cols, len(kernel))
+    assert K.shape[1] == cols - rank_fraction(M)
+    assert not (np.array(M, dtype=object) @ K).any()
     if K.shape[1]:
         assert rank_fraction(K.T.tolist()) == K.shape[1]
+    assert all(max(z) == j and z[j] == 1 for j, z in kernel.items())
 
 
 @PROPS
@@ -331,6 +348,7 @@ def test_prop_solve_exact(M, data):
         return
     X = np.array(solver(A)(B), dtype=object)
     assert np.array_equal(A @ X, B)
+    assert solver(A)(B) == solve_fraction(A, B)
     assert X[:, 0].tolist() == [row[0] for row in y]
 
 
@@ -627,12 +645,12 @@ def test_factor_zero_minor_above_leaf(at):
     _assert_matches_echelon(M, tier_applies=False)
 
 
-# -- the sparse unit-pivot rank -------------------------------------------------
+# -- ranks by the column reduction of cohomology ---------------------------------
 
 
 @st.composite
 def rank_inputs(draw):
-    """Matrices for rank_exact: coboundaries d_k of random Whitney complexes,
+    """Matrices to rank: coboundaries d_k of random Whitney complexes,
     derivatives of their interaction cohomology, random sparse or dense +-1
     matrices, and sparse matrices with big-integer object entries."""
     import simplexion as sx
@@ -668,56 +686,15 @@ def rank_inputs(draw):
 def test_prop_sparse_rank_matches_oracles(M):
     want = rank_fraction(M.tolist())
     assert len(echelon(M).pivots) == want
-    rank, pivots = rank_exact(entries(M))
-    assert rank == len(pivots) == want
-    assert rank_fraction(M[:, sorted(pivots)].tolist()) == want  # independent
+    rank, lows, _ = reduced(M)
+    assert rank == want
+    assert rank_fraction(M[lows].tolist()) == want  # the rows at the lows are independent
 
 
 @settings(PROPS, max_examples=40)
 @given(rank_inputs())
 def test_prop_sparse_rank_without_unit_pivots(M):
-    # 2 M has no +-1 entry: every nonzero row of it goes to echelon as it is
-    with pytest.MonkeyPatch.context() as mp:
-        shapes = _spy_echelon(mp)
-        assert rank_exact(entries(2 * M))[0] == rank_fraction(M.tolist())
-    nonzero_rows = int(np.count_nonzero(M.any(axis=1)))
-    assert shapes == ([(nonzero_rows, int(np.count_nonzero(M.any(axis=0))))]
-                      if nonzero_rows else [])
-
-
-def test_sparse_rank_fill_in_guard(monkeypatch):
-    # the only unit in column 0 is a row of ones; subtracting it twice from
-    # every row below fills the matrix, past FILL_LIMIT times the input's
-    # 3n - 2 nonzeros, so the other n - 1 rows go to echelon at once.
-    # Unguarded, the pass takes one more unit pivot (the -1 of row 1 in
-    # column 1), after which every entry left is 2 or 3.
-    n = 16
-    M = np.eye(n, dtype=np.int64)
-    M[0], M[1:, 0] = 1, 2
-    assert (n - 1) ** 2 > exact.FILL_LIMIT * np.count_nonzero(M)
-    shapes = _spy_echelon(monkeypatch)
-    assert rank_exact(entries(M))[0] == rank_fraction(M.tolist()) == n
-    assert shapes == [(n - 1, n - 1)]
-    monkeypatch.setattr(exact, "FILL_LIMIT", 10 ** 9)
-    shapes.clear()
-    assert rank_exact(entries(M))[0] == n
-    assert shapes == [(n - 2, n - 2)]
-
-
-def test_sparse_rank_rp2_takes_the_fallback(monkeypatch):
-    # the 6-vertex real projective plane: d_1 has rank 10 over Q but not
-    # over Z/2, so no run of unit pivots alone can give its rank
-    import simplexion as sx
-    from simplexion.cohomology import betti, exterior_derivative
-
-    facets = "123 134 145 156 162 235 346 452 563 624".split()
-    rp2 = sx.close([tuple(sorted(map(int, f))) for f in facets])
-    data = exterior_derivative(rp2)
-    d1 = data.dense(1)
-    shapes = _spy_echelon(monkeypatch)
-    assert rank_exact(data.d[1])[0] == rank_fraction(d1.tolist()) == 10
-    assert shapes and all(rows < len(d1) for rows, _ in shapes)
-    # ranked top down with clearing, d_1 still needs the fallback
-    shapes.clear()
-    assert betti(rp2).betti == (1, 0, 0)
-    assert shapes and all(rows < len(d1) for rows, _ in shapes)
+    # rows scaled by 2, 3 and 5 in turn leave no +-1 entry and make most
+    # quotients of the reduction fractions; the rank stays
+    scale = np.array([[2], [3], [5]] * len(M), dtype=object)[:len(M)]
+    assert reduced(M.astype(object) * scale)[0] == rank_fraction(M.tolist())

@@ -1,7 +1,9 @@
 """Static checks on the sources, by an `ast` pass over each module of the
 package (the package `__init__`, which imports to re-export, aside) and each
 test module: no imported name goes unused, and no f-string lacks a
-placeholder."""
+placeholder.  Across the package, every module-level private function and
+class is referenced by some package module, so none lives on for tests
+alone."""
 
 import ast
 import pathlib
@@ -9,7 +11,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).parents[1]
-SOURCES = sorted(p for p in (ROOT / "src" / "simplexion").glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "simplexion").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 SOURCES += sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -42,3 +45,21 @@ def test_no_fstring_without_placeholder(path):
             if isinstance(node, ast.JoinedStr) and id(node) not in specs
             and not any(isinstance(v, ast.FormattedValue) for v in node.values)]
     assert not bare, [f"{path.name}:{line}: f-string without placeholders" for line in bare]
+
+
+def test_private_definitions_are_used_by_the_package():
+    defined, used = {}, set()
+    for path in PACKAGE:
+        tree = _tree(path)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = sorted(f"{where}: {name}" for name, where in defined.items() if name not in used)
+    assert not unused, [f"{entry} is referenced by no package module" for entry in unused]
