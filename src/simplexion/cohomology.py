@@ -52,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Complex, _vertex_stars, parity
+from .core import Complex, _vertex_stars, parity, up_star_weights
 from .errors import InvariantViolation, ResourceLimitError
 from .exact import matmul
 from .generators import poly_mul, product_cells, ring_product_complex
@@ -557,8 +557,6 @@ def interaction_cohomology(G: Complex, pair_cap: int = DEFAULT_PAIR_CAP) -> Coho
 def wu_gauss_bonnet(G: Complex) -> dict:
     """Per-vertex curvature K(v) = sum over x containing v, y meeting x of
     parity(x) parity(y) / |x|; sums exactly to the Wu characteristic."""
-    from .core import up_star_weights
-
     U = up_star_weights(G)
     curv = {v: Fraction(0) for v in G.vertices()}
     for x in G.simplices:

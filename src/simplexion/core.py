@@ -15,12 +15,16 @@ stars (v -> the simplices containing v) for stars, links, induced subcomplexes
 and intersecting pairs, and the containment graph (x -> the simplices
 comparable to x; the 1-skeleton of G_1) whose neighbourhoods are unit spheres.
 
+`is_whitney` decides whether a complex is flag (the clique complex of its
+1-skeleton) by looking up one-vertex extensions of its own simplices; it
+builds no clique complex, so its cost is bounded by the complex it is given.
+
 Each Complex carries one memo of what is derived from it: its sorted
 simplices, vertices, f-vector and the two indexes, the connection matrix L
 with its factorization and eigenvalues, the chain complex and its reduction,
-the clique complex, and a GraphContext each for it and the containment graph.
-An entry is built on first use and lives as long as the complex; arrays in it
-are read-only.
+whether it is flag, the clique complex, and a GraphContext each for it and
+the containment graph.  An entry is built on first use and lives as long as
+the complex; arrays in it are read-only.
 The memo is a benign idempotent cache: two threads may both build an entry,
 but they build equal values.  Equal but distinct complexes do not share a
 memo.
@@ -428,15 +432,19 @@ def one_skeleton(G: Complex) -> dict:
 
 
 def is_whitney(G: Complex) -> bool:
-    """True when G is the clique complex of its own 1-skeleton."""
-    if G.is_empty:
-        return True
-    adj = one_skeleton(G)
-    # every clique must be a simplex; every simplex is a clique by closure.
-    # check by growing: a set is a clique iff all its 2-subsets are edges.
-    from .generators import whitney_from_adjacency  # local import, no cycle at module load
+    """True when G is flag: the clique complex of its own 1-skeleton.
 
-    return whitney_from_adjacency(adj) == G
+    Decided on G itself, building nothing: a smallest clique C missing from
+    G has at least three vertices, and dropping its largest vertex v leaves
+    a simplex x, so G is flag exactly when x + (v,) is in G for every
+    simplex x and every common neighbour v > max(x) of its vertices.
+    Memoed on G."""
+    def decide():
+        adj = one_skeleton(G)
+        return not any(v > x[-1] and x + (v,) not in G.simplices
+                       for x in G.simplices if len(x) > 1
+                       for v in set.intersection(*(adj[u] for u in x)))
+    return G.memo("flag", decide)
 
 
 def inductive_dimension(G: Complex) -> Fraction:

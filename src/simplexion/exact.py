@@ -1,11 +1,11 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
 Everything here certifies bit-exact results.  One fraction-free (Bareiss)
 elimination kernel, `echelon`, does the dense elimination: forward to a row
 echelon form for determinants and leading-minor signs, or on to the
-fraction-free Gauss-Jordan form for inverses and solves.  It runs on int64
-while a bound checked before each step proves every product exact, and
-promotes the matrix to Python big-int object arrays otherwise.
+fraction-free Gauss-Jordan form for inverses.  It runs on int64 while a
+bound checked before each step proves every product exact, and promotes the
+matrix to Python big-int object arrays otherwise.
 
 `matmul` is the one exact integer matrix product.  With bound = max_i
 sum_k |A_ik| * max |B|, every partial sum of every entry of A @ B, in any
@@ -33,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -243,29 +242,6 @@ def factor(M, inverse: bool = False) -> tuple:
     signs = e.signs if e.rows == list(range(n)) else None
     unit = inverse and d in (1, -1)
     return signs, e.signs[-1] * abs(d), e.matrix[:, n:] * d if unit else None
-
-
-def solver(A):
-    """solve(B) -> the unique rational X with A X = B, as rows of Fractions,
-    from one fraction-free Gauss-Jordan elimination of [A | I] for every B.
-    Its row operations T give T A = [d I; 0]: L = T[:n] has L A = d I and
-    N = T[n:] has N A = 0, so B is in the span of A's columns exactly when
-    N B = 0 (T is invertible), and then X = L B / d.  Raises ArithmeticError
-    when A's columns are dependent; solve(B) raises it for B outside them."""
-    A = np.asarray(A)
-    m, n = A.shape
-    e = echelon(A, np.eye(m, dtype=np.int64), full=True)
-    if len(e.pivots) < n:
-        raise ArithmeticError("solution is not unique")
-    d = int(e.matrix[0, 0]) if n else 1
-    L, N = e.matrix[:n, n:], e.matrix[n:, n:]
-
-    def solve(B) -> list:
-        if matmul(N, B).any():
-            raise ArithmeticError("inconsistent system")
-        return [[Fraction(int(v), d) for v in row] for row in matmul(L, B)]
-
-    return solve
 
 
 # -- characteristic polynomial and inertia ----------------------------------

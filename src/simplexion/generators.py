@@ -2,6 +2,12 @@
 Erdos-Renyi random complexes with their exact expectation polynomials, and
 the Cartesian product of the strong ring.
 
+The builders whose size can grow exponentially read the simplex cap
+(`refinement.cap_simplices`) on a count predicted before anything is
+built: 2^n - 1 for the full simplex, 3^(d+1) - 1 for the cross polytope,
+the closure bound of the maximal cliques for a Whitney complex, and the
+product f-vector for the ring product.
+
 Monte Carlo over E(n, p) for n <= 10 does not build complexes: `clique_block`
 draws a block of trials from their substreams at once and reads the Euler
 characteristic, the Wu characteristic and the inductive dimension of each
@@ -20,7 +26,7 @@ from math import comb
 import numpy as np
 
 from .core import Complex, _faces, close, join, order_complex
-from .refinement import check_cap, predicted_product_fvector
+from .refinement import check_cap, check_closure, predicted_product_fvector
 from .rng import SplitMix64, substream_uniforms
 
 # icosahedron graph: 12 vertices, 30 edges, every vertex degree 5
@@ -37,6 +43,7 @@ def complete(n: int) -> Complex:
     """Closure of one (n-1)-simplex: the solid K_n."""
     if n < 1:
         raise ValueError("complete(n) needs n >= 1")
+    check_closure([range(n)])
     return close([range(n)])
 
 
@@ -66,6 +73,7 @@ def cross_polytope(d: int) -> Complex:
     boundary (octahedron for d=2), a d-sphere."""
     if d < 0:
         raise ValueError("cross_polytope(d) needs d >= 0")
+    check_cap("cross polytope", 3 ** (d + 1) - 1, None)
     G = two_point()
     for _ in range(d):
         G = join(G, two_point())
@@ -98,19 +106,16 @@ def _check_graph(n: int, edges) -> list:
 
 
 def whitney(n: int, edges) -> Complex:
-    """Clique complex of a simple graph on vertices 0..n-1."""
+    """Clique complex of a simple graph on vertices 0..n-1: the closure of
+    its maximal cliques, listed by Bron-Kerbosch with pivoting.  Refuses to
+    close them when `refinement.check_closure` bounds the closure above
+    the cap."""
     if n < 0:
         raise ValueError("vertex count must be >= 0")
     adj = {v: set() for v in range(n)}
     for a, b in _check_graph(n, edges):
         adj[a].add(b)
         adj[b].add(a)
-    return whitney_from_adjacency(adj)
-
-
-def whitney_from_adjacency(adj: dict) -> Complex:
-    """Clique complex from an adjacency map (Bron-Kerbosch with pivoting on
-    maximal cliques, then closure)."""
     maximal = []
 
     def bk(clique, candidates, excluded):
@@ -125,7 +130,8 @@ def whitney_from_adjacency(adj: dict) -> Complex:
 
     if adj:
         bk(set(), set(adj), set())
-    return close(maximal) if maximal else Complex()
+    check_closure(maximal)
+    return close(maximal)
 
 
 @dataclass(frozen=True)

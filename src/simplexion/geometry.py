@@ -25,11 +25,12 @@ from .core import (
     _faces,
     close,
     induced,
+    is_whitney,
     link,
     one_skeleton,
     order_complex,
 )
-from .refinement import refinement_order
+from .refinement import barycentric, refinement_order
 from .rng import SplitMix64
 
 
@@ -331,11 +332,14 @@ def _containment_context(G: Complex) -> GraphContext:
 def clique_complex(G: Complex) -> Complex:
     """G itself when it is the clique complex of its skeleton, else its
     Barycentric refinement (which always is); memoed on G."""
-    from .core import is_whitney
-    from .refinement import barycentric
-
     H = G.memo("clique", lambda: None if is_whitney(G) else barycentric(G))
     return G if H is None else H
+
+
+def clique_vertex_count(G: Complex) -> int:
+    """The vertex count of clique_complex(G), without building it: G's own
+    when G is flag, one per simplex of G for its refinement."""
+    return len(G.vertices()) if is_whitney(G) else len(G)
 
 
 def is_contractible(G: Complex) -> bool:

@@ -8,9 +8,8 @@ import json
 import math
 
 from .core import Complex, close
-from .errors import ResourceLimitError
 from .generators import whitney
-from .refinement import cap_simplices
+from .refinement import check_closure
 
 
 def complex_to_dict(G: Complex, name: str | None = None) -> dict:
@@ -24,8 +23,7 @@ def complex_from_dict(d: dict) -> Complex:
     """Closure of the facet list.  Rejects input that is not an object with
     a list of facets, and any vertex that is not a non-negative int (bools
     and floats included), instead of coercing it.  Refuses to close when
-    sum (2^|facet| - 1), an upper bound on the closure's size, exceeds
-    `refinement.cap_simplices()`."""
+    `refinement.check_closure` bounds the closure above the cap."""
     if not isinstance(d, dict):
         raise ValueError("complex JSON must be an object")
     facets = d.get("facets", [])
@@ -35,13 +33,7 @@ def complex_from_dict(d: dict) -> Complex:
         if not isinstance(f, (list, tuple)) or not all(
                 type(v) is int and v >= 0 for v in f):
             raise ValueError(f"facet {f!r}: vertices must be non-negative integers")
-    predicted = sum((1 << len(f)) - 1 for f in facets)
-    limit = cap_simplices()
-    if predicted > limit:
-        raise ResourceLimitError(
-            f"closure could have {predicted} simplices (cap {limit})")
-    if not facets:
-        return Complex()
+    check_closure(facets)
     return close(facets)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import Complex, _faces, order_complex
 from .errors import ResourceLimitError
-from .exact import matmul, solver
+from .exact import matmul
 
 DEFAULT_CAP = 5_000_000
 DEFAULT_EXACT_CAP = 3000  # rows of a dense exact operator: simplices, or product cells
@@ -39,6 +39,15 @@ def check_cap(what: str, predicted: int, cap: int | None) -> None:
     limit = cap if cap is not None else cap_simplices()
     if predicted > limit:
         raise ResourceLimitError(f"{what} would have {predicted} simplices (cap {limit})")
+
+
+def check_closure(facets) -> None:
+    """Refuse to close facets when sum (2^|f| - 1), an upper bound on the
+    closure's size, exceeds cap_simplices()."""
+    predicted = sum((1 << len(f)) - 1 for f in facets)
+    limit = cap_simplices()
+    if predicted > limit:
+        raise ResourceLimitError(f"closure could have {predicted} simplices (cap {limit})")
 
 
 def refinement_order(G: Complex) -> list:
@@ -138,10 +147,13 @@ def euler_unique_vector(r: int) -> list:
     """The unique (up to scale) valuation fixed by refinement: the kernel of
     S^T - I normalized to first coordinate 1.  Must equal (1, -1, 1, ...),
     which is why the alternating parity sum is the only refinement-invariant
-    valuation with X(point) = 1."""
+    valuation with X(point) = 1.  S is upper triangular with S[i][i] =
+    (i+1)!, so row i of (S^T - I) x = 0 gives x_i by forward substitution:
+    x_i = -sum_{j<i} S[j][i] x_j / ((i+1)! - 1)."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    m = r + 1
-    # (S^T - I) x = 0 with x_0 = 1: solve A[:, 1:] x' = -A[:, 0]
-    A = np.array(stirling_matrix(r), dtype=object).T - np.eye(m, dtype=np.int64)
-    return [Fraction(1)] + [row[0] for row in solver(A[:, 1:])(-A[:, :1])]
+    S = stirling_matrix(r)
+    x = [Fraction(1)]
+    for i in range(1, r + 1):
+        x.append(-sum(S[j][i] * x[j] for j in range(i)) / (S[i][i] - 1))
+    return x

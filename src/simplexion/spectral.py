@@ -15,7 +15,7 @@ from .connection import connection_matrix
 from .core import Complex, _faces
 from .errors import NumericError
 from .exact import charpoly
-from .refinement import barycentric
+from .refinement import barycentric, refinement_order
 
 KERNEL_RELATIVE_CUTOFF = 1e-10
 
@@ -289,8 +289,6 @@ def lax_flow(G: Complex, gamma: float = 0.0, t_end: float = 1.0,
     The flow is isospectral and leaves D^2 fixed; the diagnostics report the
     eigenvalue drift and ||D(t)^2 - D(0)^2||, raising NumericError (with a
     suggested smaller step) when the drift exceeds drift_tol."""
-    from .refinement import refinement_order
-
     if dt <= 0 or t_end < 0:
         raise ValueError("need dt > 0 and t_end >= 0")
     D0 = dirac(G).astype(complex)

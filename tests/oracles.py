@@ -26,6 +26,7 @@ from simplexion.generators import (
     expected_euler,
     poly_eval,
     product_cells,
+    whitney,
 )
 from simplexion.geometry import GraphContext
 from simplexion.rng import SplitMix64
@@ -264,28 +265,6 @@ def betti_fraction(dims, mats) -> tuple:
     return tuple(v - ranks[k] - ranks[k + 1] for k, v in enumerate(dims))
 
 
-def solve_fraction(A, B) -> list:
-    """The unique rational X with A X = B, as rows of Fractions, by
-    Gauss-Jordan elimination of [A | B] over the rationals; raises
-    ArithmeticError when the columns of A are dependent or a column of B is
-    outside their span.  The oracle for exact.solver."""
-    A, B = np.asarray(A).tolist(), np.asarray(B).tolist()
-    n = len(A[0]) if A else 0
-    M = [[Fraction(v) for v in a + b] for a, b in zip(A, B)]
-    for c in range(n):
-        piv = next((r for r in range(c, len(M)) if M[r][c] != 0), None)
-        if piv is None:
-            raise ArithmeticError("solution is not unique")
-        M[c], M[piv] = M[piv], M[c]
-        M[c] = [v / M[c][c] for v in M[c]]
-        for r in range(len(M)):
-            if r != c and M[r][c] != 0:
-                M[r] = [a - M[r][c] * b for a, b in zip(M[r], M[c])]
-    if any(v != 0 for row in M[n:] for v in row):
-        raise ArithmeticError("inconsistent system")
-    return [row[n:] for row in M[:n]]
-
-
 def induced_cohomology_reference(G: Complex, cocycles: list, maps: list) -> list:
     """What is wrong, as strings, with cocycles and maps as the cohomology of
     G and the matrices of the maps it induces.  cocycles[k] lists the class
@@ -360,6 +339,17 @@ def chains_bruteforce(elems: list, less) -> set:
         frontier = [c + (j,) for c in frontier for j in range(c[-1] + 1, len(elems))
                     if all(comparable(i, j) for i in c)]
     return out
+
+
+def is_whitney_rebuild(G: Complex) -> bool:
+    """Whether G is the clique complex of its 1-skeleton, by rebuilding that
+    clique complex with `generators.whitney` (Bron-Kerbosch, then closure)
+    on the vertices relabelled 0..m-1 and comparing.  The oracle for
+    core.is_whitney."""
+    index = {v: i for i, v in enumerate(G.vertices())}
+    relabelled = Complex((tuple(index[v] for v in x) for x in G.simplices), _closed=True)
+    edges = [x for x in relabelled.simplices if len(x) == 2]
+    return whitney(len(index), edges) == relabelled
 
 
 def facets_bruteforce(G: Complex) -> list:

@@ -113,6 +113,47 @@ def test_generate_usage_errors(tmp_path):
     assert run(["generate", "join", "-o", str(tmp_path / "x.json")]) == 2
 
 
+# every usage error the subcommands detect themselves, with its message
+USAGE_ERRORS = {
+    "--n required": ["generate", "cycle"],
+    "--dim required": ["generate", "cross-polytope"],
+    "whitney needs one --input graph file": ["generate", "whitney"],
+    "join needs two --input files": ["generate", "join", "-i", "K2"],
+    "refine needs one --input file": ["generate", "refine"],
+    "--level needs --level-value": ["analyze", "-i", "K2", "--level", "f"],
+    "unknown suite(s): nonsense, other": ["verify", "-i", "K2", "--suite", "nonsense,energy,other"],
+}
+
+
+@pytest.mark.parametrize("message", USAGE_ERRORS)
+def test_usage_errors_exit_2_with_their_message(tmp_path, capsys, monkeypatch, message):
+    monkeypatch.chdir(tmp_path)
+    write_canonical(complex_to_dict(sx.complete(2)), "K2")
+    write_canonical({"values": {"0": 0, "1": 1}}, "f")
+    argv = USAGE_ERRORS[message]
+    assert run([*argv, *(["-o", "out.json"] if argv[0] == "generate" else ["--no-meta"])]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_generate_named_and_whitney_capped_before_building(tmp_path, capsys, monkeypatch):
+    # K12 and the 7-dimensional cross polytope have 4095 and 6560 simplices
+    graph, out = tmp_path / "k12-graph.json", tmp_path / "out.json"
+    graph.write_text(json.dumps({"n": 12, "edges": [[a, b] for a in range(12)
+                                                     for b in range(a + 1, 12)]}))
+    monkeypatch.setenv("SIMPLEXION_CAP", "1000")
+    for argv in (["complete", "--n", "12"], ["cross-polytope", "--dim", "7"],
+                 ["whitney", "-i", str(graph)]):
+        assert run(["generate", *argv, "-o", str(out)]) == 3
+        assert not out.exists()
+    assert capsys.readouterr().err == (
+        "resource cap: closure could have 4095 simplices (cap 1000)\n"
+        "resource cap: cross polytope would have 6560 simplices (cap 1000)\n"
+        "resource cap: closure could have 4095 simplices (cap 1000)\n")
+    assert run(["generate", "complete", "--n", "9", "-o", str(out)]) == 0
+    assert run(["generate", "cross-polytope", "--dim", "5", "-o", str(out)]) == 0
+
+
 def test_generate_resource_cap(tmp_path):
     oct_ = tmp_path / "oct.json"
     run(["generate", "cross-polytope", "--dim", "2", "-o", str(oct_)])
@@ -189,6 +230,41 @@ def test_analyze_format_choices(tmp_path, capsys):
     assert exc.value.code == 2
     assert "invalid choice: 'csv'" in capsys.readouterr().err
     assert run(["analyze", "-i", str(k2), "--format", "table", "--no-meta"]) == 0
+
+
+def test_flag_suites_on_a_dense_skeleton(tmp_path, capsys, monkeypatch):
+    # the 1-skeleton of K26 is not flag; its clique complex (the refinement,
+    # 1001 simplices) is decided and built without closing the 2^26 - 1
+    # cliques of the skeleton, and only by the suites that do not skip
+    from simplexion import geometry
+
+    path = tmp_path / "k26.json"
+    path.write_text(json.dumps({"facets": [[a, b] for a in range(26) for b in range(a + 1, 26)]}))
+    t0 = time.monotonic()
+    assert run(["verify", "-i", str(path), "--suite",
+                "gauss-bonnet,poincare-hopf,dehn-sommerville,sard", "--no-meta"]) == 0
+    assert [c["status"] for c in json.loads(capsys.readouterr().out)["checks"]] == [
+        "pass", "pass", "skipped:size", "skipped:not-applicable"]
+    assert run(["analyze", "-i", str(path), "--dimension", "--no-meta"]) == 0
+    assert json.loads(capsys.readouterr().out)["inductive_dimension"] == "1"
+    assert time.monotonic() - t0 < 10
+    refinements = _count_calls(monkeypatch, geometry, "barycentric")
+    assert run(["verify", "-i", str(path), "--suite", "dehn-sommerville,sard", "--no-meta"]) == 0
+    assert refinements == []
+
+
+def test_trees_skips_before_any_charpoly(tmp_path, capsys, monkeypatch):
+    from simplexion import spectral
+
+    calls = _count_calls(monkeypatch, spectral, "charpoly")
+    for n, status in ((7, "pass"), (8, "skipped:size")):
+        path = tmp_path / f"c{n}.json"
+        write_canonical(complex_to_dict(sx.cycle(n)), str(path))
+        assert run(["verify", "-i", str(path), "--suite", "trees", "--no-meta"]) == 0
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check["status"] == status
+    assert len(calls) == 1  # C7's; C8 skips on its vertex count
+    assert check["witness"] == {}
 
 
 def test_verify_unknown_suite(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 import simplexion as sx
 from simplexion import cohomology as coh
-from simplexion.exact import solver
 from simplexion.rng import SplitMix64
 
 from hypothesis import given, settings
@@ -347,10 +346,6 @@ def test_pullback_outside_the_span_raises():
     G = sx.close([(0, 1), (2,)])
     with pytest.raises(ArithmeticError, match="inconsistent"):
         coh.induced_cohomology_matrices(G, {0: 0, 1: 2, 2: 1})
-    solve = solver(np.array([[1, 0], [1, 1], [0, 2]]))
-    assert solve(np.array([[1], [3], [4]])) == [[Fraction(1)], [Fraction(2)]]
-    with pytest.raises(ArithmeticError, match="inconsistent"):
-        solve(np.array([[1], [0], [0]]))
 
 
 def test_lefschetz_rejects_non_automorphism():

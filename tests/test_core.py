@@ -20,6 +20,7 @@ from oracles import (
     comparable_elements_scan,
     facets_bruteforce,
     induced_scan,
+    is_whitney_rebuild,
     star_up_scan,
     wu_characteristic_bruteforce,
 )
@@ -285,6 +286,28 @@ def test_is_whitney():
     assert sx.is_whitney(sx.cross_polytope(2))
     assert not sx.is_whitney(sx.cycle(3))  # hollow triangle
     assert sx.is_whitney(sx.barycentric(sx.cycle(3)))
+
+
+def random_closures(count: int, seed: int) -> list:
+    """Closures of 1..12 random sets of two to four vertex draws each, on
+    3..8 vertices: flag when the sets leave no clique of their edges
+    uncovered, which about half of them do."""
+    out = []
+    for trial in range(count):
+        gen = SplitMix64.substream(seed, trial)
+        n = 3 + gen.below(6)
+        out.append(sx.close([[gen.below(n) for _ in range(2 + gen.below(3))]
+                             for _ in range(1 + gen.below(12))]))
+    return out
+
+
+def test_is_whitney_matches_the_rebuilt_clique_complex(corpus, local_corpus):
+    cases = [G for _, G in local_corpus]
+    cases += [sx.barycentric(G) for _, G in corpus]
+    cases += random_closures(600, 2019)
+    flags = [sx.is_whitney(G) for G in cases]
+    assert flags == [is_whitney_rebuild(G) for G in cases]
+    assert 200 <= flags.count(False) <= len(cases) - 200
 
 
 def test_inductive_dimension_bounded_by_max_dim(corpus):

@@ -20,7 +20,6 @@ from oracles import (
     fraction_inverse,
     minor_sum_coeffs,
     rank_fraction,
-    solve_fraction,
 )
 
 
@@ -200,8 +199,6 @@ from fractions import Fraction  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from simplexion.exact import solver  # noqa: E402
-
 PROPS = settings(max_examples=150, deadline=None)
 
 
@@ -331,25 +328,6 @@ def test_prop_kernel_basis(M):
     if K.shape[1]:
         assert rank_fraction(K.T.tolist()) == K.shape[1]
     assert all(max(z) == j and z[j] == 1 for j, z in kernel.items())
-
-
-@PROPS
-@given(int_matrices(), st.data())
-def test_prop_solve_exact(M, data):
-    A = np.array(M, dtype=object)
-    rows, cols = A.shape
-    y = [[data.draw(st.integers(-5, 5))] for _ in range(cols)]
-    b = [[data.draw(st.integers(-5, 5))] for _ in range(rows)]
-    B = np.concatenate([A @ np.array(y, dtype=object), np.array(b, dtype=object)], axis=1)
-    consistent = rank_fraction(np.concatenate([A, B], axis=1).tolist()) == cols
-    if rank_fraction(M) < cols or not consistent:
-        with pytest.raises(ArithmeticError):
-            solver(A)(B)
-        return
-    X = np.array(solver(A)(B), dtype=object)
-    assert np.array_equal(A @ X, B)
-    assert solver(A)(B) == solve_fraction(A, B)
-    assert X[:, 0].tolist() == [row[0] for row in y]
 
 
 # -- property tests of the multi-modular characteristic polynomial ------------

@@ -170,6 +170,11 @@ def test_level_surface_cross3_is_2_graph():
     assert surf.euler_characteristic() % 2 == 0
 
 
+def test_clique_vertex_count_needs_no_clique_complex(local_corpus):
+    for name, G in local_corpus:
+        assert geo.clique_vertex_count(G) == len(geo.clique_complex(G).vertices()), name
+
+
 def test_contractibility():
     for n in range(1, 6):
         assert geo.is_contractible(sx.complete(n))
