@@ -11,7 +11,6 @@ from .core import (
     dim,
     generating_function,
     induced,
-    inductive_dimension,
     is_whitney,
     join,
     link,
@@ -38,6 +37,7 @@ from .generators import (
     ring_product_complex,
     whitney,
 )
+from .geometry import inductive_dimension
 from .refinement import (
     barycentric,
     connection_graph,

@@ -18,15 +18,10 @@ import numpy as np
 
 from . import cohomology as hodge_mod
 from . import connection as conn_mod
+from . import errors
 from . import geometry as geom_mod
 from . import spectral as spec_mod
-from .core import (
-    close,
-    disjoint_union,
-    inductive_dimension,
-    join,
-    wu_characteristic,
-)
+from .core import close, disjoint_union, join, wu_characteristic
 from .errors import NumericError, ResourceLimitError
 from .generators import (
     RandomModel,
@@ -160,6 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_generate(args) -> int:
     kind = args.kind
+    if args.cap_simplices is not None and kind not in {"refine", "product"}:
+        raise ValueError("--cap-simplices applies to generate refine|product only")
     need_n = {"complete", "cycle", "path", "erdos-renyi"}
     if kind in need_n and args.n is None:
         raise ValueError("--n required")
@@ -214,7 +211,7 @@ def cmd_analyze(args) -> int:
         "simplices": len(G),
     }
     if args.dimension:
-        report["inductive_dimension"] = str(inductive_dimension(G))
+        report["inductive_dimension"] = str(geom_mod.inductive_dimension(G))
     if args.betti:
         rep = hodge_mod.betti(G)
         report["betti"] = list(rep.betti)
@@ -290,7 +287,7 @@ def _chk_hydrogen(G, args):
 
 
 def _chk_dual_product(G, args):
-    if len(G) > 300:
+    if len(G) > errors.CHARPOLY_CAP:
         return "skipped:size", {}
     res = conn_mod.dual_product_check(G)
     ok = res["det_ok"] and res["charpoly_ok"] in (True, None)
@@ -394,7 +391,7 @@ def _chk_lefschetz(G, args):
     res = hodge_mod._lefschetz_number(G, {v: v for v in G.vertices()})
     ok = res["cohomological"] == res["fixed_point_sum"] == G.euler_characteristic()
     wit = {"identity": res}
-    if len(G.vertices()) <= 8:
+    if len(G.vertices()) <= errors.AUTOMORPHISM_CAP:
         for perm in hodge_mod.automorphisms(G):
             r = hodge_mod._lefschetz_number(G, perm)
             if r["cohomological"] != r["fixed_point_sum"]:

@@ -52,13 +52,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import errors
 from .core import Complex, _vertex_stars, parity, up_star_weights
-from .errors import InvariantViolation, ResourceLimitError
+from .errors import InvariantViolation, ResourceLimitError, check_exact
 from .exact import matmul
 from .generators import poly_mul, product_cells, ring_product_complex
-from .refinement import DEFAULT_EXACT_CAP, _meets
-
-DEFAULT_PAIR_CAP = 4500
+from .refinement import _meets, connection_matrix
 
 
 # -- chain complex ------------------------------------------------------------
@@ -308,13 +307,15 @@ def is_automorphism(G: Complex, perm: dict) -> bool:
     return all(simplex_image(x, perm) in G.simplices for x in G.simplices)
 
 
-def automorphisms(G: Complex, cap: int = 8) -> list:
-    """All simplicial automorphisms (vertex count capped), in the order of
-    `itertools.permutations` over the vertices.  Images are assigned vertex
-    by vertex, the free ones in ascending order, and an image that breaks
-    adjacency or non-adjacency with a vertex already placed is pruned, as
-    an automorphism preserves both; each complete map is then checked."""
+def automorphisms(G: Complex) -> list:
+    """All simplicial automorphisms, in the order of `itertools.permutations`
+    over the vertices; refused above errors.AUTOMORPHISM_CAP vertices.
+    Images are assigned vertex by vertex, the free ones in ascending order,
+    and an image that breaks adjacency or non-adjacency with a vertex
+    already placed is pruned, as an automorphism preserves both; each
+    complete map is then checked."""
     verts = G.vertices()
+    cap = errors.AUTOMORPHISM_CAP
     if len(verts) > cap:
         raise ResourceLimitError(f"automorphism search capped at {cap} vertices")
     nbrs = {v: set() for v in verts}
@@ -410,8 +411,7 @@ def product_connection_matrix(A: Complex, B: Complex) -> np.ndarray:
     return (_meets(xs) & _meets(ys)).astype(np.int64)
 
 
-def kuenneth_check(A: Complex, B: Complex, tol: float = 1e-6,
-                   cell_cap: int = DEFAULT_EXACT_CAP) -> dict:
+def kuenneth_check(A: Complex, B: Complex) -> dict:
     """The ring homomorphism and spectral statements for A x B:
 
     * Poincare polynomial of the product order complex = product of factor
@@ -421,16 +421,14 @@ def kuenneth_check(A: Complex, B: Complex, tol: float = 1e-6,
       connection spectra multiply.
     * Hodge operator of the product complex equals
       kron(H_A, I) + kron(I, H_B) exactly (graded tensor derivative), so the
-      Hodge spectra add; the numeric spectra are compared as multisets.
+      Hodge spectra add; the numeric spectra are compared as multisets,
+      each to within 1e-6.
 
     The product operators are dense of order len(A) * len(B), the number of
-    product cells, which is refused above cell_cap before anything is built.
+    product cells, which is refused above the exact dense cap before
+    anything is built.
     """
-    from .connection import connection_matrix
-
-    if len(A) * len(B) > cell_cap:
-        raise ResourceLimitError(
-            f"product has {len(A) * len(B)} cells; exact dense cap is {cell_cap}")
+    check_exact("product", len(A) * len(B), "cells")
     pa = betti(A).poincare_poly
     pb = betti(B).poincare_poly
     prod = ring_product_complex(A, B)
@@ -496,8 +494,8 @@ def kuenneth_check(A: Complex, B: Complex, tol: float = 1e-6,
             and euler_ok
             and kron_ok
             and hodge_kron_ok
-            and hodge_spec_err < tol
-            and conn_spec_err < tol
+            and hodge_spec_err < 1e-6
+            and conn_spec_err < 1e-6
         ),
     }
 
@@ -533,12 +531,13 @@ def _pair_faces(pair) -> list:
             + [((x, f), sgn * s) for f, s in _simplex_faces(y) if not set(x).isdisjoint(f)])
 
 
-def interaction_derivative(G: Complex, pair_cap: int = DEFAULT_PAIR_CAP) -> ChainComplexData:
+def interaction_derivative(G: Complex) -> ChainComplexData:
     """The pairs per degree and the entries of the pair derivative, terms
-    from `_pair_faces`.  dd = 0 is verified."""
-    n = interaction_pair_count(G)
-    if n > pair_cap:
-        raise ResourceLimitError(f"{n} interacting pairs exceed cap {pair_cap}")
+    from `_pair_faces`.  dd = 0 is verified.  Refused, on a count taken
+    before any pair is listed, above errors.DEFAULT_PAIR_CAP pairs."""
+    n, cap = interaction_pair_count(G), errors.DEFAULT_PAIR_CAP
+    if n > cap:
+        raise ResourceLimitError(f"{n} interacting pairs exceed cap {cap}")
     pairs = interaction_pairs(G)
     top = max((len(x) + len(y) - 2 for x, y in pairs), default=-1)
     bases = [[] for _ in range(top + 1)]
@@ -547,10 +546,10 @@ def interaction_derivative(G: Complex, pair_cap: int = DEFAULT_PAIR_CAP) -> Chai
     return ChainComplexData(tuple(bases), _coboundaries(bases, _pair_faces, "interaction dd != 0"))
 
 
-def interaction_cohomology(G: Complex, pair_cap: int = DEFAULT_PAIR_CAP) -> CohomologyReport:
+def interaction_cohomology(G: Complex) -> CohomologyReport:
     """Quadratic Betti numbers; their alternating sum is the Wu
     characteristic."""
-    data = interaction_derivative(G, pair_cap=pair_cap)
+    data = interaction_derivative(G)
     return _report(data.dims, _reduce(data))
 
 
@@ -579,8 +578,9 @@ def alexander_dual(G: Complex, vertices) -> Complex:
     V = tuple(sorted(set(vertices)))
     if not set(G.vertices()).issubset(V):
         raise ValueError("ground set must contain the complex's vertices")
-    if len(V) > 16:
-        raise ResourceLimitError("Alexander dual capped at 16 ground vertices")
+    if len(V) > errors.ALEXANDER_CAP:
+        raise ResourceLimitError(
+            f"Alexander dual capped at {errors.ALEXANDER_CAP} ground vertices")
     out = []
     for k in range(1, len(V)):
         for x in itertools.combinations(V, k):

@@ -1,7 +1,8 @@
-"""The connection matrix L (L[x][y] = 1 iff x and y intersect) and the exact
-integer theorems it carries: unimodularity, the integer Green inverse and its
-energy/star formulas, eigenvalue sign counts, the hydrogen relation, trace
-identities and the spectral symmetry of one-dimensional complexes.
+"""The exact integer theorems the connection matrix L carries (L[x][y] = 1
+iff x and y intersect; built by `refinement.connection_matrix`):
+unimodularity, the integer Green inverse and its energy/star formulas,
+eigenvalue sign counts, the hydrogen relation, trace identities and the
+spectral symmetry of one-dimensional complexes.
 
 Row and column order is always the canonical simplex order (dimension, then
 lex), which makes every matrix here reproducible bit for bit and puts every
@@ -12,13 +13,15 @@ and the exact determinant, minor signs and inverse need no pivoting.
 L and its factorization are memoed on the complex (see `core`) for as long
 as it lives: one elimination of L (`exact.factor`) gives det L, its
 leading-minor signs and g = L^-1, certified once by L g = I, and every
-theorem below reads it.  Both arrays are read-only.  The size cap is checked
-on every call, before the memo is read.
+theorem below reads it.  Both arrays are read-only.  The exact dense cap
+(`errors.DEFAULT_EXACT_CAP`) is checked on every call, before the memo is
+read.
 
 The dual-product determinant needs no elimination of its own: with Lbar =
 1 - L, det(-L Lbar) = det(L)^2 det(-Lbar g), and det(-Lbar g) = (-1)^n c_n
 is read from the constant term c_n of the characteristic polynomial of
--Lbar g, which the same check computes for its spectrum.
+-Lbar g, which the same check computes for its spectrum up to
+`errors.CHARPOLY_CAP` rows.
 """
 
 from __future__ import annotations
@@ -27,44 +30,24 @@ import math
 
 import numpy as np
 
+from . import errors
 from .cohomology import dirac
 from .core import Complex, parity, set_euler, sphere_euler, star_up, up_star_weights
-from .errors import InvariantViolation, ResourceLimitError
-from .exact import charpoly, factor, inertia_from_charpoly, jacobi_inertia, matmul
+from .errors import InvariantViolation
+from .exact import charpoly, factor, jacobi_inertia, matmul
 from .refinement import (
-    DEFAULT_EXACT_CAP,
     _meets,
+    connection_matrix,
     refinement_order,
     stirling_apply,
     stirling_matrix,
 )
 
 
-def _check_cap(G: Complex, cap: int):
-    if len(G) > cap:
-        raise ResourceLimitError(
-            f"complex has {len(G)} simplices; exact dense cap is {cap}"
-        )
-
-
-def connection_matrix(G: Complex, dual: bool = False, cap: int = DEFAULT_EXACT_CAP) -> np.ndarray:
-    """L(x,y) = 1 iff x and y intersect (0/1, symmetric, unit diagonal),
-    read-only and memoed on G; the dual flag returns a new array 1 - L."""
-    _check_cap(G, cap)
-    L = G.memo("connection", lambda: _build_connection(G))
-    return 1 - L if dual else L
-
-
-def _build_connection(G: Complex) -> np.ndarray:
-    L = _meets(refinement_order(G)).astype(np.int64)
-    L.setflags(write=False)
-    return L
-
-
-def _factor(G: Complex, cap: int = DEFAULT_EXACT_CAP) -> tuple:
+def _factor(G: Complex) -> tuple:
     """(leading-minor signs, det, g) of L from one elimination, memoed on
     G; g is certified by L g = I and read-only."""
-    L = connection_matrix(G, cap=cap)
+    L = connection_matrix(G)
     return G.memo("factor", lambda: _certified_factor(L))
 
 
@@ -77,19 +60,20 @@ def _certified_factor(L: np.ndarray) -> tuple:
     return signs, det, g
 
 
-def dual_connection_matrix(G: Complex, cap: int = DEFAULT_EXACT_CAP) -> np.ndarray:
-    return connection_matrix(G, dual=True, cap=cap)
+def dual_connection_matrix(G: Complex) -> np.ndarray:
+    """Lbar = 1 - L, a new writable array: 1 iff x and y are disjoint."""
+    return 1 - connection_matrix(G)
 
 
-def connection_det(G: Complex, cap: int = DEFAULT_EXACT_CAP) -> int:
+def connection_det(G: Complex) -> int:
     """det(L); +-1 for every simplicial complex (unimodularity)."""
-    return _factor(G, cap)[1]
+    return _factor(G)[1]
 
 
-def green_inverse(G: Complex, cap: int = DEFAULT_EXACT_CAP) -> np.ndarray:
+def green_inverse(G: Complex) -> np.ndarray:
     """The integer inverse g = L^-1 (exists and is integral by
     unimodularity), read-only; g(x,y) are the potential energy values."""
-    _, det, g = _factor(G, cap)
+    _, det, g = _factor(G)
     if g is None:
         raise InvariantViolation("L is not unimodular", witness={"det": det})
     return g
@@ -140,10 +124,12 @@ def wu_intersection_matrix(G: Complex) -> np.ndarray:
 
 def inertia_of_connection(G: Complex) -> tuple:
     """(p, n, z) of L; p - n = chi(G) and z = 0 always.  Jacobi's rule on
-    the leading-minor signs of the memoed factorization."""
+    the leading-minor signs of the memoed factorization.  Every leading
+    principal block of L is the connection matrix of a subcomplex, so no
+    leading minor is zero; one that is breaks unimodularity."""
     signs = _factor(G)[0]
     if signs is None:
-        return inertia_from_charpoly(charpoly(connection_matrix(G)))
+        raise InvariantViolation("a leading minor of L is zero", witness={"n": len(G)})
     return jacobi_inertia(signs)
 
 
@@ -161,14 +147,14 @@ def supertrace_powers(G: Complex) -> dict:
     }
 
 
-def dual_product_check(G: Complex, charpoly_cap: int = 300) -> dict:
+def dual_product_check(G: Complex) -> dict:
     """det(-L Lbar) = 1 - chi(G) exactly, and the eigenvalue-1-heavy
     spectrum: -Lbar g = 1 - E g is a rank-one perturbation of the identity,
     so its characteristic polynomial is (x-1)^(n-1) (x-(1-chi)) exactly.
     (That spectrum belongs to -Lbar L^-1; -L Lbar itself only shares the
     determinant - K2 is a counterexample to the stronger reading.)
 
-    When n <= charpoly_cap the characteristic polynomial c of -Lbar g is
+    When n <= errors.CHARPOLY_CAP the characteristic polynomial c of -Lbar g is
     computed, compared, and also gives the determinant: det(-L Lbar) =
     det(L)^2 det(-Lbar g) = det(L)^2 (-1)^n c_n, from L and g alone, not
     from chi.  Above the cap only the determinant is taken, by elimination.
@@ -178,7 +164,7 @@ def dual_product_check(G: Complex, charpoly_cap: int = 300) -> dict:
     L = connection_matrix(G)
     n = len(L)
     chi = G.euler_characteristic()
-    if n <= charpoly_cap:
+    if n <= errors.CHARPOLY_CAP:
         cp = charpoly(-matmul(1 - L, green_inverse(G)))
         d = connection_det(G) ** 2 * (-1) ** n * cp[n]
         charpoly_ok = cp == _charpoly_one_heavy(n, 1 - chi)

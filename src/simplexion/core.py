@@ -15,6 +15,10 @@ stars (v -> the simplices containing v) for stars, links, induced subcomplexes
 and intersecting pairs, and the containment graph (x -> the simplices
 comparable to x; the 1-skeleton of G_1) whose neighbourhoods are unit spheres.
 
+`join` and `disjoint_union` count their (|G|+1)(|H|+1) - 1 and |G| + |H|
+simplices and refuse above the simplex cap (`errors.check_cap`) before they
+build anything.
+
 `is_whitney` decides whether a complex is flag (the clique complex of its
 1-skeleton) by looking up one-vertex extensions of its own simplices; it
 builds no clique complex, so its cost is bounded by the complex it is given.
@@ -33,8 +37,9 @@ memo.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable, Iterator
+
+from .errors import check_cap
 
 Simplex = tuple  # strictly increasing tuple of non-negative ints
 
@@ -65,9 +70,9 @@ def _sort_key(x: Simplex):
 class Complex:
     """An immutable downward-closed set of simplices.
 
-    Use :func:`close` (or ``Complex.from_simplices`` with already closed
-    data) to build one.  Iteration yields simplices in canonical order:
-    by dimension, then lexicographically.
+    Use :func:`close` to build one, or ``Complex(simplices)`` on data that
+    is already closed (checked).  Iteration yields simplices in canonical
+    order: by dimension, then lexicographically.
     """
 
     __slots__ = ("simplices", "_memo")
@@ -84,10 +89,6 @@ class Complex:
                             )
         self.simplices = sset
         self._memo = {}
-
-    @classmethod
-    def from_simplices(cls, simplices: Iterable[Simplex]) -> "Complex":
-        return cls(simplices)
 
     # -- container protocol ------------------------------------------------
 
@@ -376,48 +377,41 @@ def complex_intersection(A: Complex, B: Complex) -> Complex:
 # -- join and disjoint union ----------------------------------------------
 
 
-def _relabel(G: Complex, offset: int) -> tuple:
-    """Shift all vertex ids to offset..offset+m-1 densely; returns the new
-    complex and the old->new vertex map."""
-    vs = G.vertices()
-    vmap = {v: offset + i for i, v in enumerate(vs)}
-    relabeled = Complex(
-        (tuple(vmap[v] for v in x) for x in G.simplices), _closed=True
-    )
-    return relabeled, vmap
+def _relabel(G: Complex, offset: int) -> Complex:
+    """Shift all vertex ids to offset..offset+m-1 densely."""
+    vmap = {v: offset + i for i, v in enumerate(G.vertices())}
+    return Complex((tuple(vmap[v] for v in x) for x in G.simplices), _closed=True)
 
 
-def join(G: Complex, H: Complex, return_maps: bool = False):
+def join(G: Complex, H: Complex) -> Complex:
     """Join of two complexes: both, plus all unions of one simplex from each.
 
-    H's vertices are relabeled above G's.  Written G + H or G âŠ• H in the
+    H's vertices are relabeled above G's.  Written G + H or G ⊕ H in the
     literature (both glyphs denote this one operation); generating functions
     multiply, so 1 - chi(join) = (1-chi G)(1-chi H), and the join of spheres
-    is a sphere.  The empty complex is the neutral element.
+    is a sphere.  The empty complex is the neutral element.  Its
+    (|G|+1)(|H|+1) - 1 simplices are checked against the simplex cap
+    before any is built.
     """
-    g2, gmap = _relabel(G, 0)
-    h2, hmap = _relabel(H, len(G.vertices()))
+    check_cap("join", (len(G) + 1) * (len(H) + 1) - 1)
+    g2 = _relabel(G, 0)
+    h2 = _relabel(H, len(G.vertices()))
     out = set(g2.simplices) | set(h2.simplices)
     for x in g2.simplices:
         for y in h2.simplices:
             out.add(x + y)  # disjoint and ordered by construction
-    J = Complex(out, _closed=True)
-    if return_maps:
-        return J, gmap, hmap
-    return J
+    return Complex(out, _closed=True)
 
 
-def disjoint_union(G: Complex, H: Complex, return_maps: bool = False):
-    """Disjoint union (the addition of the strong ring); relabels H above G."""
-    g2, gmap = _relabel(G, 0)
-    h2, hmap = _relabel(H, len(G.vertices()))
-    U = Complex(g2.simplices | h2.simplices, _closed=True)
-    if return_maps:
-        return U, gmap, hmap
-    return U
+def disjoint_union(G: Complex, H: Complex) -> Complex:
+    """Disjoint union (the addition of the strong ring); relabels H above G.
+    Its |G| + |H| simplices are checked against the simplex cap first."""
+    check_cap("disjoint union", len(G) + len(H))
+    return Complex(_relabel(G, 0).simplices | _relabel(H, len(G.vertices())).simplices,
+                   _closed=True)
 
 
-# -- graphs and dimension ---------------------------------------------------
+# -- graphs -----------------------------------------------------------------
 
 
 def one_skeleton(G: Complex) -> dict:
@@ -445,56 +439,3 @@ def is_whitney(G: Complex) -> bool:
                        for x in G.simplices if len(x) > 1
                        for v in set.intersection(*(adj[u] for u in x)))
     return G.memo("flag", decide)
-
-
-def inductive_dimension(G: Complex) -> Fraction:
-    """Recursive average dimension.
-
-    For a Whitney complex, dim(G) = 1 + average over vertices of
-    dim(sphere at the vertex), with dim(empty) = -1; a general complex is
-    measured on its containment graph, the 1-skeleton of its Barycentric
-    refinement (same value by definition).  The recursion there visits the
-    chains of G, so the refinement size cap applies.
-    """
-    if G.is_empty:
-        return Fraction(-1)
-    if is_whitney(G):
-        return graph_dimension(one_skeleton(G))
-    from .refinement import check_cap, predicted_refinement_fvector
-
-    check_cap("refinement", sum(predicted_refinement_fvector(G)), None)
-    return graph_dimension(_containment_graph(G))
-
-
-def graph_dimension(adj: dict) -> Fraction:
-    """Inductive dimension of a graph given by an adjacency map."""
-    verts = sorted(adj)
-    index = {v: i for i, v in enumerate(verts)}
-    masks = [0] * len(verts)
-    for v, nbrs in adj.items():
-        m = 0
-        for w in nbrs:
-            m |= 1 << index[w]
-        masks[index[v]] = m
-    full = (1 << len(verts)) - 1
-    return _mask_dimension(masks, full, {})
-
-
-def _mask_dimension(masks, subset: int, memo: dict) -> Fraction:
-    if subset == 0:
-        return Fraction(-1)
-    got = memo.get(subset)
-    if got is not None:
-        return got
-    total = Fraction(0)
-    count = 0
-    s = subset
-    while s:
-        low = s & (-s)
-        v = low.bit_length() - 1
-        total += _mask_dimension(masks, masks[v] & subset, memo)
-        count += 1
-        s ^= low
-    val = 1 + total / count
-    memo[subset] = val
-    return val

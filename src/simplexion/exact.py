@@ -22,10 +22,12 @@ products all go through `matmul`; any other matrix, and any block where the
 recursion's conditions fail, goes to `echelon`.  `factor` is the one entry
 point for all three: it picks the tier and reads the pivots.
 
-Beside these sit eigenvalue sign counts and the characteristic polynomial:
+Beside these sit the inertia of a symmetric matrix from its leading-minor
+signs (Jacobi's rule, `jacobi_inertia`) and the characteristic polynomial:
 Hessenberg reduction mod primes below 2^31 in int64, and the Chinese
 remainder theorem over enough primes for the Hadamard bound on its
-coefficients.
+coefficients.  The Descartes sign-count route to the inertia is a test
+oracle (`tests/oracles.py`), not a library path.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ import operator
 from typing import NamedTuple
 
 import numpy as np
-
-from .errors import InvariantViolation
 
 
 def _promote(a: np.ndarray) -> np.ndarray:
@@ -390,62 +390,12 @@ def charpoly(M) -> list:
     return [c - prod if 2 * c > prod else c for c in coeffs]
 
 
-def descartes_positive_roots(coeffs_desc) -> int:
-    """Number of strictly positive roots of a real-rooted polynomial, by the
-    sign-change count of its coefficients (exact for real-rooted input)."""
-    signs = [1 if c > 0 else -1 for c in coeffs_desc if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def inertia_from_charpoly(coeffs_desc) -> tuple:
-    """(positive, negative, zero) eigenvalue counts of a symmetric matrix
-    from its characteristic polynomial det(xI - M)."""
-    n = len(coeffs_desc) - 1
-    # strip zero roots: trailing zero coefficients
-    z = 0
-    trimmed = list(coeffs_desc)
-    while trimmed and trimmed[-1] == 0:
-        trimmed.pop()
-        z += 1
-    p = descartes_positive_roots(trimmed)
-    # negative roots: substitute x -> -x, i.e. flip signs of odd-degree coeffs
-    deg = len(trimmed) - 1
-    flipped = [c if (deg - i) % 2 == 0 else -c for i, c in enumerate(trimmed)]
-    m = descartes_positive_roots(flipped)
-    if p + m + z != n:
-        raise InvariantViolation(
-            "sign counts inconsistent (input not real-rooted?)",
-            witness={"p": p, "n": m, "z": z, "order": n},
-        )
-    return p, m, z
-
-
-def inertia_exact(M) -> tuple:
-    """Exact (positive, negative, zero) signature of a symmetric matrix:
-    Jacobi's rule on its leading principal minors (Sylvester's law of
-    inertia), or, when one of them is zero and the rule does not apply, the
-    characteristic polynomial with Descartes' rule."""
-    A = np.array(M)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("inertia needs a square matrix")
-    if not _is_symmetric(A):
-        raise ValueError("inertia_exact needs a symmetric matrix")
-    signs = factor(A)[0]
-    if signs is None:
-        return inertia_from_charpoly(charpoly(A))
-    return jacobi_inertia(signs)
-
-
 def jacobi_inertia(signs) -> tuple:
     """(p, n, 0) of a symmetric matrix from the signs of its nonzero leading
     principal minors: n counts the sign changes in (1, Delta_1, ...)."""
     chain = [1] + list(signs)
     neg = sum(1 for a, b in zip(chain, chain[1:]) if a != b)
     return len(signs) - neg, neg, 0
-
-
-def _is_symmetric(A: np.ndarray) -> bool:
-    return A.shape[0] == A.shape[1] and (A == A.T).all()
 
 
 def cauchy_binet_coeffs(F, G) -> list:

@@ -3,10 +3,11 @@ Erdos-Renyi random complexes with their exact expectation polynomials, and
 the Cartesian product of the strong ring.
 
 The builders whose size can grow exponentially read the simplex cap
-(`refinement.cap_simplices`) on a count predicted before anything is
-built: 2^n - 1 for the full simplex, 3^(d+1) - 1 for the cross polytope,
-the closure bound of the maximal cliques for a Whitney complex, and the
-product f-vector for the ring product.
+(`errors.cap_simplices`) on a count predicted before anything is built:
+2^n - 1 for the full simplex, 3^(d+1) - 1 for the cross polytope, the
+product f-vector for the ring product, and for a Whitney complex the
+closure bound sum (2^|C| - 1) of its maximal cliques C, summed while the
+search finds them, so it stops at the first clique past the cap.
 
 Monte Carlo over E(n, p) for n <= 10 does not build complexes: `clique_block`
 draws a block of trials from their substreams at once and reads the Euler
@@ -26,7 +27,8 @@ from math import comb
 import numpy as np
 
 from .core import Complex, _faces, close, join, order_complex
-from .refinement import check_cap, check_closure, predicted_product_fvector
+from .errors import cap_simplices, check_cap, check_closure
+from .refinement import predicted_product_fvector
 from .rng import SplitMix64, substream_uniforms
 
 # icosahedron graph: 12 vertices, 30 edges, every vertex degree 5
@@ -73,7 +75,7 @@ def cross_polytope(d: int) -> Complex:
     boundary (octahedron for d=2), a d-sphere."""
     if d < 0:
         raise ValueError("cross_polytope(d) needs d >= 0")
-    check_cap("cross polytope", 3 ** (d + 1) - 1, None)
+    check_cap("cross polytope", 3 ** (d + 1) - 1)
     G = two_point()
     for _ in range(d):
         G = join(G, two_point())
@@ -107,9 +109,9 @@ def _check_graph(n: int, edges) -> list:
 
 def whitney(n: int, edges) -> Complex:
     """Clique complex of a simple graph on vertices 0..n-1: the closure of
-    its maximal cliques, listed by Bron-Kerbosch with pivoting.  Refuses to
-    close them when `refinement.check_closure` bounds the closure above
-    the cap."""
+    its maximal cliques, listed by Bron-Kerbosch with pivoting.  The search
+    stops at the first clique that takes the closure bound of the cliques
+    found so far above the cap, and refuses with that partial bound."""
     if n < 0:
         raise ValueError("vertex count must be >= 0")
     adj = {v: set() for v in range(n)}
@@ -117,10 +119,15 @@ def whitney(n: int, edges) -> Complex:
         adj[a].add(b)
         adj[b].add(a)
     maximal = []
+    bound, limit = 0, cap_simplices()
 
     def bk(clique, candidates, excluded):
+        nonlocal bound
         if not candidates and not excluded:
             maximal.append(tuple(sorted(clique)))
+            bound += (1 << len(clique)) - 1
+            if bound > limit:
+                check_closure(maximal)  # raises, with the bound of these cliques
             return
         pivot = max(candidates | excluded, key=lambda v: len(adj[v] & candidates))
         for v in sorted(candidates - adj[pivot]):
@@ -130,7 +137,6 @@ def whitney(n: int, edges) -> Complex:
 
     if adj:
         bk(set(), set(adj), set())
-    check_closure(maximal)
     return close(maximal)
 
 

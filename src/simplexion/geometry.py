@@ -1,5 +1,6 @@
-"""Discrete Morse theory, curvature, valuations, level surfaces, and the
-recursive homotopy hierarchy (contractible / d-graph / d-sphere / d-ball).
+"""Discrete Morse theory, curvature, valuations, level surfaces, the
+inductive dimension, and the recursive homotopy hierarchy (contractible /
+d-graph / d-sphere / d-ball).
 
 Vertex-based operations here take functions on the 0-simplices and use the
 induced-subcomplex unit sphere; the classical theorems (Poincare-Hopf,
@@ -12,6 +13,10 @@ The boundary operators read the unit sphere of a simplex x as the
 neighbourhood of x in the containment graph of G (see `core`).  One
 GraphContext on that graph is memoed per complex, so every simplex and both
 `is_d_complex_with_boundary` and `boundary` share one set of homotopy tables.
+
+The inductive dimension of a complex that is not flag recurses on its
+containment graph, whose cliques are the simplices of the refinement; the
+refinement's predicted size is checked against the simplex cap first.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from .core import (
     one_skeleton,
     order_complex,
 )
-from .refinement import barycentric, refinement_order
+from .errors import check_cap
+from .refinement import barycentric, predicted_refinement_fvector, refinement_order
 from .rng import SplitMix64
 
 
@@ -186,6 +192,60 @@ def level_surface(G: Complex, f: dict, c: float) -> Complex:
     # chains among crossing simplices = the induced subcomplex of G_1
     chains = order_complex([elems[i] for i in crossing], _faces)
     return Complex((tuple(crossing[i] for i in c) for c in chains), _closed=True)
+
+
+# -- inductive dimension ------------------------------------------------------
+
+
+def inductive_dimension(G: Complex) -> Fraction:
+    """Recursive average dimension.
+
+    For a Whitney complex, dim(G) = 1 + average over vertices of
+    dim(sphere at the vertex), with dim(empty) = -1; a general complex is
+    measured on its containment graph, the 1-skeleton of its Barycentric
+    refinement (same value by definition).  The recursion there visits the
+    chains of G, so the refinement size cap applies.
+    """
+    if G.is_empty:
+        return Fraction(-1)
+    if is_whitney(G):
+        return graph_dimension(one_skeleton(G))
+    check_cap("refinement", sum(predicted_refinement_fvector(G)))
+    return graph_dimension(_containment_graph(G))
+
+
+def graph_dimension(adj: dict) -> Fraction:
+    """Inductive dimension of a graph given by an adjacency map."""
+    verts = sorted(adj)
+    index = {v: i for i, v in enumerate(verts)}
+    masks = [0] * len(verts)
+    for v, nbrs in adj.items():
+        m = 0
+        for w in nbrs:
+            m |= 1 << index[w]
+        masks[index[v]] = m
+    full = (1 << len(verts)) - 1
+    return _mask_dimension(masks, full, {})
+
+
+def _mask_dimension(masks, subset: int, memo: dict) -> Fraction:
+    if subset == 0:
+        return Fraction(-1)
+    got = memo.get(subset)
+    if got is not None:
+        return got
+    total = Fraction(0)
+    count = 0
+    s = subset
+    while s:
+        low = s & (-s)
+        v = low.bit_length() - 1
+        total += _mask_dimension(masks, masks[v] & subset, memo)
+        count += 1
+        s ^= low
+    val = 1 + total / count
+    memo[subset] = val
+    return val
 
 
 # -- homotopy recursion -------------------------------------------------------

@@ -8,8 +8,8 @@ import json
 import math
 
 from .core import Complex, close
+from .errors import check_closure
 from .generators import whitney
-from .refinement import check_closure
 
 
 def complex_to_dict(G: Complex, name: str | None = None) -> dict:
@@ -23,7 +23,7 @@ def complex_from_dict(d: dict) -> Complex:
     """Closure of the facet list.  Rejects input that is not an object with
     a list of facets, and any vertex that is not a non-negative int (bools
     and floats included), instead of coercing it.  Refuses to close when
-    `refinement.check_closure` bounds the closure above the cap."""
+    `errors.check_closure` bounds the closure above the cap."""
     if not isinstance(d, dict):
         raise ValueError("complex JSON must be an object")
     facets = d.get("facets", [])

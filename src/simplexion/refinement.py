@@ -1,17 +1,20 @@
-"""Barycentric refinement, connection graphs, and the refinement operator
-acting on f-vectors.
+"""Barycentric refinement, the connection matrix and graph, and the
+refinement operator acting on f-vectors.
 
 The refinement G_1 of a complex G is the order complex of its containment
 poset: vertices are the simplices of G (indexed in canonical order), and the
-simplices of G_1 are the chains, built by `core.order_complex` (re-exported
-here).  f-vectors transform linearly under refinement; the matrix of that
-map has entries built from Stirling numbers of the second kind, which gives
-a cheap size prediction used as a memory guard.
+simplices of G_1 are the chains, built by `core.order_complex`.  f-vectors
+transform linearly under refinement; the matrix of that map has entries
+built from Stirling numbers of the second kind, which gives a cheap size
+prediction, read against `errors.check_cap` before anything is built.
+
+Which simplices of G meet is one incidence product, `_meets`; the
+connection matrix L (memoed on G, under the exact dense cap of `errors`)
+and the connection graph are both read from it.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -19,35 +22,8 @@ from math import comb
 import numpy as np
 
 from .core import Complex, _faces, order_complex
-from .errors import ResourceLimitError
+from .errors import check_cap, check_exact
 from .exact import matmul
-
-DEFAULT_CAP = 5_000_000
-DEFAULT_EXACT_CAP = 3000  # rows of a dense exact operator: simplices, or product cells
-
-
-def cap_simplices(default: int = DEFAULT_CAP) -> int:
-    """Refinement size cap; the SIMPLEXION_CAP env var overrides."""
-    env = os.environ.get("SIMPLEXION_CAP")
-    if env:
-        return int(env)
-    return default
-
-
-def check_cap(what: str, predicted: int, cap: int | None) -> None:
-    """Refuse a predicted simplex count above cap (default cap_simplices())."""
-    limit = cap if cap is not None else cap_simplices()
-    if predicted > limit:
-        raise ResourceLimitError(f"{what} would have {predicted} simplices (cap {limit})")
-
-
-def check_closure(facets) -> None:
-    """Refuse to close facets when sum (2^|f| - 1), an upper bound on the
-    closure's size, exceeds cap_simplices()."""
-    predicted = sum((1 << len(f)) - 1 for f in facets)
-    limit = cap_simplices()
-    if predicted > limit:
-        raise ResourceLimitError(f"closure could have {predicted} simplices (cap {limit})")
 
 
 def refinement_order(G: Complex) -> list:
@@ -123,6 +99,20 @@ def barycentric(G: Complex, cap: int | None = None) -> Complex:
     """
     check_cap("refinement", sum(predicted_refinement_fvector(G)), cap)
     return order_complex(refinement_order(G), _faces)
+
+
+def connection_matrix(G: Complex) -> np.ndarray:
+    """L(x,y) = 1 iff x and y intersect (0/1, symmetric, unit diagonal), in
+    refinement order, read-only and memoed on G.  The exact dense cap is
+    checked on every call, before the memo is read."""
+    check_exact("complex", len(G), "simplices")
+    return G.memo("connection", lambda: _build_connection(G))
+
+
+def _build_connection(G: Complex) -> np.ndarray:
+    L = _meets(refinement_order(G)).astype(np.int64)
+    L.setflags(write=False)
+    return L
 
 
 def connection_graph(G: Complex, dual: bool = False) -> tuple:

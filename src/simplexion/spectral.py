@@ -11,37 +11,33 @@ import itertools
 import numpy as np
 
 from .cohomology import dirac, hodge
-from .connection import connection_matrix
 from .core import Complex, _faces
 from .errors import NumericError
 from .exact import charpoly
-from .refinement import barycentric, refinement_order
+from .refinement import barycentric, connection_matrix, refinement_order
 
 KERNEL_RELATIVE_CUTOFF = 1e-10
 
 
-def eig_symmetric(M, *, symmetry_tol: float = 1e-12,
-                  residual_tol: float = 1e-8, vectors: bool = False):
+def eig_symmetric(M, *, vectors: bool = False):
     """Eigenvalues (ascending, with multiplicity) of a symmetric matrix.
 
     LAPACK-backed, but never trusted blindly: the input must be symmetric to
-    symmetry_tol (relative), and every returned pair must satisfy
-    ||Mv - lambda v|| <= residual_tol * ||M||, else NumericError."""
+    1e-12 relative to its largest entry, else ValueError, and every returned
+    pair must satisfy ||Mv - lambda v|| <= 1e-8 ||M||, else NumericError."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")
     if A.size == 0:
         return (np.zeros(0), np.zeros((0, 0))) if vectors else np.zeros(0)
     scale = float(np.abs(A).max()) or 1.0
-    if float(np.abs(A - A.T).max()) > symmetry_tol * scale:
+    if float(np.abs(A - A.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     vals, vecs = np.linalg.eigh(A)
     norm = float(max(abs(vals[0]), abs(vals[-1]))) or 1.0
     resid = np.abs(A @ vecs - vecs * vals).max(axis=0)
-    if float(resid.max()) > residual_tol * norm:
-        raise NumericError(
-            f"eigenpair residual {resid.max():.3e} above {residual_tol:.1e}*||M||"
-        )
+    if float(resid.max()) > 1e-8 * norm:
+        raise NumericError(f"eigenpair residual {resid.max():.3e} above 1.0e-08*||M||")
     if vectors:
         return vals, vecs
     return vals
@@ -140,8 +136,7 @@ def refinement_graph_kirchhoff(G: Complex) -> np.ndarray:
     return kirchhoff_matrix(len(index), edges)
 
 
-def barycentric_limit_experiment(G: Complex, levels: int, grid_points: int = 2048,
-                                 cap: int | None = None) -> dict:
+def barycentric_limit_experiment(G: Complex, levels: int, grid_points: int = 2048) -> dict:
     """Refine `levels` times; at each level record the spectral function of
     the Kirchhoff Laplacian of the refinement graph of G_k (the graph that
     represents the complex), and for one-dimensional seeds its L1 distance to
@@ -157,7 +152,7 @@ def barycentric_limit_experiment(G: Complex, levels: int, grid_points: int = 204
     min_connection = []
     sizes = []
     for _ in range(levels):
-        H = barycentric(H, cap=cap)
+        H = barycentric(H)
         K = refinement_graph_kirchhoff(H).astype(float)
         vals = np.sort(eig_symmetric(K))
         F = spectral_function(vals, grid)

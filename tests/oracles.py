@@ -17,8 +17,8 @@ from simplexion.cohomology import (
     simplex_image,
 )
 from simplexion.core import Complex, close, parity, wu_characteristic
-from simplexion.errors import NumericError
-from simplexion.exact import echelon, factor
+from simplexion.errors import InvariantViolation, NumericError
+from simplexion.exact import charpoly, echelon, factor, jacobi_inertia
 from simplexion.generators import (
     RandomModel,
     erdos_renyi,
@@ -126,6 +126,52 @@ def det_cofactor(M) -> int:
     if n == 0:
         return 1
     return rec(tuple(range(n)), tuple(range(n)))
+
+
+def descartes_positive_roots(coeffs_desc) -> int:
+    """Number of strictly positive roots of a real-rooted polynomial, by the
+    sign-change count of its coefficients (exact for real-rooted input)."""
+    signs = [1 if c > 0 else -1 for c in coeffs_desc if c != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def inertia_from_charpoly(coeffs_desc) -> tuple:
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix
+    from its characteristic polynomial det(xI - M)."""
+    n = len(coeffs_desc) - 1
+    # strip zero roots: trailing zero coefficients
+    z = 0
+    trimmed = list(coeffs_desc)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+        z += 1
+    p = descartes_positive_roots(trimmed)
+    # negative roots: substitute x -> -x, i.e. flip signs of odd-degree coeffs
+    deg = len(trimmed) - 1
+    flipped = [c if (deg - i) % 2 == 0 else -c for i, c in enumerate(trimmed)]
+    m = descartes_positive_roots(flipped)
+    if p + m + z != n:
+        raise InvariantViolation(
+            "sign counts inconsistent (input not real-rooted?)",
+            witness={"p": p, "n": m, "z": z, "order": n},
+        )
+    return p, m, z
+
+
+def inertia_exact(M) -> tuple:
+    """Exact (positive, negative, zero) signature of a symmetric matrix:
+    Jacobi's rule on its leading principal minors (Sylvester's law of
+    inertia), or, when one of them is zero and the rule does not apply, the
+    characteristic polynomial with Descartes' rule."""
+    A = np.array(M)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("inertia needs a square matrix")
+    if not (A == A.T).all():
+        raise ValueError("inertia_exact needs a symmetric matrix")
+    signs = factor(A)[0]
+    if signs is None:
+        return inertia_from_charpoly(charpoly(A))
+    return jacobi_inertia(signs)
 
 
 def _clear_denominators(rows) -> tuple:

@@ -19,12 +19,12 @@ from simplexion import connection as conn
 from simplexion import geometry as geo
 from simplexion import spectral as spec
 from simplexion.core import is_whitney
-from simplexion.exact import charpoly, factor, inertia_from_charpoly, jacobi_inertia
+from simplexion.errors import DEFAULT_EXACT_CAP, DEFAULT_PAIR_CAP
+from simplexion.exact import charpoly, factor, jacobi_inertia
 from simplexion.rng import SplitMix64
 
-from oracles import berkowitz_charpoly
+from oracles import berkowitz_charpoly, inertia_from_charpoly
 
-EXACT_CAP = 3000
 BERKOWITZ_CAP = 150
 RANDOM_COUNT = 10_000
 RANDOM_NS = (4, 5, 6, 7)
@@ -49,7 +49,7 @@ def refinements(named):
     out = []
     for name, G in named:
         H = sx.barycentric(G)
-        if len(H) <= EXACT_CAP:
+        if len(H) <= DEFAULT_EXACT_CAP:
             out.append((name + "_1", H))
     return out
 
@@ -71,7 +71,7 @@ def test_criterion_01_unimodularity(named, refinements, random_corpus):
     t0 = time.monotonic()
     checked = 0
     for name, G in named + refinements:
-        assert conn.connection_det(G, cap=EXACT_CAP) in (1, -1), name
+        assert conn.connection_det(G) in (1, -1), name
         checked += 1
     for G in random_corpus:
         if not G.is_empty:
@@ -111,7 +111,7 @@ def test_criterion_03_inertia(named, refinements, random_corpus):
     for name, G in named + refinements:
         if G.is_empty:
             continue
-        L = conn.connection_matrix(G, cap=EXACT_CAP)
+        L = conn.connection_matrix(G)
         chi = G.euler_characteristic()
         p, n, z = jacobi_inertia(factor(L)[0])
         assert (p - n, z) == (chi, 0), name
@@ -263,7 +263,7 @@ def test_criterion_09_wu_interaction(named):
         assert geo.boundary(delta, d - 1).is_empty, name
     inter = 0
     for name, G in named:
-        if G.is_empty or len(coh.interaction_pairs(G)) > coh.DEFAULT_PAIR_CAP:
+        if G.is_empty or len(coh.interaction_pairs(G)) > DEFAULT_PAIR_CAP:
             continue
         rep = coh.interaction_cohomology(G)
         alt = sum((-1) ** k * b for k, b in enumerate(rep.betti))

@@ -154,6 +154,51 @@ def test_generate_named_and_whitney_capped_before_building(tmp_path, capsys, mon
     assert run(["generate", "cross-polytope", "--dim", "5", "-o", str(out)]) == 0
 
 
+@pytest.mark.parametrize("kind, n, message", [
+    ("join", 8, "join would have 65535 simplices (cap 1000)"),
+    ("union", 9, "disjoint union would have 1022 simplices (cap 1000)"),
+])
+def test_generate_join_and_union_capped_before_building(tmp_path, capsys, monkeypatch,
+                                                        kind, n, message):
+    # each input fits under the cap (K8 has 255 simplices, K9 511); what the
+    # two make does not, and it is refused before any simplex is relabeled
+    from simplexion import core
+
+    def never(*args):
+        raise AssertionError("built before the cap was checked")
+
+    a, out = tmp_path / "a.json", tmp_path / "out.json"
+    write_canonical(complex_to_dict(sx.complete(n)), str(a))
+    monkeypatch.setenv("SIMPLEXION_CAP", "1000")
+    monkeypatch.setattr(core, "_relabel", never)
+    assert run(["generate", kind, "-i", str(a), "-i", str(a), "-o", str(out)]) == 3
+    assert capsys.readouterr().err == f"resource cap: {message}\n"
+    assert not out.exists()
+
+
+# every generate kind but refine and product, with the arguments it needs
+CAP_IGNORED = {
+    "complete": ["--n", "12"], "cycle": ["--n", "5"], "path": ["--n", "5"],
+    "cross-polytope": ["--dim", "8"], "icosahedron": [], "whitney": ["-i", "g"],
+    "erdos-renyi": ["--n", "5"], "join": ["-i", "K2", "-i", "K2"],
+    "union": ["-i", "K2", "-i", "K2"],
+}
+
+
+@pytest.mark.parametrize("kind", CAP_IGNORED)
+def test_cap_simplices_is_a_usage_error_outside_refine_and_product(
+        tmp_path, capsys, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SIMPLEXION_CAP", "1000")
+    write_canonical(complex_to_dict(sx.complete(2)), "K2")
+    write_canonical({"n": 2, "edges": [[0, 1]]}, "g")
+    assert run(["generate", kind, *CAP_IGNORED[kind], "--cap-simplices", "10",
+                "-o", "out.json"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --cap-simplices applies to generate refine|product only\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_generate_resource_cap(tmp_path):
     oct_ = tmp_path / "oct.json"
     run(["generate", "cross-polytope", "--dim", "2", "-o", str(oct_)])
@@ -398,6 +443,7 @@ def _count_calls(monkeypatch, module, name) -> list:
 @pytest.mark.parametrize("refined", [False, True])
 def test_verify_factors_connection_matrix_once(tmp_path, monkeypatch, refined):
     from simplexion import connection as conn
+    from simplexion import refinement
     from simplexion.exact import SCHUR_LEAF
 
     G = sx.cross_polytope(2)
@@ -406,7 +452,7 @@ def test_verify_factors_connection_matrix_once(tmp_path, monkeypatch, refined):
     assert (len(G) > SCHUR_LEAF) == refined
     path = tmp_path / "g.json"
     write_canonical(complex_to_dict(G), str(path))
-    builds = _count_calls(monkeypatch, conn, "_build_connection")
+    builds = _count_calls(monkeypatch, refinement, "_build_connection")
     factors = _count_calls(monkeypatch, conn, "factor")
     rep = tmp_path / "rep.json"
     assert run(["verify", "-i", str(path), "--suite",
@@ -465,13 +511,13 @@ def test_spectra_hodge_small_reports_pinned(tmp_path, capsysbinary, facets, want
 
 def test_verify_all_builds_each_derived_object_once(tmp_path, monkeypatch):
     from simplexion import cohomology as coh
-    from simplexion import connection as conn
+    from simplexion import refinement
 
     ico = sx.icosahedron()
     path = tmp_path / "ico.json"
     write_canonical(complex_to_dict(ico), str(path))
     chains = _count_calls(monkeypatch, coh, "_chain_complex")
-    builds = _count_calls(monkeypatch, conn, "_build_connection")
+    builds = _count_calls(monkeypatch, refinement, "_build_connection")
     reductions = _count_calls(monkeypatch, coh, "_reduce")
     assert run(["verify", "-i", str(path), "--suite", "all", "--no-meta",
                 "-o", str(tmp_path / "rep.json")]) == 0

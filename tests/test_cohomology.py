@@ -5,6 +5,7 @@ import pytest
 
 import simplexion as sx
 from simplexion import cohomology as coh
+from simplexion import errors
 from simplexion.rng import SplitMix64
 
 from hypothesis import given, settings
@@ -399,14 +400,12 @@ def test_kuenneth_contractible_product():
 def test_kuenneth_cell_cap_checked_before_building(monkeypatch):
     # ico_1 x C6 has 362 * 12 = 4344 product cells, so its dense product
     # operators would be 4344 x 4344; the default cap is the dense exact one
-    from simplexion.connection import DEFAULT_EXACT_CAP
-
     def never(*args, **kwargs):
         raise AssertionError("product built before the cap was checked")
 
     monkeypatch.setattr(coh, "ring_product_complex", never)
     ico_1 = sx.barycentric(sx.icosahedron())
-    assert len(ico_1) * len(sx.cycle(6)) == 4344 > DEFAULT_EXACT_CAP
+    assert len(ico_1) * len(sx.cycle(6)) == 4344 > errors.DEFAULT_EXACT_CAP
     with pytest.raises(sx.ResourceLimitError, match="4344 cells; exact dense cap is 3000"):
         coh.kuenneth_check(ico_1, sx.cycle(6))
 
@@ -588,7 +587,7 @@ def test_lefschetz_icosahedron_generators():
 
 def test_lefschetz_cross3_sample():
     G = sx.cross_polytope(3)
-    autos = coh.automorphisms(G, cap=8)
+    autos = coh.automorphisms(G)
     assert len(autos) == 384  # hyperoctahedral group B_4
     for perm in autos[::48]:
         r = coh.lefschetz(G, perm)
@@ -622,7 +621,8 @@ def test_pair_cap_checked_before_listing(monkeypatch):
         raise AssertionError("pairs listed before the cap was checked")
 
     monkeypatch.setattr(coh, "interaction_pairs", unlisted)
+    monkeypatch.setattr(errors, "DEFAULT_PAIR_CAP", 100)
     G = sx.icosahedron()
     with pytest.raises(sx.ResourceLimitError) as err:
-        coh.interaction_cohomology(G, pair_cap=100)
+        coh.interaction_cohomology(G)
     assert str(err.value) == f"{len(interaction_pairs_scan(G))} interacting pairs exceed cap 100"

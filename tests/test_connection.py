@@ -3,6 +3,7 @@ import pytest
 
 import simplexion as sx
 from simplexion import connection as conn
+from simplexion import errors
 from simplexion.refinement import refinement_order
 
 from oracles import det_cofactor
@@ -142,6 +143,14 @@ def test_inertia_is_euler(corpus, random_complexes):
         assert (p - n, z) == (G.euler_characteristic(), 0)
 
 
+def test_inertia_refuses_a_zero_leading_minor(monkeypatch):
+    # every leading block of L is the connection matrix of a subcomplex, so a
+    # factorization that reports a zero leading minor (signs None) is a fault
+    monkeypatch.setattr(conn, "factor", lambda M, inverse=False: (None, 0, None))
+    with pytest.raises(errors.InvariantViolation, match="a leading minor of L is zero"):
+        conn.inertia_of_connection(sx.cycle(4))
+
+
 def test_supertraces(corpus):
     k2 = sx.close([(0, 1)])
     assert conn.supertrace_powers(k2) == {
@@ -207,11 +216,11 @@ def test_green_values_on_d_complexes():
         assert set(np.unique(g)).issubset({-1, 0, 1})
 
 
-def test_exact_cap():
-    from simplexion.errors import ResourceLimitError
-
-    with pytest.raises(ResourceLimitError):
-        conn.connection_matrix(sx.cross_polytope(2), cap=5)
+def test_exact_cap(monkeypatch):
+    monkeypatch.setattr(errors, "DEFAULT_EXACT_CAP", 5)
+    with pytest.raises(errors.ResourceLimitError,
+                       match="complex has 26 simplices; exact dense cap is 5"):
+        conn.connection_matrix(sx.cross_polytope(2))
 
 
 def test_memo_safety(monkeypatch):
@@ -221,12 +230,14 @@ def test_memo_safety(monkeypatch):
     from simplexion.exact import matmul
 
     G = sx.cross_polytope(2)
-    g = conn.green_inverse(G, cap=3000)
+    g = conn.green_inverse(G)
     # the cap is checked on every call, before the memo is read
-    with pytest.raises(ResourceLimitError):
-        conn.connection_matrix(G, cap=5)
-    with pytest.raises(ResourceLimitError):
-        conn.green_inverse(G, cap=5)
+    with monkeypatch.context() as m:
+        m.setattr(errors, "DEFAULT_EXACT_CAP", 5)
+        with pytest.raises(ResourceLimitError):
+            conn.connection_matrix(G)
+        with pytest.raises(ResourceLimitError):
+            conn.green_inverse(G)
     # memoed arrays are read-only
     for a in (conn.connection_matrix(G), g, coh.exterior_derivative(G).d[0],
               spec.connection_eigenvalues(G)):
@@ -276,15 +287,16 @@ def test_prop_dual_product_det(G):
     res = conn.dual_product_check(G)
     assert res == {"det": want, "det_ok": True, "charpoly_ok": True}
     assert want == 1 - G.euler_characteristic()
-    # charpoly_cap=0 takes the determinant by elimination alone
-    assert conn.dual_product_check(G, charpoly_cap=0) == {
-        "det": want, "det_ok": True, "charpoly_ok": None}
+    # a charpoly cap of 0 takes the determinant by elimination alone
+    with mock.patch.object(errors, "CHARPOLY_CAP", 0):
+        assert conn.dual_product_check(G) == {
+            "det": want, "det_ok": True, "charpoly_ok": None}
 
 
 @settings(max_examples=30, deadline=None)
 @given(whitney_complexes())
 def test_prop_dual_product_runs_no_elimination(G):
-    # below charpoly_cap the determinant comes from the characteristic
+    # below the charpoly cap the determinant comes from the characteristic
     # polynomial; only the memoed factorization of L may eliminate, once
     conn.green_inverse(G)
     with (mock.patch.object(exact, "echelon", wraps=exact.echelon) as echelon,

@@ -248,9 +248,11 @@ def test_disjoint_union():
 
 
 def test_union_relabel_maps():
-    G, gmap, hmap = sx.disjoint_union(sx.cycle(3), sx.cycle(3), return_maps=True)
-    assert set(gmap.values()) == {0, 1, 2}
-    assert set(hmap.values()) == {3, 4, 5}
+    # G keeps vertices 0..2 and H is relabeled densely above them
+    G = sx.disjoint_union(sx.cycle(3), sx.close([(4, 7), (7, 9), (4, 9)]))
+    assert G.vertices() == (0, 1, 2, 3, 4, 5)
+    assert sx.induced(G, (0, 1, 2)) == sx.cycle(3)
+    assert sx.induced(G, (3, 4, 5)) == sx.close([(3, 4), (4, 5), (3, 5)])
     assert G.f_vector() == (6, 6)
 
 

@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from simplexion.exact import (
-    cauchy_binet_coeffs,
-    charpoly,
-    descartes_positive_roots,
-    factor,
-    inertia_exact,
-    inertia_from_charpoly,
-)
+from simplexion.exact import cauchy_binet_coeffs, charpoly, factor
 from simplexion.rng import SplitMix64
 
 from oracles import (
     berkowitz_charpoly,
     charpoly_oracle,
+    descartes_positive_roots,
     det_cofactor,
     det_exact,
     entries,
     fraction_inverse,
+    inertia_exact,
+    inertia_from_charpoly,
     minor_sum_coeffs,
     rank_fraction,
 )

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simplexion as sx
+from simplexion import errors
 from simplexion.core import wu_characteristic
 from simplexion.generators import (
     ICOSAHEDRON_EDGES,
@@ -68,6 +70,28 @@ def test_whitney_rejects_bad_graphs():
         sx.whitney(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         sx.whitney(2, [(0, 5)])
+
+
+def test_whitney_refuses_at_the_first_clique_past_the_cap(monkeypatch):
+    # K_{3 x 11}, the complete 11-partite graph with parts of 3, has 3^11
+    # maximal cliques of 11 vertices, a closure bound of 177147 * 2047 =
+    # 362,619,909; the search stops at clique 2443, the first to take the
+    # running bound past the cap, and the listing at 3^10 cliques fits
+    monkeypatch.delenv("SIMPLEXION_CAP", raising=False)
+    edges = [(a, b) for a in range(33) for b in range(a + 1, 33) if a // 3 != b // 3]
+    t0 = time.perf_counter()
+    with pytest.raises(sx.ResourceLimitError) as err:
+        sx.whitney(33, edges)
+    assert time.perf_counter() - t0 < 1
+    assert str(err.value) == "closure could have 5000821 simplices (cap 5000000)"
+    assert 2443 * 2047 == 5000821 < 362_619_909
+    # K_{3 x 3}: 27 triangles, a bound of 189, built at a cap of 189 exactly
+    k333 = [(a, b) for a, b in edges if b < 9]
+    monkeypatch.setattr(errors, "DEFAULT_CAP", 189)
+    assert sx.whitney(9, k333).f_vector() == (9, 27, 27)
+    monkeypatch.setattr(errors, "DEFAULT_CAP", 188)
+    with pytest.raises(sx.ResourceLimitError, match=r"^closure could have 189 simplices \(cap 188\)$"):
+        sx.whitney(9, k333)
 
 
 def test_erdos_renyi_determinism():

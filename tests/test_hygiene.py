@@ -1,11 +1,10 @@
 """Static checks on the sources, by an `ast` pass over each module of the
 package (the package `__init__`, which imports to re-export, aside) and each
 test module: no imported name goes unused, and no f-string lacks a
-placeholder.  Across the package, no function imports from a package module
-that its module already imports from at the top (only an import cycle
-justifies a function-local import), and every module-level private function
-and class is referenced by some package module, so none lives on for tests
-alone."""
+placeholder.  Across the package, no function imports a package module (the
+module graph is acyclic, so every such import belongs at the top), and every
+module-level private function and class is referenced by some package
+module, so none lives on for tests alone."""
 
 import ast
 import pathlib
@@ -52,11 +51,13 @@ def test_no_fstring_without_placeholder(path):
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_local_import_from_a_module_imported_at_top(path):
     tree = _tree(path)
-    top = {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level}
-    local = [f"{path.name}:{node.lineno}: from .{node.module} imported inside a function"
-             " and at the top" for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+    local = [f"{path.name}:{node.lineno}: package import inside a function"
+             for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
              for node in ast.walk(func)
-             if isinstance(node, ast.ImportFrom) and node.level and node.module in top]
+             if (isinstance(node, ast.ImportFrom)
+                 and (node.level or (node.module or "").split(".")[0] == "simplexion"))
+             or (isinstance(node, ast.Import)
+                 and any(a.name.split(".")[0] == "simplexion" for a in node.names))]
     assert not local, local
 
 
