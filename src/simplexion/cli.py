@@ -22,7 +22,7 @@ from . import errors
 from . import geometry as geom_mod
 from . import spectral as spec_mod
 from .core import close, disjoint_union, join, wu_characteristic
-from .errors import NumericError, ResourceLimitError
+from .errors import InvariantViolation, NumericError, ResourceLimitError
 from .generators import (
     RandomModel,
     block_trials,
@@ -501,6 +501,8 @@ def cmd_verify(args) -> int:
             res, witness = "skipped:resource-cap", {"reason": str(exc)}
         except NumericError as exc:
             res, witness = False, {"numeric_error": str(exc)}
+        except InvariantViolation as exc:
+            res, witness = False, {"invariant": str(exc), **(exc.witness or {})}
         elapsed = time.monotonic() - t0
         if isinstance(res, str):
             status = res  # "skipped:<reason>"

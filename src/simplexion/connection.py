@@ -1,21 +1,21 @@
-"""The exact integer theorems the connection matrix L carries (L[x][y] = 1
-iff x and y intersect; built by `refinement.connection_matrix`):
-unimodularity, the integer Green inverse and its energy/star formulas,
-eigenvalue sign counts, the hydrogen relation, trace identities and the
-spectral symmetry of one-dimensional complexes.
+"""The exact integer theorems the connection matrix L (L[x][y] = 1 iff x and
+y intersect) carries: unimodularity, the integer Green inverse and its
+energy/star formulas, eigenvalue sign counts, the hydrogen relation, trace
+identities and the spectral symmetry of one-dimensional complexes.
 
 Row and column order is always the canonical simplex order (dimension, then
 lex), which makes every matrix here reproducible bit for bit and puts every
 leading principal submatrix in bijection with a subcomplex; by unimodularity
-all leading minors are +-1, so every leading block has an integral inverse
-and the exact determinant, minor signs and inverse need no pivoting.
+all leading minors are +-1, so L = M diag(D) M^T with unit pivots D.
 
-L and its factorization are memoed on the complex (see `core`) for as long
-as it lives: one elimination of L (`exact.factor`) gives det L, its
-leading-minor signs and g = L^-1, certified once by L g = I, and every
-theorem below reads it.  Both arrays are read-only.  The exact dense cap
-(`errors.DEFAULT_EXACT_CAP`) is checked on every call, before the memo is
-read.
+That factor is the sparse elimination `exact.ldl` of L's entries, listed
+from the vertex stars under `errors.ENTRY_CAP` and memoed on the complex
+(see `core`).  det L is the product of D, the inertia Jacobi's rule on its
+prefix products, and the energy 1^T x for L x = 1, certified on L's
+entries: none of the three builds the dense L.  g = L^-1 is assembled from
+the factor when a check reads it, certified by L g = I, read-only, under
+the exact dense cap (`errors.DEFAULT_EXACT_CAP`) that every call checks
+before the memo is read, as `refinement.connection_matrix` does.
 
 The dual-product determinant needs no elimination of its own: with Lbar =
 1 - L, det(-L Lbar) = det(L)^2 det(-Lbar g), and det(-Lbar g) = (-1)^n c_n
@@ -26,38 +26,40 @@ is read from the constant term c_n of the characteristic polynomial of
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 import numpy as np
 
 from . import errors
 from .cohomology import dirac
-from .core import Complex, parity, set_euler, sphere_euler, star_up, up_star_weights
-from .errors import InvariantViolation
-from .exact import charpoly, factor, jacobi_inertia, matmul
-from .refinement import (
-    _meets,
-    connection_matrix,
-    refinement_order,
-    stirling_apply,
-    stirling_matrix,
-)
+from .core import Complex, _vertex_stars, parity, set_euler, sphere_euler, star_up, up_star_weights
+from .errors import InvariantViolation, ResourceLimitError, check_exact
+from .exact import charpoly, factor, jacobi_inertia, ldl, ldl_inverse, ldl_solve, matmul
+from .refinement import _meets, connection_matrix, refinement_order, stirling_apply, stirling_matrix
 
 
 def _factor(G: Complex) -> tuple:
-    """(leading-minor signs, det, g) of L from one elimination, memoed on
-    G; g is certified by L g = I and read-only."""
-    L = connection_matrix(G)
-    return G.memo("factor", lambda: _certified_factor(L))
+    """(entries, M, D): L's lower entries, x and y meeting iff one vertex
+    star holds both, and their factor L = M diag(D) M^T, memoed on G.  The
+    pairs the stars list, sum |star(v)|^2 >= nnz(L), are checked against
+    errors.ENTRY_CAP on every call, before the memo is read."""
+    stars = _vertex_stars(G).values()
+    predicted = sum(len(s) ** 2 for s in stars)
+    if predicted > errors.ENTRY_CAP:
+        raise ResourceLimitError(f"L has up to {predicted} entries; entry cap is {errors.ENTRY_CAP}")
 
+    def build():
+        index = {x: i for i, x in enumerate(G)}
+        cols = [{} for _ in index]
+        for s in stars:
+            idx = [index[x] for x in s]
+            for k, i in enumerate(idx):
+                cols[i].update(dict.fromkeys(idx[k:], 1))
+        return (cols, *ldl(cols))
 
-def _certified_factor(L: np.ndarray) -> tuple:
-    signs, det, g = factor(L, inverse=True)
-    if g is not None:
-        if not np.array_equal(matmul(L, g), np.eye(len(g), dtype=g.dtype)):
-            raise InvariantViolation("L * g != I", witness={"n": len(g)})
-        g.setflags(write=False)
-    return signs, det, g
+    return G.memo("ldl", build)
 
 
 def dual_connection_matrix(G: Complex) -> np.ndarray:
@@ -66,22 +68,38 @@ def dual_connection_matrix(G: Complex) -> np.ndarray:
 
 
 def connection_det(G: Complex) -> int:
-    """det(L); +-1 for every simplicial complex (unimodularity)."""
-    return _factor(G)[1]
+    """det(L) = prod D; +-1 for every simplicial complex (unimodularity)."""
+    return math.prod(_factor(G)[2])
 
 
 def green_inverse(G: Complex) -> np.ndarray:
     """The integer inverse g = L^-1 (exists and is integral by
     unimodularity), read-only; g(x,y) are the potential energy values."""
-    _, det, g = _factor(G)
-    if g is None:
-        raise InvariantViolation("L is not unimodular", witness={"det": det})
+    check_exact("complex", len(G), "simplices")
+    return G.memo("green", lambda: _certified_green(G))
+
+
+def _certified_green(G: Complex) -> np.ndarray:
+    g = ldl_inverse(*_factor(G)[1:])
+    if not np.array_equal(matmul(connection_matrix(G), g), np.eye(len(g), dtype=np.int64)):
+        raise InvariantViolation("L * g != I", witness={"n": len(g)})
+    g.setflags(write=False)
     return g
 
 
 def energy(G: Complex) -> int:
-    """Total potential energy sum_xy g(x,y); equals chi(G)."""
-    return int(green_inverse(G).sum())
+    """Total potential energy sum_xy g(x,y) = 1^T x for L x = 1, solved
+    through the factor and certified on L's entries; equals chi(G)."""
+    cols, M, D = _factor(G)
+    x = ldl_solve(M, D, [1] * len(cols))
+    Lx = [0] * len(cols)
+    for j, col in enumerate(cols):
+        for i, a in col.items():
+            Lx[i] += a * x[j]
+            Lx[j] += a * x[i] if i != j else 0
+    if any(v != 1 for v in Lx):
+        raise InvariantViolation("L x != 1", witness={"n": len(cols)})
+    return sum(x)
 
 
 def green_star(G: Complex, x, y, weights: dict | None = None) -> int:
@@ -124,13 +142,10 @@ def wu_intersection_matrix(G: Complex) -> np.ndarray:
 
 def inertia_of_connection(G: Complex) -> tuple:
     """(p, n, z) of L; p - n = chi(G) and z = 0 always.  Jacobi's rule on
-    the leading-minor signs of the memoed factorization.  Every leading
-    principal block of L is the connection matrix of a subcomplex, so no
-    leading minor is zero; one that is breaks unimodularity."""
-    signs = _factor(G)[0]
-    if signs is None:
-        raise InvariantViolation("a leading minor of L is zero", witness={"n": len(G)})
-    return jacobi_inertia(signs)
+    the signs of the leading minors, the prefix products of the pivots D.
+    Every leading principal block of L is the connection matrix of a
+    subcomplex, so each is +-1; `exact.ldl` refuses any other."""
+    return jacobi_inertia(list(itertools.accumulate(_factor(G)[2], operator.mul)))
 
 
 def supertrace_powers(G: Complex) -> dict:

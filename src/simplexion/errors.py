@@ -3,11 +3,11 @@
 Invalid arguments raise ValueError / KeyError as usual; the three classes
 below cover the cases the callers are expected to catch and react to.
 
-A ResourceLimitError is raised on a size predicted from the input, before
-the work it refuses allocates anything.  Each limit is a constant of this
-module, and every site reads it here at call time, so one change to a
-constant reaches every site.  SIMPLEXION_CAP overrides DEFAULT_CAP, and
-`barycentric` and `ring_product_complex` take a second value per call.
+A ResourceLimitError is raised on a size predicted from the input (rows of
+a dense operator, or the sum |star(v)|^2 bounding L's sparse entries),
+before the work it refuses allocates anything.  Each limit is a constant
+here, read at call time by every site.  SIMPLEXION_CAP overrides
+DEFAULT_CAP; `barycentric` and `ring_product_complex` take a cap per call.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import os
 
 DEFAULT_CAP = 5_000_000  # simplices a builder makes (refinement, product, join, closure)
 DEFAULT_EXACT_CAP = 3000  # rows of a dense exact operator: simplices, or product cells
+ENTRY_CAP = 12_000_000  # predicted entries of L, sum |star(v)|^2, for its sparse factor
 DEFAULT_PAIR_CAP = 4500  # intersecting pairs of the interaction cohomology
 AUTOMORPHISM_CAP = 8  # vertices of the automorphism search
 ALEXANDER_CAP = 16  # ground vertices of the Alexander dual

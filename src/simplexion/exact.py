@@ -1,11 +1,15 @@
 """Exact linear algebra over the integers.
 
 Everything here certifies bit-exact results.  One fraction-free (Bareiss)
-elimination kernel, `echelon`, does the dense elimination: forward to a row
-echelon form for determinants and leading-minor signs, or on to the
-fraction-free Gauss-Jordan form for inverses.  It runs on int64 while a
-bound checked before each step proves every product exact, and promotes the
-matrix to Python big-int object arrays otherwise.
+elimination kernel, `echelon`, does the dense elimination: a row echelon
+form for determinants and leading-minor signs, read by `factor`.  It runs on
+int64 while a bound checked before each step proves every product exact,
+and promotes the matrix to Python big-int object arrays otherwise.
+
+`ldl` is the sparse one: A = M diag(D) M^T for a symmetric integer matrix
+whose leading minors are all +-1, as connection matrices in canonical order
+are, from its lower entries in dict columns of Python ints.  det A and the
+minor signs are products of D; `ldl_solve` and `ldl_inverse` use the factor.
 
 `matmul` is the one exact integer matrix product.  With bound = max_i
 sum_k |A_ik| * max |B|, every partial sum of every entry of A @ B, in any
@@ -14,13 +18,6 @@ absolute value at most bound.  Integers below 2^53 are exact float64
 numbers, so below that bound the product runs as a float64 BLAS dgemm and
 is cast back; below 2^63 it runs in int64, and beyond on Python integers.
 This is the only place floating point enters an exact result.
-
-Square matrices above SCHUR_LEAF rows whose leading blocks are unimodular,
-as connection matrices in canonical order are, get their determinant,
-leading-minor signs and inverse from a Schur-complement recursion whose
-products all go through `matmul`; any other matrix, and any block where the
-recursion's conditions fail, goes to `echelon`.  `factor` is the one entry
-point for all three: it picks the tier and reads the pivots.
 
 Beside these sit the inertia of a symmetric matrix from its leading-minor
 signs (Jacobi's rule, `jacobi_inertia`) and the characteristic polynomial:
@@ -38,6 +35,8 @@ import operator
 from typing import NamedTuple
 
 import numpy as np
+
+from .errors import InvariantViolation
 
 
 def _promote(a: np.ndarray) -> np.ndarray:
@@ -68,26 +67,19 @@ class Echelon(NamedTuple):
     signs: list
 
 
-def echelon(A, aug=None, full: bool = False) -> Echelon:
-    """Fraction-free row echelon form of the integer matrix [A | aug].
+def echelon(A) -> Echelon:
+    """Fraction-free row echelon form of the integer matrix A.
 
-    Pivots are the first nonzero entry at or below the current row, searched
-    in the columns of A; the augmented columns aug (none by default) are
-    carried along but never pivots.  With full the elimination also clears
-    above each pivot (fraction-free Gauss-Jordan): every pivot entry then
-    equals the last pivot d, and the pivot rows divided by d are the reduced
-    row echelon form.
-
-    Each step is the Bareiss update (a*p - b*q) / previous pivot, so every
-    entry stays a minor of A.  When the pivot is -1 or 1 and the previous
-    pivot is 1, the row is negated to make the pivot 1 and the update is the
-    in-place a - b*q; signs records what the negation hides.
+    Pivots are the first nonzero entry at or below the current row.  Each
+    step is the Bareiss update (a*p - b*q) / previous pivot, so every entry
+    stays a minor of A.  When the pivot is -1 or 1 and the previous pivot is
+    1, the row is negated to make the pivot 1 and the update is the in-place
+    a - b*q; signs records what the negation hides.
     """
-    ncols = np.shape(A)[1]
-    E = np.array(A) if aug is None else np.concatenate([A, aug], axis=1)
+    E = np.array(A)
     if E.dtype != object:
         E = E.astype(np.int64, copy=False)
-    nrows = len(E)
+    nrows, ncols = np.shape(E)
     rows = list(range(nrows))
     pivots, signs = [], []
     sign, prev, r = 1, 1, 0
@@ -106,32 +98,104 @@ def echelon(A, aug=None, full: bool = False) -> Echelon:
             sign = -sign
         p = int(E[r, c])
         signs.append(sign if p > 0 else -sign)
-        lo = 0 if full else r
         if E.dtype != object:
             if not _fits_int64(bound, nrows):
-                bound = _absmax(E[lo:, 0 if full else c:])
+                bound = _absmax(E[r:, c:])
             if not _fits_int64(bound, nrows):
                 E = _promote(E)
             else:
-                top = _absmax(E[lo:, c]) * _absmax(E[r, c:])
+                top = _absmax(E[r:, c]) * _absmax(E[r, c:])
                 bound = max(bound, (bound * abs(p) + top) // abs(prev))
-        above, below = slice(0, r if full else 0), slice(r + 1, nrows)
+        below = slice(r + 1, nrows)
         if prev == 1 and p in (1, -1):
             if p == -1:
                 E[r] = -E[r]
                 sign = -sign
-            for blk in (above, below):
-                E[blk, c:] -= np.outer(E[blk, c], E[r, c:])
+            E[below, c:] -= np.outer(E[below, c], E[r, c:])
         else:
             E[below, c:] = (E[below, c:] * p - np.outer(E[below, c], E[r, c:])) // prev
-            E[above] = (E[above] * p - np.outer(E[above, c], E[r])) // prev
         prev = int(E[r, c])
         pivots.append(c)
         r += 1
     return Echelon(E, pivots, rows, signs)
 
 
-# -- the exact product and the unit-pivot Schur-complement tier ----------------
+def factor(M) -> tuple:
+    """(leading-minor signs, det) of a square integer matrix from one
+    `echelon` pass.  signs is None when a leading principal minor is zero (a
+    row exchange or a rank deficit); det is a Python int."""
+    A = np.asarray(M)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("factorization needs a square matrix")
+    n, e = len(A), echelon(A)
+    if len(e.pivots) < n:
+        return None, 0
+    det = e.signs[-1] * abs(int(e.matrix[-1, -1])) if n else 1
+    return (e.signs if e.rows == list(range(n)) else None), det
+
+
+# -- the sparse LDL^T factorization ---------------------------------------------
+
+
+def ldl(columns) -> tuple:
+    """(M, D) with A = M diag(D) M^T, M unit lower triangular, for the
+    symmetric integer matrix A with columns[j] = {i: A[i][j]}, i >= j, its
+    nonzero entries on and below the diagonal (left unchanged); M comes as
+    its strict lower columns in that form.  Right-looking elimination in
+    dict columns: pivot k is column k's current diagonal entry d, column k
+    over d is M's, and the lower entries of its pattern lose the outer
+    product, dropping what cancels.  d is the ratio of consecutive leading
+    minors; one that is not +-1 raises InvariantViolation."""
+    A = [dict(c) for c in columns]
+    D = []
+    for k, col in enumerate(A):
+        d = col.pop(k, 0)
+        if d not in (1, -1):
+            raise InvariantViolation(f"LDL^T pivot {k} is {d}, not +-1",
+                                     witness={"pivot": k, "value": d})
+        D.append(d)
+        items = sorted((i, d * v) for i, v in col.items())
+        col.update(items)
+        for a, (j, mj) in enumerate(items):
+            target, f = A[j], d * mj
+            for i, mi in items[a:]:
+                v = target.get(i, 0) - f * mi
+                if v:
+                    target[i] = v
+                else:
+                    del target[i]
+    return A, D
+
+
+def ldl_solve(M: list, D: list, b) -> list:
+    """x with M diag(D) M^T x = b, for the factor of `ldl`."""
+    y = list(b)
+    for k, col in enumerate(M):
+        for i, m in col.items():
+            y[i] -= m * y[k]
+    y = [v * d for v, d in zip(y, D)]
+    for k in range(len(M) - 1, -1, -1):
+        y[k] -= sum(m * y[i] for i, m in M[k].items())
+    return y
+
+
+def ldl_inverse(M: list, D: list) -> np.ndarray:
+    """(M diag(D) M^T)^-1 = W^T diag(D) W for the factor of `ldl` (D = D^-1
+    is +-1), the product by `matmul`.  W = M^-1 in sparse rows: row k is e_k
+    less M[k][j] times row j over j < k, pushed along M's column j."""
+    W = [{k: 1} for k in range(len(M))]
+    for j, col in enumerate(M):
+        for i, m in col.items():
+            for c, v in W[j].items():
+                W[i][c] = W[i].get(c, 0) - m * v
+    big = any(abs(v) >> 62 for row in W for v in row.values())
+    dense = np.zeros((len(W), len(W)), dtype=object if big else np.int64)
+    for i, row in enumerate(W):
+        dense[i, list(row)] = list(row.values())
+    return matmul(dense.T * np.array(D, dtype=dense.dtype), dense)
+
+
+# -- the exact product ----------------------------------------------------------
 
 
 def _row_bound(A: np.ndarray) -> int:
@@ -160,88 +224,6 @@ def matmul(A, B) -> np.ndarray:
     if bound < 1 << 63:
         return A.astype(np.int64) @ B.astype(np.int64)
     return A.astype(object) @ B.astype(object)
-
-
-SCHUR_LEAF = 64  # blocks of at most this many rows go to `echelon`
-
-
-class _NoUnitPivots(Exception):
-    """The Schur-complement tier does not apply; `echelon` decides."""
-
-
-def _mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    P = matmul(X, Y)
-    if P.dtype == object:
-        raise _NoUnitPivots
-    return P
-
-
-def _sub(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X - Y in int64, when no entry can overflow."""
-    if _absmax(X) + _absmax(Y) >= 1 << 63:
-        raise _NoUnitPivots
-    return X - Y
-
-
-def _schur(M: np.ndarray, inverse: bool) -> tuple:
-    """(leading-minor signs, det, M^-1 if inverse else None) of the square
-    int64 matrix M, by the Schur complement of its leading block.
-
-    With M = [[A, B], [C, D]] split at half its order and det A = +-1, A^-1
-    is integral and S = D - C A^-1 B; the leading minors of M continue those
-    of A as det A times those of S, det M = det A det S, and M^-1 is built
-    from A^-1 and S^-1 by the block formula.  Blocks of at most SCHUR_LEAF
-    rows are eliminated by `echelon`.  Raises _NoUnitPivots when a leading
-    minor is zero, when a block to be inverted is not unimodular, or when a
-    value would leave int64."""
-    n = len(M)
-    if n <= SCHUR_LEAF:
-        e = echelon(M, np.eye(n, dtype=np.int64) if inverse else None, full=inverse)
-        if e.matrix.dtype == object or len(e.pivots) < n or e.rows != list(range(n)):
-            raise _NoUnitPivots
-        d = int(e.matrix[n - 1, n - 1])
-        if not inverse:
-            return e.signs, e.signs[-1] * abs(d), None
-        if d not in (1, -1):
-            raise _NoUnitPivots
-        return e.signs, e.signs[-1], e.matrix[:, n:] * d
-    h = n // 2
-    sa, da, Ai = _schur(M[:h, :h], True)
-    AiB = _mul(Ai, M[:h, h:])
-    ss, ds, Si = _schur(_sub(M[h:, h:], _mul(M[h:, :h], AiB)), inverse)
-    signs = sa + [da * s for s in ss]
-    if not inverse:
-        return signs, da * ds, None
-    lower = -_mul(Si, _mul(M[h:, :h], Ai))  # -S^-1 C A^-1
-    upper = _sub(Ai, _mul(AiB, lower))      # A^-1 + A^-1 B S^-1 C A^-1
-    return signs, da * ds, np.block([[upper, -_mul(AiB, Si)], [lower, Si]])
-
-
-def factor(M, inverse: bool = False) -> tuple:
-    """(leading-minor signs, det, M^-1) of a square integer matrix from one
-    elimination.  A square non-object matrix above SCHUR_LEAF rows goes to
-    the unit-pivot Schur tier; any other matrix, and any the tier declines,
-    gets one `echelon` pass, a fraction-free Gauss-Jordan on [M | I] when
-    inverse is set.  signs is None when a leading principal minor is zero (a
-    row exchange or a rank deficit); det is a Python int; the inverse is
-    None unless inverse is set and det = +-1, the only case in which it is
-    integral."""
-    A = np.asarray(M)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("factorization needs a square matrix")
-    n = len(A)
-    if n == 0:
-        return [], 1, np.zeros((0, 0), dtype=np.int64) if inverse else None
-    if A.dtype != object and n > SCHUR_LEAF:
-        with contextlib.suppress(_NoUnitPivots):
-            return _schur(A.astype(np.int64, copy=False), inverse)
-    e = echelon(A, np.eye(n, dtype=np.int64) if inverse else None, full=inverse)
-    if len(e.pivots) < n:
-        return None, 0, None
-    d = int(e.matrix[n - 1, n - 1])  # with inverse, every pivot of the Gauss-Jordan form
-    signs = e.signs if e.rows == list(range(n)) else None
-    unit = inverse and d in (1, -1)
-    return signs, e.signs[-1] * abs(d), e.matrix[:, n:] * d if unit else None
 
 
 # -- characteristic polynomial and inertia ----------------------------------

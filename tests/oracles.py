@@ -18,7 +18,7 @@ from simplexion.cohomology import (
 )
 from simplexion.core import Complex, close, parity, wu_characteristic
 from simplexion.errors import InvariantViolation, NumericError
-from simplexion.exact import charpoly, echelon, factor, jacobi_inertia
+from simplexion.exact import charpoly, factor, jacobi_inertia
 from simplexion.generators import (
     RandomModel,
     erdos_renyi,
@@ -193,15 +193,43 @@ def det_exact(M):
 
 
 def fraction_inverse(rows) -> list:
-    """Exact rational inverse, as rows of Fractions: the rows are scaled to
-    integers by diag(m), and [m A | diag(m)] eliminates to [d I | d A^-1]."""
-    A, m = _clear_denominators(rows)
-    n = len(A)
-    e = echelon(A, np.diag(np.array(m, dtype=object)), full=True)
-    if len(e.pivots) < n:
-        raise ZeroDivisionError("matrix is singular")
-    d = int(e.matrix[0, 0]) if n else 1
-    return [[Fraction(int(v), d) for v in row] for row in e.matrix[:, n:]]
+    """Exact rational inverse, as rows of Fractions: Gauss-Jordan elimination
+    of [A | I] over the rationals."""
+    n = len(rows)
+    E = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if E[r][c]), None)
+        if p is None:
+            raise ZeroDivisionError("matrix is singular")
+        E[c], E[p] = E[p], E[c]
+        E[c] = [v / E[c][c] for v in E[c]]
+        for r in range(n):
+            f = E[r][c]
+            if r != c and f:
+                E[r] = [a - f * b for a, b in zip(E[r], E[c])]
+    return [row[n:] for row in E]
+
+
+def fraction_ldl(rows) -> tuple:
+    """(M, D) with A = M diag(D) M^T, M unit lower triangular as rows of
+    Fractions: symmetric Gaussian elimination over the rationals, without
+    pivoting, so D[k] is the ratio of the leading minors of orders k + 1
+    and k; ZeroDivisionError at the first zero pivot."""
+    n = len(rows)
+    A = [[Fraction(v) for v in row] for row in rows]
+    M = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    D = []
+    for k in range(n):
+        if not A[k][k]:
+            raise ZeroDivisionError(f"pivot {k} is zero")
+        D.append(A[k][k])
+        for i in range(k + 1, n):
+            M[i][k] = A[i][k] / D[k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] -= M[i][k] * D[k] * M[j][k]
+    return M, D
 
 
 def minor_sum_coeffs(F, G) -> list:

@@ -442,24 +442,89 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 @pytest.mark.parametrize("refined", [False, True])
 def test_verify_factors_connection_matrix_once(tmp_path, monkeypatch, refined):
+    # one sparse factorization and one dense L (the eigensolve and the dual
+    # product read it) per complex
     from simplexion import connection as conn
     from simplexion import refinement
-    from simplexion.exact import SCHUR_LEAF
 
     G = sx.cross_polytope(2)
     if refined:
         G = sx.barycentric(G)
-    assert (len(G) > SCHUR_LEAF) == refined
     path = tmp_path / "g.json"
     write_canonical(complex_to_dict(G), str(path))
     builds = _count_calls(monkeypatch, refinement, "_build_connection")
-    factors = _count_calls(monkeypatch, conn, "factor")
+    factors = _count_calls(monkeypatch, conn, "ldl")
     rep = tmp_path / "rep.json"
     assert run(["verify", "-i", str(path), "--suite",
                 "unimodularity,energy,inertia,dual-product", "--no-meta",
                 "-o", str(rep)]) == 0
     assert [c["status"] for c in json.loads(rep.read_text())["checks"]] == ["pass"] * 4
     assert len(builds) == 1 and len(factors) == 1
+
+
+def test_verify_reports_a_broken_invariant(tmp_path, monkeypatch, capsys):
+    # a check that raises InvariantViolation fails with the message and the
+    # witness, and the remaining suites still run
+    from simplexion import connection as conn
+    from simplexion.errors import InvariantViolation
+
+    def broken(G):
+        raise InvariantViolation("L x != 1", witness={"n": len(G)})
+
+    path = tmp_path / "c4.json"
+    write_canonical(complex_to_dict(sx.cycle(4)), str(path))
+    monkeypatch.setattr(conn, "energy", broken)
+    assert run(["verify", "-i", str(path), "--suite", "unimodularity,energy,inertia",
+                "--no-meta"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert [c["status"] for c in rep["checks"]] == ["pass", "fail", "pass"]
+    assert rep["checks"][1]["witness"] == {"invariant": "L x != 1", "n": 8}
+    assert rep["pass"] is False
+
+
+def _octahedron_3(tmp_path) -> str:
+    path = tmp_path / "oct_3.json"
+    G = sx.barycentric(sx.barycentric(sx.barycentric(sx.cross_polytope(2))))
+    assert len(G) == 5186
+    write_canonical(complex_to_dict(G), str(path))
+    return str(path)
+
+
+def test_connection_suites_build_no_dense_matrix(tmp_path, monkeypatch, capsys):
+    # unimodularity, energy and inertia read the sparse factor of L's
+    # entries alone, above the exact dense cap
+    from simplexion import refinement
+
+    def refuse(G):
+        raise AssertionError("dense L built")
+
+    path = _octahedron_3(tmp_path)
+    monkeypatch.setattr(refinement, "_build_connection", refuse)
+    t0 = time.monotonic()
+    assert run(["verify", "-i", path, "--suite", "unimodularity,energy,inertia",
+                "--no-meta"]) == 0
+    assert time.monotonic() - t0 < 5
+    rep = json.loads(capsys.readouterr().out)
+    assert [c["witness"] for c in rep["checks"]] == [
+        {"det": 1}, {"chi": 2, "sum_g": 2}, {"chi": 2, "n": 2592, "p": 2594, "z": 0}]
+
+
+def test_entry_cap_refuses_before_listing_entries(tmp_path, monkeypatch, capsys):
+    # below oct_3's predicted count the three suites are skipped, and the
+    # factor's memo, which lists the entries, is never asked for
+    from simplexion import errors
+    from simplexion.core import Complex
+
+    path = _octahedron_3(tmp_path)
+    keys, memo = [], Complex.memo
+    monkeypatch.setattr(Complex, "memo", lambda G, key, build: (keys.append(key), memo(G, key, build))[1])
+    monkeypatch.setattr(errors, "ENTRY_CAP", 100_000)
+    assert run(["verify", "-i", path, "--suite", "unimodularity,energy,inertia",
+                "--no-meta"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert {c["status"] for c in rep["checks"]} == {"skipped:resource-cap"}
+    assert "entry cap is 100000" in rep["checks"][0]["witness"]["reason"]
+    assert "ldl" not in keys and "vertex_stars" in keys
 
 
 def test_spectra_connection_eigensolves_once(tmp_path, monkeypatch):

@@ -144,11 +144,15 @@ def test_inertia_is_euler(corpus, random_complexes):
 
 
 def test_inertia_refuses_a_zero_leading_minor(monkeypatch):
-    # every leading block of L is the connection matrix of a subcomplex, so a
-    # factorization that reports a zero leading minor (signs None) is a fault
-    monkeypatch.setattr(conn, "factor", lambda M, inverse=False: (None, 0, None))
-    with pytest.raises(errors.InvariantViolation, match="a leading minor of L is zero"):
+    # every leading block of L is the connection matrix of a subcomplex, so
+    # entries with a zero leading minor are a fault: here L[1][0] = 1 joins
+    # two vertices of C4, and the leading block [[1, 1], [1, 1]] is singular
+    from simplexion.exact import ldl
+
+    monkeypatch.setattr(conn, "ldl", lambda cols: ldl([{**cols[0], 1: 1}] + cols[1:]))
+    with pytest.raises(errors.InvariantViolation, match="pivot 1 is 0") as exc:
         conn.inertia_of_connection(sx.cycle(4))
+    assert exc.value.witness == {"pivot": 1, "value": 0}
 
 
 def test_supertraces(corpus):
@@ -231,13 +235,20 @@ def test_memo_safety(monkeypatch):
 
     G = sx.cross_polytope(2)
     g = conn.green_inverse(G)
-    # the cap is checked on every call, before the memo is read
+    assert conn._factor(G) is conn._factor(G)
+    # each cap is checked on every call, before the memo is read
     with monkeypatch.context() as m:
         m.setattr(errors, "DEFAULT_EXACT_CAP", 5)
         with pytest.raises(ResourceLimitError):
             conn.connection_matrix(G)
         with pytest.raises(ResourceLimitError):
             conn.green_inverse(G)
+        assert conn.connection_det(G) == 1  # the sparse factor has no dense cap
+    with monkeypatch.context() as m:
+        m.setattr(errors, "ENTRY_CAP", 5)
+        for check in (conn.connection_det, conn.energy, conn.inertia_of_connection):
+            with pytest.raises(ResourceLimitError, match="entry cap is 5"):
+                check(G)
     # memoed arrays are read-only
     for a in (conn.connection_matrix(G), g, coh.exterior_derivative(G).d[0],
               spec.connection_eigenvalues(G)):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from simplexion.exact import cauchy_binet_coeffs, charpoly, factor
+from simplexion.errors import InvariantViolation
+from simplexion.exact import cauchy_binet_coeffs, charpoly, factor, ldl, ldl_inverse
 from simplexion.rng import SplitMix64
 
 from oracles import (
@@ -12,6 +13,7 @@ from oracles import (
     det_exact,
     entries,
     fraction_inverse,
+    fraction_ldl,
     inertia_exact,
     inertia_from_charpoly,
     minor_sum_coeffs,
@@ -40,7 +42,7 @@ def test_bareiss_identity_and_known():
     assert factor([[1, 2], [3, 4]])[1] == -2
     assert factor([[0, 1], [1, 0]])[1] == -1
     assert factor([[0, 0], [0, 1]])[1] == 0
-    assert factor(np.zeros((0, 0), dtype=np.int64)) == ([], 1, None)
+    assert factor(np.zeros((0, 0), dtype=np.int64)) == ([], 1)
     with pytest.raises(ValueError):
         factor([[1, 2, 3], [4, 5, 6]])
 
@@ -118,19 +120,38 @@ def test_inertia_methods_agree():
     assert 0 < zero_minor < 60
 
 
+def columns(A) -> list:
+    """The lower entries of the square matrix A as `exact.ldl` reads them."""
+    A = np.asarray(A)
+    return [{i: int(A[i, j]) for i in range(j, len(A)) if A[i, j]} for j in range(len(A))]
+
+
+def dense_factor(M, n) -> np.ndarray:
+    """The unit lower triangular M of `exact.ldl`, dense, as Python ints."""
+    F = np.eye(n, dtype=object)
+    for j, col in enumerate(M):
+        for i, v in col.items():
+            F[i, j] = v
+    return F
+
+
 def test_integer_inverse_unimodular():
-    M = np.array([[1, 2], [1, 3]], dtype=np.int64)  # det 1, unit leading minors
-    _, det, inv = factor(M, inverse=True)
-    assert det == 1
+    M = np.array([[1, 2], [2, 3]], dtype=np.int64)  # det -1, unit leading minors
+    F, D = ldl(columns(M))
+    assert (F, D) == ([{1: 2}, {}], [1, -1])
+    inv = ldl_inverse(F, D)
     assert np.array_equal(M @ inv, np.eye(2, dtype=np.int64))
+    assert inv.tolist() == fraction_inverse(M.tolist())
 
 
 def test_integer_inverse_general_pivot():
-    # leading pivot -2: the general fraction-free path, still integral
-    M = np.array([[-2, 1], [1, -1]], dtype=np.int64)  # det 1
-    _, det, inv = factor(M, inverse=True)
-    assert det == 1
-    assert np.array_equal(M @ inv, np.eye(2, dtype=np.int64))
+    # det 1 and an integral inverse, but the leading pivot is -2: the kernel
+    # refuses it, naming the pivot, and only the Fraction oracle inverts
+    M = [[-2, 1], [1, -1]]
+    with pytest.raises(InvariantViolation, match="pivot 0 is -2") as exc:
+        ldl(columns(M))
+    assert exc.value.witness == {"pivot": 0, "value": -2}
+    assert fraction_inverse(M) == [[-1, -1], [-1, -2]]
 
 
 def test_fraction_inverse():
@@ -144,11 +165,10 @@ def test_fraction_inverse():
 
 def test_factor_minor_signs():
     assert factor([[1, 0], [0, -1]])[0] == [1, -1]
-    # the leading minor of order 1 is zero: no signs, but det and inverse
+    # the leading minor of order 1 is zero: no signs, but the det
     M = [[0, 1], [1, 0]]
     assert det_cofactor([[0]]) == 0
-    signs, det, inverse = factor(M, inverse=True)
-    assert (signs, det, inverse.tolist()) == (None, -1, M)
+    assert factor(M) == (None, -1)
 
 
 def test_cauchy_binet_identity():
@@ -235,44 +255,72 @@ def test_prop_rank_matches_fraction(M):
     assert reduced(M)[0] == rank_fraction(M)
 
 
-def _factor_under_leaf(M, dtype, leaf, inverse):
-    # SCHUR_LEAF 10^9 is _echelon_only; 1 sends every int64 matrix of order 2
-    # or more to the Schur tier, which declines on a zero or non-unit leading
-    # minor
-    A = np.array(M, dtype=dtype)
-    with pytest.MonkeyPatch.context() as mp:
-        if leaf:
-            mp.setattr(exact, "SCHUR_LEAF", leaf)
-        return factor(A, inverse=inverse)
-
-
-FACTOR_INPUTS = (int_matrices(square=True), st.sampled_from([np.int64, object]),
-                 st.sampled_from([None, 1, 10 ** 9]))
-
-
 @PROPS
-@given(*FACTOR_INPUTS)
-def test_prop_leading_minor_signs(M, dtype, leaf):
+@given(int_matrices(square=True), st.sampled_from([np.int64, object]))
+def test_prop_leading_minor_signs(M, dtype):
     # factor on int64 and object input against the cofactor oracle: the
-    # leading-minor signs, None on a zero minor, and no inverse unasked
+    # leading-minor signs, None on a zero minor, and the det
     minors = [det_cofactor([row[:k] for row in M[:k]]) for k in range(1, len(M) + 1)]
     signs = None if 0 in minors else [_sign(m) for m in minors]
-    assert _factor_under_leaf(M, dtype, leaf, False) == (signs, minors[-1], None)
+    assert factor(np.array(M, dtype=dtype)) == (signs, minors[-1])
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices that are not connection matrices: P K P^T
+    for P unit lower triangular and K diagonal +-1 but for one 2 x 2 block,
+    whose leading minors are K's: all +-1, or one zero or non-unit at the
+    block; and plain random symmetric matrices."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        A = np.array([[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)])
+        return (np.tril(A) + np.tril(A, -1).T).tolist()
+    K = np.diag([draw(st.sampled_from([-1, 1])) for _ in range(n)]).astype(object)
+    if n >= 2:
+        at = draw(st.integers(0, n - 2))
+        a, b = draw(st.sampled_from([0, 1, -1, 2, -3])), draw(st.integers(-2, 2))
+        c = draw(st.sampled_from([(1 + b * b) // a if a and (1 + b * b) % a == 0 else 0,
+                                  b * b - 1, 0, 1, 2]))
+        K[at:at + 2, at:at + 2] = [[a, b], [b, c]]
+    P = np.array([[1 if i == j else draw(st.integers(-2, 2)) if j < i else 0
+                   for j in range(n)] for i in range(n)], dtype=object)
+    return (P @ K @ P.T).tolist()
+
+
+def _assert_ldl_matches(M):
+    """ldl(M) against the cofactor and Fraction oracles and `factor`: the
+    factor and its inverse when every leading minor is +-1, else a refusal
+    at the first one that is not, naming the pivot, the minor ratio."""
+    n = len(M)
+    minors = [1] + [det_cofactor([row[:k] for row in M[:k]]) for k in range(1, n + 1)]
+    bad = next((k for k in range(n) if minors[k + 1] not in (1, -1)), None)
+    if bad is not None:
+        with pytest.raises(InvariantViolation) as exc:
+            ldl(columns(M))
+        assert exc.value.witness == {"pivot": bad, "value": minors[bad + 1] * minors[bad]}
+        return minors[bad + 1]
+    F, D = ldl(columns(M))
+    want_M, want_D = fraction_ldl(M)
+    assert D == want_D == [minors[k + 1] * minors[k] for k in range(n)]
+    assert dense_factor(F, n).tolist() == want_M
+    assert factor(M) == ([_sign(m) for m in minors[1:]], int(np.prod(D)))
+    assert ldl_inverse(F, D).tolist() == fraction_inverse(M)
+    return None
 
 
 @PROPS
-@given(*FACTOR_INPUTS)
-def test_prop_unimodular_factor(M, dtype, leaf):
-    # factor(inverse=True) against the cofactor oracle: the minor signs, det,
-    # and the Fraction inverse exactly when det = +-1
-    minors = [det_cofactor([row[:k] for row in M[:k]]) for k in range(1, len(M) + 1)]
-    signs, det, inverse = _factor_under_leaf(M, dtype, leaf, True)
-    assert signs == (None if 0 in minors else [_sign(m) for m in minors])
-    assert det == minors[-1]
-    if abs(det) == 1:
-        assert inverse.tolist() == fraction_inverse(M)
-    else:
-        assert inverse is None
+@given(symmetric_matrices())
+def test_prop_unimodular_factor(M):
+    _assert_ldl_matches(M)
+
+
+def test_ldl_refuses_zero_and_non_unit_minors():
+    # the strategy draws both kinds of refusal, and the all-unit case
+    from hypothesis import find
+
+    for minor in (0, 2, -3):
+        find(symmetric_matrices(), lambda M, m=minor: _assert_ldl_matches(M) == m)
+    find(symmetric_matrices(), lambda M: len(M) > 3 and _assert_ldl_matches(M) is None)
 
 
 @PROPS
@@ -286,28 +334,23 @@ def test_prop_inverses(M):
             fraction_inverse(M)
         return
     assert np.array_equal(A @ np.array(fraction_inverse(M), dtype=object), eye)
-    _, got, inverse = factor(M, inverse=True)
-    assert got == det
-    if abs(det) == 1:
-        assert np.array_equal(A @ inverse.astype(object), eye)
-    else:
-        assert inverse is None
+    assert factor(M)[1] == det
 
 
 @PROPS
 @given(st.integers(1, 6), st.data())
 def test_prop_unit_minor_inverse(n, data):
-    # unit lower times unit upper (diagonals +-1): every leading minor is a
-    # unit, the in-place elimination path
-    unit = st.sampled_from([-1, 1])
+    # P diag(s) P^T for P unit lower triangular and s = +-1: every leading
+    # minor is a unit, and the factorization, being unique, returns P and s
+    s = [data.draw(st.sampled_from([-1, 1])) for _ in range(n)]
     small = st.integers(-2, 2)
-    L = np.array([[data.draw(unit) if i == j else data.draw(small) if j < i else 0
-                   for j in range(n)] for i in range(n)])
-    U = np.array([[data.draw(unit) if i == j else data.draw(small) if j > i else 0
-                   for j in range(n)] for i in range(n)])
-    M = L @ U
-    assert np.array_equal(M @ factor(M, inverse=True)[2], np.eye(n, dtype=np.int64))
-    assert all(s in (1, -1) for s in factor(M)[0])
+    P = np.array([[1 if i == j else data.draw(small) if j < i else 0
+                   for j in range(n)] for i in range(n)], dtype=object)
+    M = P @ np.diag(s) @ P.T
+    F, D = ldl(columns(M))
+    assert D == s and dense_factor(F, n).tolist() == P.tolist()
+    assert np.array_equal(M @ ldl_inverse(F, D), np.eye(n, dtype=np.int64))
+    assert all(x in (1, -1) for x in factor(M)[0])
 
 
 @PROPS
@@ -397,9 +440,8 @@ def test_charpoly_many_primes_in_batches():
     assert charpoly(M) == expected
 
 
-# -- the exact product and the unit-pivot Schur-complement tier ----------------
+# -- the exact product, and the LDL^T kernel on larger matrices -----------------
 
-from simplexion import exact  # noqa: E402
 from simplexion.exact import echelon, matmul  # noqa: E402
 
 TIER_EDGES = (2 ** 53, 2 ** 63)  # float64 below the first, int64 below the second
@@ -455,168 +497,65 @@ def test_matmul_tiers_at_the_edges():
     assert matmul(huge, np.zeros((1, 1), dtype=np.int64)).tolist() == [[0]]
 
 
-class _echelon_only:
-    """`factor` with the Schur tier switched off: every matrix goes to
-    `echelon`, the reference for the tier."""
-
-    def __enter__(self):
-        self.leaf, exact.SCHUR_LEAF = exact.SCHUR_LEAF, 10 ** 9
-
-    def __exit__(self, *exc):
-        exact.SCHUR_LEAF = self.leaf
-
-
-def _spy_echelon(monkeypatch) -> list:
-    """Shapes of the matrices `exact.echelon` receives from here on."""
-    shapes = []
-
-    def spy(A, *args, **kwargs):
-        shapes.append(np.shape(A))
-        return echelon(A, *args, **kwargs)
-
-    monkeypatch.setattr(exact, "echelon", spy)
-    return shapes
-
-
-def _schur_serves(M, inverse: bool = True) -> bool:
-    """Whether the Schur tier, called directly, factors M."""
-    try:
-        exact._schur(M, inverse)
-    except exact._NoUnitPivots:
-        return False
-    return True
-
-
-def _assert_matches_echelon(M, tier_applies=None):
-    """factor(M) and factor(M, inverse=True) give the `echelon` results, and
-    the Schur tier serves each exactly when `_schur` alone factors M; it
-    serves a call when `echelon` never receives the whole of M.
-    tier_applies, when given, is whether it serves the call with the
-    inverse; one that serves the inverse serves the det alone too."""
-    with _echelon_only():
-        want = factor(M, inverse=True)
-    served = []
-    for inverse in (False, True):
-        with pytest.MonkeyPatch.context() as mp:
-            shapes = _spy_echelon(mp)
-            got = factor(M, inverse)
-        served.append(len(M) not in (rows for rows, _ in shapes))
-        assert served[-1] == _schur_serves(M, inverse)
-        assert got[:2] == want[:2]
-        if inverse and want[2] is not None:
-            assert np.array_equal(got[2].astype(object), want[2].astype(object))
-        else:
-            assert got[2] is None
-    assert served[1] <= served[0]
-    assert tier_applies in (None, served[1])
-
-
 @st.composite
-def large_complexes(draw):
-    """Connection matrices of more than SCHUR_LEAF simplices: random Whitney
-    complexes, refined once when they are small."""
+def random_complexes(draw):
+    """Criterion 3's random Whitney complexes E(n, p), n in 4..7 and p in
+    {0.2, 0.5, 0.8}, at a drawn seed."""
     import simplexion as sx
 
-    n = draw(st.integers(6, 9))
-    p = draw(st.sampled_from([0.4, 0.6, 0.8]))
-    G = sx.erdos_renyi(sx.RandomModel(n=n, p=p, seed=draw(st.integers(0, 10 ** 6))))
-    if len(G) <= exact.SCHUR_LEAF:
-        G = sx.barycentric(G)
-    return G
+    model = sx.RandomModel(n=draw(st.integers(4, 7)), p=draw(st.sampled_from([0.2, 0.5, 0.8])),
+                           seed=draw(st.integers(0, 10 ** 6)))
+    return sx.erdos_renyi(model)
 
 
-@settings(PROPS, max_examples=30)
-@given(large_complexes())
-def test_prop_schur_tier_on_connection_matrices(G):
-    from simplexion.connection import connection_matrix
+@settings(PROPS, max_examples=40)
+@given(random_complexes())
+def test_prop_ldl_on_connection_matrices(G):
+    # D, det, inertia and g of the memoed factor of L against `factor` (on
+    # every leading block) and the Fraction oracles
+    from simplexion import connection as conn
+    from simplexion.exact import jacobi_inertia
 
-    L = connection_matrix(G)
-    if len(L) > exact.SCHUR_LEAF:
-        _assert_matches_echelon(L, tier_applies=True)
-
-
-def _unit_lu(n, seed, e):
-    """L U with L unit lower and U unit upper triangular, sparse entries in
-    {-1, 0, 1}, and U's upper right block scaled by 2^e: every leading minor
-    is 1, and e sets how large the Schur tier's products grow."""
-    rng = np.random.default_rng(seed)
-
-    def sparse():
-        return np.where(rng.random((n, n)) < 2 / n, rng.integers(-1, 2, (n, n)), 0)
-
-    L = (np.tril(sparse(), -1) + np.eye(n, dtype=np.int64)).astype(object)
-    U = (np.triu(sparse(), 1) + np.eye(n, dtype=np.int64)).astype(object)
-    U[:n // 2, n // 2:] *= 2 ** e
-    return L @ U
-
-
-@settings(PROPS, max_examples=25)
-@given(st.integers(65, 140), st.integers(0, 2 ** 32), st.sampled_from([0, 30, 54, 58, 60]))
-def test_prop_schur_tier_on_unimodular_products(n, seed, e):
-    from hypothesis import assume
-
-    M = _unit_lu(n, seed, e)
-    assume(max(abs(M).ravel()) < 2 ** 63)
-    _assert_matches_echelon(M.astype(np.int64))
-
-
-def test_schur_tier_runs_every_product_tier(monkeypatch):
-    # the float64 and int64 products keep the tier; an object product (a
-    # bound at or above 2^63) sends the matrix back to echelon
-    tiers = []
-    real = exact.matmul
-
-    def spy(A, B):
-        P = real(A, B)
-        bound = exact._row_bound(np.asarray(A)) * exact._absmax(np.asarray(B))
-        tiers.append("float64" if bound < 2 ** 53 else str(P.dtype))
-        return P
-
-    monkeypatch.setattr(exact, "matmul", spy)
-    for e, seed, expect, applies in ((0, 0, {"float64"}, True),
-                                     (56, 0, {"float64", "int64"}, True),
-                                     (60, 1, {"object"}, False)):
-        M = _unit_lu(80, seed, e).astype(np.int64)
-        tiers.clear()
-        assert _schur_serves(M) == applies
-        assert set(tiers) == expect
-        _assert_matches_echelon(M, tier_applies=applies)
+    L = conn.connection_matrix(G)
+    n = len(L)
+    _, F, D = conn._factor(G)
+    dets = [1] + [factor(L[:k, :k])[1] for k in range(1, n + 1)]
+    assert D == [dets[k + 1] * dets[k] for k in range(n)]
+    assert conn.connection_det(G) == dets[-1] == factor(L)[1] in (1, -1)
+    assert conn.inertia_of_connection(G) == jacobi_inertia(factor(L)[0])
+    if n <= 40:
+        want_M, want_D = fraction_ldl(L.tolist())
+        assert D == want_D and dense_factor(F, n).tolist() == want_M
+        assert conn.green_inverse(G).tolist() == fraction_inverse(L.tolist())
+    else:
+        assert np.array_equal(matmul(L, conn.green_inverse(G)), np.eye(n, dtype=np.int64))
 
 
 def _with_block(n, at, block, seed=5):
-    """L K U for the unit triangular L, U of _unit_lu and K the identity
-    with the 2 x 2 block at rows and columns at, at + 1: the leading minors
-    of L K U are those of K."""
-    M = np.eye(n, dtype=object)
-    M[at:at + 2, at:at + 2] = block
+    """P K P^T for a sparse unit lower triangular P and K the identity with
+    the symmetric 2 x 2 block at rows and columns at, at + 1: the leading
+    minors of P K P^T are those of K."""
+    K = np.eye(n, dtype=object)
+    K[at:at + 2, at:at + 2] = block
     rng = np.random.default_rng(seed)
-    L = (np.tril(np.where(rng.random((n, n)) < 2 / n, 1, 0), -1) + np.eye(n, dtype=int)).astype(object)
-    U = (np.triu(np.where(rng.random((n, n)) < 2 / n, -1, 0), 1) + np.eye(n, dtype=int)).astype(object)
-    return (L @ M @ U).astype(np.int64)
+    P = (np.tril(np.where(rng.random((n, n)) < 2 / n, 1, 0), -1) + np.eye(n, dtype=int)).astype(object)
+    return (P @ K @ P.T).astype(np.int64)
 
 
-def test_schur_tier_falls_back_on_a_non_unit_leading_block():
-    # det 1, but the leading block of order n/2 has det 2: its inverse is
-    # not integral, so the tier declines and echelon gives det and inverse
-    n = 130
-    M = _with_block(n, n // 2 - 1, [[2, 1], [1, 1]])
-    assert not _schur_serves(M, inverse=False)
-    _assert_matches_echelon(M, tier_applies=False)
-    assert factor(M)[:2] == ([1] * n, 1)
-
-
+@pytest.mark.parametrize("block, value", [([[0, 1], [1, 0]], 0), ([[2, 1], [1, 1]], 2)],
+                         ids=["zero", "non-unit"])
 @pytest.mark.parametrize("at", [10, 70, 120])
-def test_factor_zero_minor_above_leaf(at):
-    # one zero leading minor, of order at + 1, in the first leaf, in the
-    # leading block's recursion, or in the Schur complement's; det is -1
+def test_ldl_refuses_the_first_non_unit_minor(at, block, value):
+    # one zero or non-unit pivot, at row at, early, midway or late in a
+    # matrix of 130 rows: ldl names it; factor agrees on the minors before it
     n = 130
-    M = _with_block(n, at, [[0, 1], [1, 0]])
-    assert rank_fraction(M[:at, :at].tolist()) == at
-    assert rank_fraction(M[:at + 1, :at + 1].tolist()) == at
-    signs, det, inverse = factor(M, inverse=True)
-    assert signs is None and det == -1
-    assert np.array_equal(M @ inverse, np.eye(n, dtype=np.int64))
-    _assert_matches_echelon(M, tier_applies=False)
+    M = _with_block(n, at, block)
+    with pytest.raises(InvariantViolation, match=f"pivot {at} is {value},") as exc:
+        ldl(columns(M))
+    assert exc.value.witness == {"pivot": at, "value": value}
+    assert factor(M)[1] == (-1 if value == 0 else 1)
+    assert factor(M[:at, :at]) == ([1] * at, 1)
+    assert factor(M[:at + 1, :at + 1])[1] == value
 
 
 # -- ranks by the column reduction of cohomology ---------------------------------
