@@ -33,11 +33,12 @@ that basis: its coefficients on the class cocycles are column j of the
 matrix, and a low outside the basis means T# z_j is not closed.
 
 A dense d_k is scattered from the entries only where a dense operator is the
-point: Dirac, Hodge and Kuenneth operators and the Stokes pairing.  Every
-integer matrix-matrix product (Hodge operators, the Kuenneth dd = 0 check,
-the McKean-Singer supertraces) is `exact.matmul`, which uses a float64 BLAS
-product only where a bound proves it exact.  Otherwise floating point
-appears only in the explicitly numeric checks.
+point: Dirac, Hodge and Kuenneth operators.  The Stokes pairing applies d_k
+and its transpose through the entries.  Every integer matrix-matrix product
+(Hodge operators, the Kuenneth dd = 0 check, the McKean-Singer supertraces)
+is `exact.matmul`, which uses a float64 BLAS product only where a bound
+proves it exact.  Otherwise floating point appears only in the explicitly
+numeric checks.
 
 The chain complex and its reduction are memoed on their complex (see
 `core`) for as long as it lives.
@@ -157,7 +158,10 @@ def hodge_blocks(G: Complex) -> list:
     In canonical order H = D D is exactly the direct sum of these blocks (D
     maps degree k only to k - 1 and k + 1, and d d = 0 kills the rest), so
     the Hodge spectrum is the union of theirs; `hodge` stays the definitional
-    product the blocks are tested against."""
+    product the blocks are tested against.  The largest block has as many
+    rows as the largest f-vector entry, checked against the exact dense cap
+    before anything is built."""
+    check_exact("largest Hodge block", max(G.f_vector(), default=0), "rows")
     data = exterior_derivative(G)
     d = [data.dense(k) for k in range(len(data.bases))]
     blocks = [matmul(dk.T, dk) for dk in d]
@@ -171,9 +175,8 @@ def hodge_blocks(G: Complex) -> list:
 
 @dataclass(frozen=True)
 class CohomologyReport:
-    betti: tuple
-    poincare_poly: tuple  # coefficients b_0, b_1, ...
-    euler_poly: tuple     # coefficients v_0, v_1, ...
+    betti: tuple       # b_0, b_1, ...: also the Poincare polynomial's coefficients
+    euler_poly: tuple  # coefficients v_0, v_1, ...
 
     @property
     def euler_characteristic(self) -> int:
@@ -238,7 +241,7 @@ def _reduction(G: Complex) -> tuple:
 
 def _report(dims: tuple, reduction: tuple) -> CohomologyReport:
     out = tuple(len(cocycles) for _, cocycles in reduction)
-    return CohomologyReport(betti=out, poincare_poly=out, euler_poly=dims)
+    return CohomologyReport(betti=out, euler_poly=dims)
 
 
 def betti(G: Complex) -> CohomologyReport:
@@ -263,17 +266,22 @@ def _supertraces(blocks: list, kmax: int) -> list:
     return out
 
 
-def mckean_singer(G: Complex, ts=(0.1, 1.0, 10.0), kmax: int = 6) -> dict:
-    """Supertraces of Hodge powers: str(H^k) = 0 exactly for 1 <= k <= kmax,
-    and str(exp(-t H)) = chi(G) within 1e-8 on the t grid.  In canonical
-    order H is the direct sum of its degree blocks H_k, and a k-simplex has
-    parity (-1)^k, so both sides work block by block."""
+MCKEAN_SINGER_KMAX = 6  # str(H^k) is checked exactly for 1 <= k <= this
+MCKEAN_SINGER_TS = (0.1, 1.0, 10.0)  # the t grid of str(exp(-t H))
+
+
+def mckean_singer(G: Complex) -> dict:
+    """Supertraces of Hodge powers: str(H^k) = 0 exactly for 1 <= k <=
+    MCKEAN_SINGER_KMAX, and str(exp(-t H)) = chi(G) within 1e-8 for t in
+    MCKEAN_SINGER_TS.  In canonical order H is the direct sum of its degree
+    blocks H_k, and a k-simplex has parity (-1)^k, so both sides work block
+    by block."""
     blocks = hodge_blocks(G)
     chi = G.euler_characteristic()
-    exact_ok = not any(_supertraces(blocks, kmax))
+    exact_ok = not any(_supertraces(blocks, MCKEAN_SINGER_KMAX))
     max_err = 0.0
     spectra = [np.linalg.eigvalsh(blk.astype(float)) for blk in blocks]
-    for t in ts:
+    for t in MCKEAN_SINGER_TS:
         total = 0.0
         for k, vals in enumerate(spectra):
             if len(vals):
@@ -429,10 +437,10 @@ def kuenneth_check(A: Complex, B: Complex) -> dict:
     anything is built.
     """
     check_exact("product", len(A) * len(B), "cells")
-    pa = betti(A).poincare_poly
-    pb = betti(B).poincare_poly
+    pa = betti(A).betti
+    pb = betti(B).betti
     prod = ring_product_complex(A, B)
-    pprod = betti(prod).poincare_poly
+    pprod = betti(prod).betti
 
     def same_poly(a, b) -> bool:  # trailing zero coefficients carry nothing
         return np.trim_zeros(list(a), "b") == np.trim_zeros(list(b), "b")
@@ -628,13 +636,13 @@ def stokes_pairing(G: Complex, k: int, form, chain) -> tuple:
     data = exterior_derivative(G)
     if k < 0 or k >= len(data.bases) - 1:
         raise ValueError("no (k+1)-simplices for this k")
-    form = list(form)
-    chain = list(chain)
-    dk = data.dense(k)
-    if (len(chain), len(form)) != dk.shape:
+    form = np.array(form, dtype=np.int64)
+    chain = np.array(chain, dtype=np.int64)
+    if (len(chain), len(form)) != (data.dims[k + 1], data.dims[k]):
         raise ValueError("coefficient vector lengths do not match the bases")
-    dF = dk @ np.array(form, dtype=np.int64)
-    lhs = int(dF @ np.array(chain, dtype=np.int64))
-    dA = dk.T @ np.array(chain, dtype=np.int64)
-    rhs = int(np.array(form, dtype=np.int64) @ dA)
-    return lhs, rhs
+    r, c, s = data.d[k].T  # d_k and d_k^T applied through the entries
+    dF = np.zeros(len(chain), dtype=np.int64)
+    np.add.at(dF, r, s * form[c])
+    dA = np.zeros(len(form), dtype=np.int64)
+    np.add.at(dA, c, s * chain[r])
+    return int(dF @ chain), int(form @ dA)

@@ -20,8 +20,8 @@ before the memo is read, as `refinement.connection_matrix` does.
 The dual-product determinant needs no elimination of its own: with Lbar =
 1 - L, det(-L Lbar) = det(L)^2 det(-Lbar g), and det(-Lbar g) = (-1)^n c_n
 is read from the constant term c_n of the characteristic polynomial of
--Lbar g, which the same check computes for its spectrum up to
-`errors.CHARPOLY_CAP` rows.
+-Lbar g, which the same check computes for its spectrum.  Above
+`errors.CHARPOLY_CAP` rows the check is refused before L is built.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from . import errors
 from .cohomology import dirac
 from .core import Complex, _vertex_stars, parity, set_euler, sphere_euler, star_up, up_star_weights
 from .errors import InvariantViolation, ResourceLimitError, check_exact
-from .exact import charpoly, factor, jacobi_inertia, ldl, ldl_inverse, ldl_solve, matmul
+from .exact import charpoly, jacobi_inertia, ldl, ldl_inverse, ldl_solve, matmul
 from .refinement import _meets, connection_matrix, refinement_order, stirling_apply, stirling_matrix
 
 
@@ -102,17 +102,14 @@ def energy(G: Complex) -> int:
     return sum(x)
 
 
-def green_star(G: Complex, x, y, weights: dict | None = None) -> int:
+def green_star(G: Complex, x, y) -> int:
     """parity(x) parity(y) chi(W+(x) n W+(y)), where W+ is the star and chi
     of a set of simplices is the plain parity sum.  Equals the Green inverse
     entry g(x,y)."""
     if x not in G.simplices or y not in G.simplices:
         raise KeyError("both simplices must lie in the complex")
     u = tuple(sorted(set(x) | set(y)))
-    if weights is None:
-        chi = set_euler(star_up(G, x) & star_up(G, y)) if u in G.simplices else 0
-    else:
-        chi = weights.get(u, 0)
+    chi = set_euler(star_up(G, x) & star_up(G, y)) if u in G.simplices else 0
     return parity(x) * parity(y) * chi
 
 
@@ -169,23 +166,23 @@ def dual_product_check(G: Complex) -> dict:
     (That spectrum belongs to -Lbar L^-1; -L Lbar itself only shares the
     determinant - K2 is a counterexample to the stronger reading.)
 
-    When n <= errors.CHARPOLY_CAP the characteristic polynomial c of -Lbar g is
-    computed, compared, and also gives the determinant: det(-L Lbar) =
-    det(L)^2 det(-Lbar g) = det(L)^2 (-1)^n c_n, from L and g alone, not
-    from chi.  Above the cap only the determinant is taken, by elimination.
+    The characteristic polynomial c of -Lbar g is computed, compared, and
+    also gives the determinant: det(-L Lbar) = det(L)^2 det(-Lbar g) =
+    det(L)^2 (-1)^n c_n, from L and g alone, not from chi.  Above
+    errors.CHARPOLY_CAP rows the check raises ResourceLimitError before L or
+    g is built.
     """
     if G.is_empty:
         return {"det": 1, "det_ok": True, "charpoly_ok": True}
-    L = connection_matrix(G)
-    n = len(L)
+    n = len(G)
+    if n > errors.CHARPOLY_CAP:
+        raise ResourceLimitError(
+            f"dual product has {n} rows; charpoly cap is {errors.CHARPOLY_CAP}")
     chi = G.euler_characteristic()
-    if n <= errors.CHARPOLY_CAP:
-        cp = charpoly(-matmul(1 - L, green_inverse(G)))
-        d = connection_det(G) ** 2 * (-1) ** n * cp[n]
-        charpoly_ok = cp == _charpoly_one_heavy(n, 1 - chi)
-    else:
-        d, charpoly_ok = factor(-matmul(L, 1 - L))[1], None
-    return {"det": d, "det_ok": d == 1 - chi, "charpoly_ok": charpoly_ok}
+    cp = charpoly(-matmul(1 - connection_matrix(G), green_inverse(G)))
+    d = connection_det(G) ** 2 * (-1) ** n * cp[n]
+    return {"det": d, "det_ok": d == 1 - chi,
+            "charpoly_ok": cp == _charpoly_one_heavy(n, 1 - chi)}
 
 
 def _charpoly_one_heavy(n: int, lam) -> list:

@@ -1,15 +1,11 @@
 """Exact linear algebra over the integers.
 
-Everything here certifies bit-exact results.  One fraction-free (Bareiss)
-elimination kernel, `echelon`, does the dense elimination: a row echelon
-form for determinants and leading-minor signs, read by `factor`.  It runs on
-int64 while a bound checked before each step proves every product exact,
-and promotes the matrix to Python big-int object arrays otherwise.
-
-`ldl` is the sparse one: A = M diag(D) M^T for a symmetric integer matrix
-whose leading minors are all +-1, as connection matrices in canonical order
-are, from its lower entries in dict columns of Python ints.  det A and the
-minor signs are products of D; `ldl_solve` and `ldl_inverse` use the factor.
+Everything here certifies bit-exact results.  `ldl` is the module's one
+elimination over the integers: A = M diag(D) M^T for a symmetric integer
+matrix whose leading minors are all +-1, as connection matrices in
+canonical order are, from its lower entries in dict columns of Python ints.
+det A and the minor signs are products of D; `ldl_solve` and `ldl_inverse`
+use the factor.
 
 `matmul` is the one exact integer matrix product.  With bound = max_i
 sum_k |A_ik| * max |B|, every partial sum of every entry of A @ B, in any
@@ -23,8 +19,9 @@ Beside these sit the inertia of a symmetric matrix from its leading-minor
 signs (Jacobi's rule, `jacobi_inertia`) and the characteristic polynomial:
 Hessenberg reduction mod primes below 2^31 in int64, and the Chinese
 remainder theorem over enough primes for the Hadamard bound on its
-coefficients.  The Descartes sign-count route to the inertia is a test
-oracle (`tests/oracles.py`), not a library path.
+coefficients.  The dense fraction-free (Bareiss) elimination and the
+Descartes sign-count route to the inertia are test oracles
+(`tests/oracles.py`), not library paths.
 """
 
 from __future__ import annotations
@@ -32,106 +29,15 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvariantViolation
 
 
-def _promote(a: np.ndarray) -> np.ndarray:
-    return a.astype(object)
-
-
 def _absmax(a: np.ndarray) -> int:
     """max |entry| of an int64 array, without an abs() temporary."""
     return max(int(a.max()), -int(a.min())) if a.size else 0
-
-
-def _fits_int64(bound: int, nrows: int) -> bool:
-    """Whether a Bareiss step on entries of absolute value at most bound is
-    exact in int64.  The step forms a*p - b*q with every factor at most
-    bound, so 2*bound^2 < 2^63 would do; asking bound^2 * max(nrows, 4) <
-    2^62 means bound < 2^30 up to four rows and a wider margin beyond."""
-    return bound * bound * max(nrows, 4) < 1 << 62
-
-
-class Echelon(NamedTuple):
-    matrix: np.ndarray  # the eliminated matrix: int64, or object once promoted
-    pivots: list        # pivots[k]: pivot column of row k
-    rows: list          # rows[i]: index in the input of the row now at i
-    # signs[k]: sign of det(A[rows[:k+1]][:, pivots[:k+1]]) times the parity
-    # of the row exchanges made by step k: the sign of the leading minor
-    # when no row was exchanged, the sign of det A at the last pivot of a
-    # nonsingular square A
-    signs: list
-
-
-def echelon(A) -> Echelon:
-    """Fraction-free row echelon form of the integer matrix A.
-
-    Pivots are the first nonzero entry at or below the current row.  Each
-    step is the Bareiss update (a*p - b*q) / previous pivot, so every entry
-    stays a minor of A.  When the pivot is -1 or 1 and the previous pivot is
-    1, the row is negated to make the pivot 1 and the update is the in-place
-    a - b*q; signs records what the negation hides.
-    """
-    E = np.array(A)
-    if E.dtype != object:
-        E = E.astype(np.int64, copy=False)
-    nrows, ncols = np.shape(E)
-    rows = list(range(nrows))
-    pivots, signs = [], []
-    sign, prev, r = 1, 1, 0
-    # bound >= every |entry| the remaining steps read
-    bound = _absmax(E) if E.dtype != object else 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.flatnonzero(E[r:, c])
-        if len(nz) == 0:
-            continue
-        if nz[0]:
-            i = r + int(nz[0])
-            E[[r, i]] = E[[i, r]]
-            rows[r], rows[i] = rows[i], rows[r]
-            sign = -sign
-        p = int(E[r, c])
-        signs.append(sign if p > 0 else -sign)
-        if E.dtype != object:
-            if not _fits_int64(bound, nrows):
-                bound = _absmax(E[r:, c:])
-            if not _fits_int64(bound, nrows):
-                E = _promote(E)
-            else:
-                top = _absmax(E[r:, c]) * _absmax(E[r, c:])
-                bound = max(bound, (bound * abs(p) + top) // abs(prev))
-        below = slice(r + 1, nrows)
-        if prev == 1 and p in (1, -1):
-            if p == -1:
-                E[r] = -E[r]
-                sign = -sign
-            E[below, c:] -= np.outer(E[below, c], E[r, c:])
-        else:
-            E[below, c:] = (E[below, c:] * p - np.outer(E[below, c], E[r, c:])) // prev
-        prev = int(E[r, c])
-        pivots.append(c)
-        r += 1
-    return Echelon(E, pivots, rows, signs)
-
-
-def factor(M) -> tuple:
-    """(leading-minor signs, det) of a square integer matrix from one
-    `echelon` pass.  signs is None when a leading principal minor is zero (a
-    row exchange or a rank deficit); det is a Python int."""
-    A = np.asarray(M)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("factorization needs a square matrix")
-    n, e = len(A), echelon(A)
-    if len(e.pivots) < n:
-        return None, 0
-    det = e.signs[-1] * abs(int(e.matrix[-1, -1])) if n else 1
-    return (e.signs if e.rows == list(range(n)) else None), det
 
 
 # -- the sparse LDL^T factorization ---------------------------------------------

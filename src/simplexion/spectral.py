@@ -12,7 +12,7 @@ import numpy as np
 
 from .cohomology import dirac, hodge
 from .core import Complex, _faces
-from .errors import NumericError
+from .errors import NumericError, check_exact
 from .exact import charpoly
 from .refinement import barycentric, connection_matrix, refinement_order
 
@@ -48,7 +48,9 @@ def eig_symmetric(M, *, vectors: bool = False):
 
 def kirchhoff_matrix(n: int, edges) -> np.ndarray:
     """Degree matrix minus adjacency matrix, as exact integers; an edge
-    listed twice counts twice."""
+    listed twice counts twice.  n is checked against the exact dense cap
+    before anything is built."""
+    check_exact("Kirchhoff matrix", n, "vertices")
     E = np.array(edges, dtype=np.int64).reshape(-1, 2)
     a, b = E[:, 0], E[:, 1]
     if (a == b).any():
@@ -105,10 +107,13 @@ def zeta_values(G: Complex, s_values) -> list:
     return out
 
 
-def zeta_symmetry_gap(G: Complex, ts=(0.5, 1.0, 2.0)) -> float:
-    """max |zeta(it) - zeta(-it)|: numerically zero for dim-1 complexes.
-    One spectrum serves every t."""
-    vals = zeta_values(G, [s for t in ts for s in (1j * t, -1j * t)])
+ZETA_TS = (0.5, 1.0, 2.0)  # the t grid of zeta_symmetry_gap
+
+
+def zeta_symmetry_gap(G: Complex) -> float:
+    """max |zeta(it) - zeta(-it)| over t in ZETA_TS: numerically zero for
+    dim-1 complexes.  One spectrum serves every t."""
+    vals = zeta_values(G, [s for t in ZETA_TS for s in (1j * t, -1j * t)])
     return max(abs(plus - minus) for plus, minus in zip(vals[::2], vals[1::2]))
 
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from simplexion.cohomology import (
 )
 from simplexion.core import Complex, close, parity, wu_characteristic
 from simplexion.errors import InvariantViolation, NumericError
-from simplexion.exact import charpoly, factor, jacobi_inertia
+from simplexion.exact import _absmax, charpoly, jacobi_inertia
 from simplexion.generators import (
     RandomModel,
     erdos_renyi,
@@ -158,6 +159,106 @@ def inertia_from_charpoly(coeffs_desc) -> tuple:
     return p, m, z
 
 
+# -- the dense fraction-free (Bareiss) elimination ------------------------------
+#
+# `echelon` is a row echelon form for determinants and leading-minor signs,
+# read by `factor`.  It runs on int64 while a bound checked before each step
+# proves every product exact, and promotes the matrix to Python big-int
+# object arrays otherwise.  It shares nothing with the library's sparse
+# `exact.ldl`, so it is the independent oracle for the inertia, the
+# determinants and the LDL^T factor.
+
+
+def _promote(a: np.ndarray) -> np.ndarray:
+    return a.astype(object)
+
+
+def _fits_int64(bound: int, nrows: int) -> bool:
+    """Whether a Bareiss step on entries of absolute value at most bound is
+    exact in int64.  The step forms a*p - b*q with every factor at most
+    bound, so 2*bound^2 < 2^63 would do; asking bound^2 * max(nrows, 4) <
+    2^62 means bound < 2^30 up to four rows and a wider margin beyond."""
+    return bound * bound * max(nrows, 4) < 1 << 62
+
+
+class Echelon(NamedTuple):
+    matrix: np.ndarray  # the eliminated matrix: int64, or object once promoted
+    pivots: list        # pivots[k]: pivot column of row k
+    rows: list          # rows[i]: index in the input of the row now at i
+    # signs[k]: sign of det(A[rows[:k+1]][:, pivots[:k+1]]) times the parity
+    # of the row exchanges made by step k: the sign of the leading minor
+    # when no row was exchanged, the sign of det A at the last pivot of a
+    # nonsingular square A
+    signs: list
+
+
+def echelon(A) -> Echelon:
+    """Fraction-free row echelon form of the integer matrix A.
+
+    Pivots are the first nonzero entry at or below the current row.  Each
+    step is the Bareiss update (a*p - b*q) / previous pivot, so every entry
+    stays a minor of A.  When the pivot is -1 or 1 and the previous pivot is
+    1, the row is negated to make the pivot 1 and the update is the in-place
+    a - b*q; signs records what the negation hides.
+    """
+    E = np.array(A)
+    if E.dtype != object:
+        E = E.astype(np.int64, copy=False)
+    nrows, ncols = np.shape(E)
+    rows = list(range(nrows))
+    pivots, signs = [], []
+    sign, prev, r = 1, 1, 0
+    # bound >= every |entry| the remaining steps read
+    bound = _absmax(E) if E.dtype != object else 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.flatnonzero(E[r:, c])
+        if len(nz) == 0:
+            continue
+        if nz[0]:
+            i = r + int(nz[0])
+            E[[r, i]] = E[[i, r]]
+            rows[r], rows[i] = rows[i], rows[r]
+            sign = -sign
+        p = int(E[r, c])
+        signs.append(sign if p > 0 else -sign)
+        if E.dtype != object:
+            if not _fits_int64(bound, nrows):
+                bound = _absmax(E[r:, c:])
+            if not _fits_int64(bound, nrows):
+                E = _promote(E)
+            else:
+                top = _absmax(E[r:, c]) * _absmax(E[r, c:])
+                bound = max(bound, (bound * abs(p) + top) // abs(prev))
+        below = slice(r + 1, nrows)
+        if prev == 1 and p in (1, -1):
+            if p == -1:
+                E[r] = -E[r]
+                sign = -sign
+            E[below, c:] -= np.outer(E[below, c], E[r, c:])
+        else:
+            E[below, c:] = (E[below, c:] * p - np.outer(E[below, c], E[r, c:])) // prev
+        prev = int(E[r, c])
+        pivots.append(c)
+        r += 1
+    return Echelon(E, pivots, rows, signs)
+
+
+def factor(M) -> tuple:
+    """(leading-minor signs, det) of a square integer matrix from one
+    `echelon` pass.  signs is None when a leading principal minor is zero (a
+    row exchange or a rank deficit); det is a Python int."""
+    A = np.asarray(M)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("factorization needs a square matrix")
+    n, e = len(A), echelon(A)
+    if len(e.pivots) < n:
+        return None, 0
+    det = e.signs[-1] * abs(int(e.matrix[-1, -1])) if n else 1
+    return (e.signs if e.rows == list(range(n)) else None), det
+
+
 def inertia_exact(M) -> tuple:
     """Exact (positive, negative, zero) signature of a symmetric matrix:
     Jacobi's rule on its leading principal minors (Sylvester's law of
@@ -183,7 +284,7 @@ def _clear_denominators(rows) -> tuple:
 
 
 def det_exact(M):
-    """Exact determinant: `exact.factor` over the integers; a Fraction (the
+    """Exact determinant: `factor` over the integers; a Fraction (the
     determinant of the rows with cleared denominators, divided back) when
     any entry is a non-integral Fraction."""
     A, m = _clear_denominators(M.tolist() if isinstance(M, np.ndarray) else M)

@@ -20,10 +20,10 @@ from simplexion import geometry as geo
 from simplexion import spectral as spec
 from simplexion.core import is_whitney
 from simplexion.errors import DEFAULT_EXACT_CAP, DEFAULT_PAIR_CAP
-from simplexion.exact import charpoly, factor, jacobi_inertia
+from simplexion.exact import charpoly, jacobi_inertia
 from simplexion.rng import SplitMix64
 
-from oracles import berkowitz_charpoly, inertia_from_charpoly
+from oracles import berkowitz_charpoly, factor, inertia_from_charpoly
 
 BERKOWITZ_CAP = 150
 RANDOM_COUNT = 10_000
@@ -235,7 +235,7 @@ def test_criterion_08_cohomology(named, refinements):
     for name, G in named + refinements + [("torus", torus)]:
         if G.is_empty or len(G) > 400:
             continue
-        res = coh.mckean_singer(G, ts=(0.1, 1.0, 10.0), kmax=6)
+        res = coh.mckean_singer(G)
         assert res["exact_zero_powers"], name
         assert res["numeric_max_err"] < 1e-8, name
         ms += 1

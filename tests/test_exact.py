@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from simplexion.errors import InvariantViolation
-from simplexion.exact import cauchy_binet_coeffs, charpoly, factor, ldl, ldl_inverse
+from simplexion.exact import cauchy_binet_coeffs, charpoly, ldl, ldl_inverse
 from simplexion.rng import SplitMix64
 
 from oracles import (
@@ -11,7 +11,9 @@ from oracles import (
     descartes_positive_roots,
     det_cofactor,
     det_exact,
+    echelon,
     entries,
+    factor,
     fraction_inverse,
     fraction_ldl,
     inertia_exact,
@@ -442,7 +444,7 @@ def test_charpoly_many_primes_in_batches():
 
 # -- the exact product, and the LDL^T kernel on larger matrices -----------------
 
-from simplexion.exact import echelon, matmul  # noqa: E402
+from simplexion.exact import matmul  # noqa: E402
 
 TIER_EDGES = (2 ** 53, 2 ** 63)  # float64 below the first, int64 below the second
 

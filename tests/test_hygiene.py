@@ -4,7 +4,8 @@ test module: no imported name goes unused, and no f-string lacks a
 placeholder.  Across the package, no function imports a package module (the
 module graph is acyclic, so every such import belongs at the top), and every
 module-level private function and class is referenced by some package
-module, so none lives on for tests alone."""
+module, so none lives on for tests alone.  The dense Bareiss elimination
+is a test oracle: no package module binds its names."""
 
 import ast
 import pathlib
@@ -77,3 +78,24 @@ def test_private_definitions_are_used_by_the_package():
                 used.update(alias.name for alias in node.names)
     unused = sorted(f"{where}: {name}" for name, where in defined.items() if name not in used)
     assert not unused, [f"{entry} is referenced by no package module" for entry in unused]
+
+
+# the dense fraction-free elimination of `tests/oracles.py`; the library
+# eliminates L only by its sparse LDL^T
+ORACLE_ONLY = {"echelon", "Echelon", "factor", "_fits_int64", "_promote"}
+
+
+def test_no_package_module_binds_the_dense_elimination():
+    bound = set()
+    for path in PACKAGE:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            else:
+                continue
+            bound.update(f"{path.name}:{node.lineno}: {n}" for n in names if n in ORACLE_ONLY)
+    assert not bound, sorted(bound)

@@ -9,7 +9,7 @@ from simplexion import connection as conn
 from simplexion import spectral as spec
 from simplexion.rng import SplitMix64
 
-from oracles import containment_kirchhoff_scan, jacobi_eigenvalues
+from oracles import containment_kirchhoff_scan, factor, jacobi_eigenvalues
 
 
 def test_eig_symmetric_diag():
@@ -68,7 +68,7 @@ def test_zeta_symmetry_dim1(monkeypatch):
         ts = (0.5, 1.0, 2.0)
         per_t = [spec.zeta_values(G, [1j * t, -1j * t]) for t in ts]
         spectra.clear()
-        gap = spec.zeta_symmetry_gap(G, ts)
+        gap = spec.zeta_symmetry_gap(G)
         assert len(spectra) == 1  # one spectrum serves every t
         assert gap == max(abs(plus - minus) for plus, minus in per_t)  # bit for bit
         assert gap < 1e-8
@@ -110,8 +110,6 @@ def test_forest_count_from_charpoly():
     # det(K + I) read off the characteristic polynomial of K, against the
     # brute force and an elimination; n = 0, isolated vertices and
     # disconnected graphs included
-    from simplexion.exact import factor
-
     cases = [(0, []), (1, []), (4, []), (5, [(0, 1), (2, 3)]),
              (6, [(0, 1), (1, 2), (2, 0), (3, 4)]), (5, [(0, 1), (1, 2), (2, 3), (3, 4)])]
     gen = SplitMix64(31)
