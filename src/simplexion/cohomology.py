@@ -6,13 +6,16 @@ Alexander duality, and the Stokes pairing.
 Orientations come from the global vertex order: each simplex is its sorted
 vertex tuple, and all signs are parities of sorting permutations.
 
-One builder, `_coboundaries`, makes the coboundaries of both cochain
-complexes, the simplicial one and the interaction one on intersecting pairs,
-from their bases and a callback giving the signed faces of a basis element.
-Each d_k is stored once as its nonzero entries, a read-only int64 array of
-rows (row, column, sign) in row order, and d_{k+1} d_k = 0 is checked on the
-entries themselves: every product of an entry of d_{k+1} with one of d_k is
-formed and summed per position, with no dense product.
+Both cochain complexes, the simplicial one and the interaction one on
+intersecting pairs, read the face table F of `core` (F[i, p] is the position
+of simplex i without its vertex p) for all degrees at once: row i of the
+stacked derivative D holds (-1)^p at F[i, p], and a pair (x, y) has the
+faces (F[x, p], y) and (x, F[y, p]) that are pairs again, found by one
+`searchsorted` on the pair keys.  One builder, `_coboundaries`, stores each
+d_k once as its nonzero entries, a read-only int64 array of rows (row,
+column, sign) in row order, and checks d_{k+1} d_k = 0 on the entries
+themselves, degree by degree: every product of an entry of d_{k+1} with one
+of d_k is formed and summed per position, with no dense product.
 
 Every Betti number, ordinary or quadratic, and every Lefschetz map comes
 from one column reduction R_k = d_k V_k of these entries, `_reduce`, run
@@ -54,7 +57,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import errors
-from .core import Complex, _vertex_stars, parity, up_star_weights
+from .core import Complex, face_table, parity, up_star_weights
 from .errors import InvariantViolation, ResourceLimitError, check_exact
 from .exact import matmul
 from .generators import poly_mul, product_cells, ring_product_complex
@@ -64,32 +67,37 @@ from .refinement import _meets, connection_matrix
 # -- chain complex ------------------------------------------------------------
 
 
-def _coboundaries(bases, faces, what: str) -> tuple:
-    """The entries of d_k: C^k -> C^(k+1) for k < len(bases) - 1, row i of
-    d_k holding the (face, sign) terms faces(bases[k + 1][i]) at the faces'
-    indices in bases[k].  d_{k+1} d_k = 0 is checked on the entries (module
-    docstring); the first degree where it fails raises InvariantViolation(what)."""
-    d = []
-    for k in range(len(bases) - 1):
-        index = {x: i for i, x in enumerate(bases[k])}
-        terms = [(i, index[f], s) for i, y in enumerate(bases[k + 1]) for f, s in faces(y)]
-        flat = itertools.chain.from_iterable(terms)  # np.array(terms) is 3-4x slower
-        d.append(np.fromiter(flat, np.int64, 3 * len(terms)).reshape(-1, 3))
-        d[-1].setflags(write=False)
-    for k in range(len(d) - 1):
-        (r, c, s), (rb, cb, sb) = d[k].T, d[k + 1].T
-        # the entries of d_k in row i sit at start[i]:start[i + 1]; an entry
-        # of d_{k+1} in column i makes one term with each of them
-        start = np.searchsorted(r, np.arange(len(bases[k + 1]) + 1))
-        n = np.diff(start)[cb]
-        src = np.repeat(np.arange(len(cb)), n)
-        at = np.arange(len(src)) + np.repeat(start[cb] - np.cumsum(n) + n, n)
-        key = rb[src] * len(bases[k]) + c[at]
-        order = np.argsort(key)
-        runs = np.flatnonzero(np.diff(key[order], prepend=-1))  # where each position starts
-        if np.add.reduceat((sb[src] * s[at])[order], runs).any():
+def _coboundaries(elems: list, dims: tuple, r, c, s, what: str) -> ChainComplexData:
+    """The chain complex with basis elems, dims[k] of them in degree k, one
+    degree after the other, and the entries of D in those positions: entry t
+    at row r[t], ascending, and column c[t], with sign s[t].  The first
+    degree k where d_{k+1} d_k = 0 fails on the entries raises
+    InvariantViolation(what)."""
+    edges = [0, *itertools.accumulate(dims)]
+    bases = tuple(tuple(elems[a:b]) for a, b in zip(edges, edges[1:]))
+    if len(dims) < 2:
+        return ChainComplexData(bases, ())
+    base = np.array(edges)
+    # the rows of degree k hold the entries cut[k]:cut[k + 1], and row i
+    # those at start[i]:start[i + 1]
+    cut = r.searchsorted(base).tolist()
+    start = r.searchsorted(np.arange(base[-1] + 1))
+    for k in range(len(dims) - 2):
+        # an entry of d_{k+1} in column i makes one term with each entry of row i
+        lo, hi = cut[k + 2], cut[k + 3]
+        rk, ck, sk = r[lo:hi], c[lo:hi], s[lo:hi]
+        m = (start[1:] - start[:-1])[ck]
+        at = (start[ck] - m.cumsum() + m).repeat(m) + np.arange(m.sum())
+        key, sign = rk.repeat(m) * base[-1] + c[at], sk.repeat(m) * s[at]
+        order = key.argsort(kind="stable")  # rows are in order already
+        key = key[order]
+        runs = (key != np.concatenate(([-1], key[:-1]))).nonzero()[0]  # each position's first
+        if np.add.reduceat(sign[order], runs).any():
             raise InvariantViolation(what, witness={"degree": k})
-    return tuple(d)
+    deg = base.searchsorted(r, "right") - 1
+    e = np.array([r - base[deg], c - base[deg - 1], s]).T
+    e.setflags(write=False)
+    return ChainComplexData(bases, tuple(e[cut[k]:cut[k + 1]] for k in range(1, len(dims))))
 
 
 @dataclass(frozen=True)
@@ -119,15 +127,11 @@ def exterior_derivative(G: Complex) -> ChainComplexData:
     return G.memo("chain", lambda: _chain_complex(G))
 
 
-def _simplex_faces(y) -> list:
-    """(face, sign) for each face of the simplex y: y without its vertex at
-    position p, with sign (-1)^p."""
-    return [(y[:p] + y[p + 1:], (-1) ** p) for p in range(len(y))]
-
-
 def _chain_complex(G: Complex) -> ChainComplexData:
-    bases = tuple(tuple(group) for _, group in itertools.groupby(G, len))
-    return ChainComplexData(bases, _coboundaries(bases, _simplex_faces, "dd != 0"))
+    """Row i of D holds the sign (-1)^p at column F[i, p] for each face p."""
+    F = face_table(G)[1]
+    i, p = (F >= 0).nonzero()  # row by row, p ascending
+    return _coboundaries(list(G), G.f_vector(), i, F[i, p], (-1) ** p, "dd != 0")
 
 
 def _stacked_d(data: ChainComplexData) -> np.ndarray:
@@ -511,47 +515,52 @@ def kuenneth_check(A: Complex, B: Complex) -> dict:
 # -- interaction (quadratic) cohomology ----------------------------------------
 
 
-def interaction_pairs(G: Complex) -> list:
-    """Ordered intersecting pairs (x, y), graded by dim x + dim y, then
-    lexicographic; both (x, y) and (y, x) appear when x != y.  Two simplices
-    intersect exactly when both lie in one vertex star, so the pairs are
-    read from the stars."""
-    pairs = {(x, y) for star in _vertex_stars(G).values() for x in star for y in star}
-    return sorted(pairs, key=lambda p: (len(p[0]) + len(p[1]), p))
-
-
 def interaction_pair_count(G: Complex) -> int:
-    """len(interaction_pairs(G)) without listing them: by inclusion-exclusion
-    over the common face, the sum over s of (-1)^dim(s) U(s)^2, with U(s) the
-    number of simplices containing s."""
+    """The number of ordered intersecting pairs, without listing them: by
+    inclusion-exclusion over the common face, the sum over s of (-1)^dim(s)
+    U(s)^2, with U(s) the number of simplices containing s."""
     U = Counter(s for z in G.simplices for k in range(1, len(z) + 1)
                 for s in itertools.combinations(z, k))
     return sum(parity(s) * u * u for s, u in U.items())
 
 
-def _pair_faces(pair) -> list:
-    """(face, sign) terms of the pair derivative df(x,y) = f(dx, y) +
-    (-1)^dim(x) f(x, dy), terms whose face no longer meets the partner
-    dropped."""
-    x, y = pair
-    sgn = (-1) ** (len(x) - 1)
-    return ([((f, y), s) for f, s in _simplex_faces(x) if not set(f).isdisjoint(y)]
-            + [((x, f), sgn * s) for f, s in _simplex_faces(y) if not set(x).isdisjoint(f)])
+def _intersecting_pairs(rows: tuple, dim: np.ndarray) -> np.ndarray:
+    """The keys (dim x + dim y) n^2 + x n + y, ascending, of the ordered
+    pairs of positions of intersecting simplices, from the vertex rows of a
+    face table and the simplices' dimensions: each vertex star with itself."""
+    n = len(dim)
+    vert = np.concatenate([np.zeros(0, np.int64), *(r.ravel() for r in rows)])
+    star = np.arange(n).repeat(dim + 1)[vert.argsort(kind="stable")]  # star by star
+    size = np.bincount(vert)
+    m = size.repeat(size)  # the size of the star at each of its entries
+    first = (size.cumsum() - size).repeat(size) - m.cumsum() + m
+    x, y = star.repeat(m), star[first.repeat(m) + np.arange(m.sum())]
+    keys = np.sort((dim[x] + dim[y]) * n * n + x * n + y)
+    return keys[keys != np.concatenate(([-1], keys[:-1]))]  # each pair once
 
 
 def interaction_derivative(G: Complex) -> ChainComplexData:
-    """The pairs per degree and the entries of the pair derivative, terms
-    from `_pair_faces`.  dd = 0 is verified.  Refused, on a count taken
-    before any pair is listed, above errors.DEFAULT_PAIR_CAP pairs."""
-    n, cap = interaction_pair_count(G), errors.DEFAULT_PAIR_CAP
-    if n > cap:
-        raise ResourceLimitError(f"{n} interacting pairs exceed cap {cap}")
-    pairs = interaction_pairs(G)
-    top = max((len(x) + len(y) - 2 for x, y in pairs), default=-1)
-    bases = [[] for _ in range(top + 1)]
-    for p in pairs:
-        bases[len(p[0]) + len(p[1]) - 2].append(p)
-    return ChainComplexData(tuple(bases), _coboundaries(bases, _pair_faces, "interaction dd != 0"))
+    """The pairs (x, y) by degree dim x + dim y, then by the positions of x
+    and y, and the entries of the pair derivative df(x, y) = f(dx, y) +
+    (-1)^dim(x) f(x, dy): the terms (F[x, p], y) and (x, F[y, p]) that are
+    pairs again.  dd = 0 is verified.  Refused, on a count taken before any
+    pair is listed, above errors.DEFAULT_PAIR_CAP pairs."""
+    count, cap = interaction_pair_count(G), errors.DEFAULT_PAIR_CAP
+    if count > cap:
+        raise ResourceLimitError(f"{count} interacting pairs exceed cap {cap}")
+    (rows, F), n, S = face_table(G), len(G), list(G)
+    dim = np.arange(len(rows)).repeat([len(r) for r in rows])
+    keys = _intersecting_pairs(rows, dim)
+    deg, x, y = keys // (n * n), keys // n % n, keys % n
+    Fx, Fy = F[x], F[y]
+    faces = np.concatenate([Fx * n + y[:, None], Fy + x[:, None] * n], axis=1)
+    faces += (deg[:, None] - 1) * n * n
+    at = keys.searchsorted(faces).clip(max=len(keys) - 1)
+    i, q = ((np.concatenate([Fx, Fy], axis=1) >= 0) & (keys[at] == faces)).nonzero()
+    signs = (-1) ** (q % F.shape[1] + (q >= F.shape[1]) * dim[x[i]])
+    pairs = [(S[a], S[b]) for a, b in zip(x.tolist(), y.tolist())]
+    dims = tuple(np.bincount(deg).tolist())
+    return _coboundaries(pairs, dims, i, at[i, q], signs, "interaction dd != 0")
 
 
 def interaction_cohomology(G: Complex) -> CohomologyReport:

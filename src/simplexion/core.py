@@ -11,9 +11,11 @@ Barycentric refinement, unit spheres, level surfaces and the strong-ring
 product are each one call to it.
 
 Local queries read two indexes instead of scanning the complex: the vertex
-stars (v -> the simplices containing v) for stars, links, induced subcomplexes
-and intersecting pairs, and the containment graph (x -> the simplices
-comparable to x; the 1-skeleton of G_1) whose neighbourhoods are unit spheres.
+stars (v -> the simplices containing v) for stars, links and induced
+subcomplexes, and the containment graph (x -> the simplices comparable to x;
+the 1-skeleton of G_1) whose neighbourhoods are unit spheres.  The
+coboundaries and the intersecting pairs read a third, the face table: the
+simplices as arrays of vertex indices and the positions of their faces.
 
 `join` and `disjoint_union` count their (|G|+1)(|H|+1) - 1 and |G| + |H|
 simplices and refuse above the simplex cap (`errors.check_cap`) before they
@@ -24,11 +26,11 @@ build anything.
 builds no clique complex, so its cost is bounded by the complex it is given.
 
 Each Complex carries one memo of what is derived from it: its sorted
-simplices, vertices, f-vector and the two indexes, the connection matrix L
-with its factorization and eigenvalues, the chain complex and its reduction,
-whether it is flag, the clique complex, and a GraphContext each for it and
-the containment graph.  An entry is built on first use and lives as long as
-the complex; arrays in it are read-only.
+simplices, vertices, f-vector, the two indexes and the face table, the
+connection matrix L with its factorization and eigenvalues, the chain
+complex and its reduction, whether it is flag, the clique complex, and a
+GraphContext each for it and the containment graph.  An entry is built on
+first use and lives as long as the complex; arrays in it are read-only.
 The memo is a benign idempotent cache: two threads may both build an entry,
 but they build equal values.  Equal but distinct complexes do not share a
 memo.
@@ -38,6 +40,8 @@ from __future__ import annotations
 
 import itertools
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import check_cap
 
@@ -195,6 +199,38 @@ def _vertex_stars(G: Complex) -> dict:
                 stars[v].append(x)
         return {v: tuple(s) for v, s in stars.items()}
     return G.memo("vertex_stars", build)
+
+
+def face_table(G: Complex) -> tuple:
+    """(rows, F), memoed: rows[k] holds the k-simplices, in canonical order,
+    as rows of vertex indices (positions in G.vertices()), and F[i, p] is
+    the canonical position of simplex i without its vertex p, -1 past its
+    dimension and on vertices.  A k-simplex is found by its key (position of
+    its first k vertices) * #vertices + last vertex, which grows along the
+    degree and never with the dimension; pos holds the positions of the
+    prefixes of all simplices at once, one vertex longer per degree."""
+    def build():
+        f = G.f_vector()
+        nv, base = (f or (0,))[0], [0, *itertools.accumulate(f)]
+        size = np.arange(1, len(f) + 1).repeat(f)
+        flat = np.fromiter(itertools.chain.from_iterable(G), np.int64, int(size.sum()))
+        X = np.zeros((len(G), len(f)), dtype=np.int64)
+        X[np.arange(len(f)) < size[:, None]] = flat[:nv].searchsorted(flat)
+        F = np.full(X.shape, -1, dtype=np.int64)
+        pos, keys = X[:, :1].flatten(), np.arange(nv)  # a vertex's key is its index
+        for k in range(1, len(f)):
+            b, e = base[k], base[k + 1]
+            # face p < k: face p of the prefix (the empty one for an edge), then the last vertex
+            up = F[base[k - 1] + pos[b:e], :k] - base[k - 2] if k > 1 else 0
+            F[b:e, :k] = base[k - 1] + keys.searchsorted(up * nv + X[b:e, k, None])
+            F[b:e, k] = base[k - 1] + pos[b:e]
+            key = pos[b:] * nv + X[b:, k]
+            keys = key[:e - b]
+            pos[b:] = keys.searchsorted(key)
+        X.setflags(write=False)
+        F.setflags(write=False)
+        return tuple(X[base[k]:base[k + 1], :k + 1] for k in range(len(f))), F
+    return G.memo("faces", build)
 
 
 def _containment_graph(G: Complex) -> dict:

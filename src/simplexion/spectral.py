@@ -12,9 +12,15 @@ import numpy as np
 
 from .cohomology import dirac, hodge
 from .core import Complex, _faces
-from .errors import NumericError, check_exact
+from .errors import NumericError, check_cap, check_exact
 from .exact import charpoly
-from .refinement import barycentric, connection_matrix, refinement_order
+from .refinement import (
+    barycentric,
+    connection_matrix,
+    refinement_order,
+    stirling_apply,
+    stirling_matrix,
+)
 
 KERNEL_RELATIVE_CUTOFF = 1e-10
 
@@ -147,7 +153,14 @@ def barycentric_limit_experiment(G: Complex, levels: int, grid_points: int = 204
     represents the complex), and for one-dimensional seeds its L1 distance to
     the universal limit 4 sin^2(pi x / 2).  Also reports the minimal
     |eigenvalue| of the connection operator per level (no assertion;
-    invertibility-in-the-limit is an observation)."""
+    invertibility-in-the-limit is an observation).  Each level's size is
+    predicted from the f-vector by the Stirling operator and checked, the
+    simplex cap then the Kirchhoff matrix's, before the first refinement."""
+    f, S = G.f_vector(), stirling_matrix(G.max_dim())
+    for _ in range(levels):
+        f = stirling_apply(S, f)
+        check_cap("refinement", sum(f))
+        check_exact("Kirchhoff matrix", sum(f), "vertices")
     grid = (np.arange(grid_points) + 0.5) / grid_points
     is_dim1 = G.max_dim() == 1
     target = limit_curve_dim1(grid)

@@ -12,12 +12,11 @@ import numpy as np
 
 from simplexion.cohomology import (
     hodge_blocks,
-    interaction_pairs,
     is_automorphism,
     permutation_sign_on,
     simplex_image,
 )
-from simplexion.core import Complex, close, parity, wu_characteristic
+from simplexion.core import Complex, _vertex_stars, close, parity, wu_characteristic
 from simplexion.errors import InvariantViolation, NumericError
 from simplexion.exact import _absmax, charpoly, jacobi_inertia
 from simplexion.generators import (
@@ -404,15 +403,33 @@ def chain_complex_dense(G: Complex) -> list:
     return d
 
 
-def interaction_derivative_dense(G: Complex) -> list:
-    """The dense d_p of the pair derivative df(x,y) = f(dx, y) + (-1)^dim(x)
-    f(x, dy), terms whose face no longer meets the partner dropped, entry by
-    entry; the oracle for the entries of cohomology.interaction_derivative."""
+def interaction_pairs(G: Complex) -> list:
+    """Ordered intersecting pairs (x, y), graded by dim x + dim y, then
+    lexicographic; both (x, y) and (y, x) appear when x != y.  Two simplices
+    intersect exactly when both lie in one vertex star, so the pairs are
+    read from the stars."""
+    pairs = {(x, y) for star in _vertex_stars(G).values() for x in star for y in star}
+    return sorted(pairs, key=lambda p: (len(p[0]) + len(p[1]), p))
+
+
+def interaction_bases(G: Complex) -> list:
+    """interaction_pairs(G) grouped by degree dim x + dim y."""
     pairs = interaction_pairs(G)
     top = max((len(x) + len(y) - 2 for x, y in pairs), default=-1)
     bases = [[] for _ in range(top + 1)]
     for p in pairs:
         bases[len(p[0]) + len(p[1]) - 2].append(p)
+    return bases
+
+
+def interaction_derivative_dense(G: Complex, bases=None) -> list:
+    """The dense d_p of the pair derivative df(x,y) = f(dx, y) + (-1)^dim(x)
+    f(x, dy), terms whose face no longer meets the partner dropped, entry by
+    entry, rows and columns in the order of bases (default
+    interaction_bases(G)); the oracle for the entries of
+    cohomology.interaction_derivative."""
+    bases = interaction_bases(G) if bases is None else bases
+    top = len(bases) - 1
     index = [{p: i for i, p in enumerate(b)} for b in bases]
     mats = []
     for k in range(top):

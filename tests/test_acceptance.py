@@ -263,7 +263,7 @@ def test_criterion_09_wu_interaction(named):
         assert geo.boundary(delta, d - 1).is_empty, name
     inter = 0
     for name, G in named:
-        if G.is_empty or len(coh.interaction_pairs(G)) > DEFAULT_PAIR_CAP:
+        if G.is_empty or coh.interaction_pair_count(G) > DEFAULT_PAIR_CAP:
             continue
         rep = coh.interaction_cohomology(G)
         alt = sum((-1) ** k * b for k, b in enumerate(rep.betti))

@@ -560,6 +560,30 @@ def test_spectra_refuses_above_the_dense_cap(tmp_path, monkeypatch, capsys, oper
     assert chains == []
 
 
+@pytest.mark.parametrize("cap, line", [
+    (None, "Kirchhoff matrix has 12962 vertices; exact dense cap is 3000"),
+    ("2000", "refinement would have 2162 simplices (cap 2000)")])
+def test_spectra_limit_levels_refuse_before_refining(tmp_path, monkeypatch, capsys, cap, line):
+    # the icosahedron's third refinement has 12,962 vertices, over the dense
+    # cap, and under a simplex cap of 2000 its second one (2162) is over
+    # that: each is refused, with the line the refinement would write,
+    # before the first refinement is built
+    from simplexion import spectral as spec
+
+    def refine(G):
+        raise AssertionError("refined before the levels were checked")
+
+    path = tmp_path / "ico.json"
+    run(["generate", "icosahedron", "-o", str(path)])
+    capsys.readouterr()
+    if cap:
+        monkeypatch.setenv("SIMPLEXION_CAP", cap)
+    monkeypatch.setattr(spec, "barycentric", refine)
+    assert run(["spectra", "-i", str(path), "--operator", "kirchhoff",
+                "--limit-levels", "3", "--no-meta"]) == 3
+    assert capsys.readouterr() == ("", f"resource cap: {line}\n")
+
+
 def test_spectra_connection_eigensolves_once(tmp_path, monkeypatch):
     from simplexion import spectral as spec
 

@@ -17,7 +17,9 @@ from oracles import (
     betti_numeric,
     chain_complex_dense,
     induced_cohomology_reference,
+    interaction_bases,
     interaction_derivative_dense,
+    interaction_pairs,
     interaction_pairs_scan,
     mckean_singer_full,
     rank_fraction,
@@ -66,32 +68,47 @@ def _assert_same_matrices(data, want):
 
 
 def test_coboundary_entries_match_dense_loops(corpus, random_complexes):
-    for G in [G for _, G in corpus] + random_complexes:
+    # also the Alexander dual of C11 (dimension 8), the empty complex, a
+    # single vertex and a disconnected complex
+    extra = [coh.alexander_dual(sx.cycle(11), range(11)), sx.Complex(), sx.close([(0,)]),
+             sx.close([(0, 1), (5, 6, 7), (9,)])]
+    for G in [G for _, G in corpus] + random_complexes + extra:
         _assert_same_matrices(coh.exterior_derivative(G), chain_complex_dense(G))
         if len(G) <= 40:
-            _assert_same_matrices(coh.interaction_derivative(G), interaction_derivative_dense(G))
+            data = coh.interaction_derivative(G)
+            # the library orders each degree by position, the oracle
+            # lexicographically: the same pairs, compared through the bases
+            assert [sorted(b) for b in data.bases] == interaction_bases(G)
+            _assert_same_matrices(data, interaction_derivative_dense(G, data.bases))
 
 
-def _mutated(faces, target, how):
-    """faces, with the terms of the row target changed: its first two faces
-    swapped (each keeping the other's sign), or its first sign flipped."""
-    def mutated(y):
-        terms = list(faces(y))
-        if y == target:
-            (f0, s0), (f1, s1) = terms[:2]
-            assert how == "flip" or s0 != s1  # else the swap changes nothing
-            terms[:2] = [(f1, s0), (f0, s1)] if how == "swap" else [(f0, -s0), (f1, s1)]
-        return terms
-    return mutated
+def _mutated(monkeypatch, row, how):
+    """Make `_coboundaries` see the entries of D with those of one row
+    changed: its first two columns swapped (each keeping the other's sign),
+    or its first sign flipped."""
+    real = coh._coboundaries
+
+    def mutated(elems, dims, r, c, s, what):
+        c, s = c.copy(), s.copy()
+        t = np.searchsorted(r, row)
+        assert how == "flip" or s[t] != s[t + 1]  # else the swap changes nothing
+        if how == "swap":
+            c[t:t + 2] = c[t + 1], c[t]
+        else:
+            s[t] = -s[t]
+        return real(elems, dims, r, c, s, what)
+
+    monkeypatch.setattr(coh, "_coboundaries", mutated)
 
 
 @pytest.mark.parametrize("how", ["swap", "flip"])
 @pytest.mark.parametrize("target, degree", [((0, 1, 2), 0), ((0, 1, 2, 3), 1), ((1, 2, 3), 0)])
 def test_dd_check_catches_a_mutated_row(monkeypatch, how, target, degree):
     # a row of d_k, k = dim(target) - 1, breaks d_k d_{k-1} = 0 first
-    monkeypatch.setattr(coh, "_simplex_faces", _mutated(coh._simplex_faces, target, how))
+    G = sx.close([(0, 1, 2, 3)])
+    _mutated(monkeypatch, list(G).index(target), how)
     with pytest.raises(sx.InvariantViolation, match="^dd != 0") as err:
-        coh.exterior_derivative(sx.close([(0, 1, 2, 3)]))
+        coh.exterior_derivative(G)
     assert err.value.witness == {"degree": degree}
 
 
@@ -101,7 +118,8 @@ def test_dd_check_catches_a_mutated_row(monkeypatch, how, target, degree):
                                             (((0, 1), (0, 1)), 0)])
 def test_interaction_dd_check_catches_a_mutated_row(monkeypatch, how, target, degree):
     # a pair of degree p has its row in d_{p-1}, which breaks d_{p-1} d_{p-2} = 0
-    monkeypatch.setattr(coh, "_pair_faces", _mutated(coh._pair_faces, target, how))
+    pairs = [p for b in coh.interaction_derivative(sx.close([(0, 1, 2)])).bases for p in b]
+    _mutated(monkeypatch, pairs.index(target), how)
     with pytest.raises(sx.InvariantViolation, match="^interaction dd != 0") as err:
         coh.interaction_derivative(sx.close([(0, 1, 2)]))
     assert err.value.witness == {"degree": degree}
@@ -435,7 +453,7 @@ def test_interaction_alternating_is_wu(corpus, random_complexes):
         alt = sum((-1) ** k * b for k, b in enumerate(rep.betti))
         assert alt == sx.wu_characteristic(G, 2)
     for G in random_complexes[:10]:
-        if G.is_empty or len(coh.interaction_pairs(G)) > 1500:
+        if G.is_empty or coh.interaction_pair_count(G) > 1500:
             continue
         rep = coh.interaction_cohomology(G)
         alt = sum((-1) ** k * b for k, b in enumerate(rep.betti))
@@ -612,15 +630,18 @@ def test_interaction_distinguishes_cylinder_from_mobius():
 def test_interaction_pairs_match_scan(local_corpus):
     for name, G in local_corpus:
         pairs = interaction_pairs_scan(G)
-        assert coh.interaction_pairs(G) == pairs, name
+        assert interaction_pairs(G) == pairs, name
         assert coh.interaction_pair_count(G) == len(pairs), name
+        if len(pairs) <= errors.DEFAULT_PAIR_CAP:
+            listed = [p for b in coh.interaction_derivative(G).bases for p in b]
+            assert sorted(listed, key=lambda p: (len(p[0]) + len(p[1]), p)) == pairs, name
 
 
 def test_pair_cap_checked_before_listing(monkeypatch):
-    def unlisted(G):
+    def unlisted(*args):
         raise AssertionError("pairs listed before the cap was checked")
 
-    monkeypatch.setattr(coh, "interaction_pairs", unlisted)
+    monkeypatch.setattr(coh, "_intersecting_pairs", unlisted)
     monkeypatch.setattr(errors, "DEFAULT_PAIR_CAP", 100)
     G = sx.icosahedron()
     with pytest.raises(sx.ResourceLimitError) as err:

@@ -6,9 +6,11 @@ import simplexion as sx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simplexion.cohomology import alexander_dual
 from simplexion.core import (
     _faces,
     comparable_elements,
+    face_table,
     one_skeleton,
     order_complex,
     set_euler,
@@ -337,3 +339,35 @@ def test_star_index_queries_reject_missing_simplex():
     for query in (sx.star_up, comparable_elements, sx.link, sx.sphere_euler):
         with pytest.raises(KeyError):
             query(G, (0, 2))
+
+
+def _assert_face_table(G):
+    """rows lists G's simplices in canonical order, and F[i, p] is the
+    position of x_i without its vertex p, -1 past dim x_i and on vertices."""
+    rows, F = face_table(G)
+    elems, verts = list(G), G.vertices()
+    assert [tuple(verts[v] for v in r) for k in rows for r in k.tolist()] == elems
+    index = {x: i for i, x in enumerate(elems)}
+    assert F.shape == (len(G), G.max_dim() + 1)
+    for i, x in enumerate(elems):
+        want = [index[x[:p] + x[p + 1:]] for p in range(len(x))] if len(x) > 1 else [-1]
+        assert F[i].tolist() == want + [-1] * (F.shape[1] - len(want))
+    assert not F.flags.writeable and not any(k.flags.writeable for k in rows)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=6), max_size=6),
+       st.integers(0, 10 ** 6))
+def test_prop_face_table_matches_scan(sets, shift):
+    # the benchmark shifts every label by up to 10^6; positions do not move
+    _assert_face_table(sx.close([[v + shift for v in s] for s in sets]))
+
+
+def test_face_table_at_high_dimension(random_complexes):
+    # the Alexander dual of C11 (2024 simplices, dimension 8) and K11
+    # (dimension 10): no row key grows with the dimension
+    dual = alexander_dual(sx.cycle(11), range(11))
+    assert (len(dual), dual.max_dim()) == (2024, 8)
+    for G in [dual, sx.complete(11), sx.Complex(), sx.close([(7,)]),
+              sx.close([(0, 1), (5, 6, 7), (9,)])] + random_complexes:
+        _assert_face_table(G)
