@@ -21,7 +21,9 @@ The dual-product determinant needs no elimination of its own: with Lbar =
 1 - L, det(-L Lbar) = det(L)^2 det(-Lbar g), and det(-Lbar g) = (-1)^n c_n
 is read from the constant term c_n of the characteristic polynomial of
 -Lbar g, which the same check computes for its spectrum.  Above
-`errors.CHARPOLY_CAP` rows the check is refused before L is built.
+`errors.CHARPOLY_CAP` rows the check is refused before L is built, as is
+the spectral symmetry check, whose two characteristic polynomials cost
+about n^4.
 """
 
 from __future__ import annotations
@@ -228,9 +230,14 @@ def trace_identity(G: Complex) -> tuple:
 
 def spectral_symmetry_check(G: Complex) -> bool:
     """dim-1 complexes: L^2 and L^-2 are isospectral (exact characteristic
-    polynomial equality), hence the connection zeta function is even."""
+    polynomial equality), hence the connection zeta function is even.  Above
+    errors.CHARPOLY_CAP rows it raises ResourceLimitError before L or g is
+    built."""
     if G.max_dim() != 1:
         raise ValueError("spectral symmetry needs a one-dimensional complex")
+    if len(G) > errors.CHARPOLY_CAP:
+        raise ResourceLimitError(
+            f"spectral symmetry has {len(G)} rows; charpoly cap is {errors.CHARPOLY_CAP}")
     L = connection_matrix(G)
     g = green_inverse(G)
     return charpoly(matmul(L, L)) == charpoly(matmul(g, g))

@@ -17,16 +17,19 @@ This is the only place floating point enters an exact result.
 
 Beside these sit the inertia of a symmetric matrix from its leading-minor
 signs (Jacobi's rule, `jacobi_inertia`) and the characteristic polynomial:
-Hessenberg reduction mod primes below 2^31 in int64, and the Chinese
-remainder theorem over enough primes for the Hadamard bound on its
-coefficients.  The dense fraction-free (Bareiss) elimination and the
-Descartes sign-count route to the inertia are test oracles
-(`tests/oracles.py`), not library paths.
+Hessenberg reduction mod primes p in int64, and the Chinese remainder
+theorem over enough primes for the Hadamard bound on its coefficients.  For
+order n the primes lie below 2^b, b = min(31, (62 - bitlen n) // 2), so
+n p^2 < 2^62 and a sum of n products of residues never leaves int64.  The
+dense fraction-free (Bareiss) elimination and the Descartes sign-count
+route to the inertia are test oracles (`tests/oracles.py`), not library
+paths.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import operator
 
@@ -135,9 +138,9 @@ def matmul(A, B) -> np.ndarray:
 # -- characteristic polynomial and inertia ----------------------------------
 
 
-# the primes below 2^31 from the top down, found on first use (not at import)
-# and only rebound to a longer prefix, so concurrent callers agree
-_PRIMES: list = []
+# per bit size b, the primes below 2^b from the top down, found on first use
+# (not at import) and only rebound to a longer prefix, so concurrent callers agree
+_PRIMES: dict = {}
 
 
 def _is_prime(q: int) -> bool:
@@ -153,21 +156,23 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _primes_over(bound: int) -> tuple:
-    """(primes, their product): the fewest leading primes of _PRIMES whose
-    product exceeds bound."""
-    global _PRIMES
-    primes, prod, k = _PRIMES, 1, 0
+def _primes_over(bound: int, n: int) -> tuple:
+    """(primes, their product): the fewest primes below 2^b, from the top
+    down, whose product exceeds bound, with b = min(31, (62 - bitlen n) // 2)
+    for matrices of order n.  Then n p^2 < 2^62: a sum of n products of
+    residues, plus a residue, fits int64."""
+    b = min(31, (62 - n.bit_length()) // 2)
+    primes, prod, k = _PRIMES.get(b, []), 1, 0
     while prod <= bound:
         if k == len(primes):
-            q = primes[-1] - 2 if primes else (1 << 31) - 1
+            q = primes[-1] - 2 if primes else (1 << b) - 1
             while not _is_prime(q):
                 q -= 2
             primes = primes + [q]
         prod *= primes[k]
         k += 1
-    if len(primes) > len(_PRIMES):
-        _PRIMES = primes
+    if len(primes) > len(_PRIMES.get(b, ())):
+        _PRIMES[b] = primes
     return primes[:k], prod
 
 
@@ -184,82 +189,76 @@ def _hadamard_bound(A: np.ndarray) -> int:
     return B
 
 
-def _matvec_mod(A: np.ndarray, V: np.ndarray, P3: np.ndarray) -> np.ndarray:
-    """(A @ v) mod p per prime, for residues A (k, r, m) and v given by its
-    16-bit halves V (k, m, 2) = (v mod 2^16, v >> 16), P3 (k, 1, 1) holding
-    the primes: products stay below 2^47 and sums below m * 2^47 < 2^63."""
-    W = np.matmul(A, V) % P3
-    return (W[:, :, 0] + (W[:, :, 1] << 16)) % P3[:, 0]
-
-
 def _hessenberg_mod(A: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """R (k, n, n): A mod ps[i] brought by similarities to upper Hessenberg
-    form R[i] with subdiagonal entries 0 or 1.  Column j pivots on its first
-    nonzero entry below the diagonal (swapped to row j+1) and clears the rest;
-    products of residues (< 2^62) are reduced before any sum.  A zero below
-    the diagonal splits R[i] into diagonal blocks; what lies above and right
-    of the split is zeroed, as it does not change the polynomial.  Last, D^-1
-    R D with d_{j+1} = d_j r_{j+1,j} makes the other subdiagonal entries 1."""
+    form R[i] with subdiagonal entries 0 or 1, for primes of `_primes_over`.
+    Column j is skipped if it has nothing below row j+1; else it pivots on
+    its first nonzero entry below the diagonal (swapped to row j+1) and
+    clears the rest, by one int64 product per column.  Last, D^-1 R D with
+    d_{j+1} = d_j r_{j+1,j} makes the nonzero subdiagonal entries 1.  A zero
+    there splits R[i] into diagonal blocks; what lies above and right of each
+    split is zeroed, as it does not change the polynomial."""
     P, P3, pl = ps[:, None], ps[:, None, None], ps.tolist()
     R = (A % P3).astype(np.int64, copy=False)
-    k, n, _ = R.shape
-    d, dinv, corners = [[1] * k], [[1] * k], []
-    for j in range(n - 1):
+    n = R.shape[1]
+    for j in range(n - 2):
         a = j + 1
+        if not R[:, a + 1:, j].any():
+            continue
         h = R[:, a, j]
         if not h.all():
-            for i, f in enumerate((R[:, a:, j] != 0).argmax(axis=1).tolist()):
-                if f:
-                    Ri, b = R[i], a + f
-                    Ri[a], Ri[b] = Ri[b].copy(), Ri[a].copy()
-                    Ri[:, a], Ri[:, b] = Ri[:, b].copy(), Ri[:, a].copy()
-                elif not R[i, a, j]:
-                    corners.append((i, a))
-        hl = h.tolist()
-        inv = [pow(x, -1, q) if x else 1 for x, q in zip(hl, pl)]
-        d.append([x * (y or 1) % q for x, y, q in zip(d[-1], hl, pl)])
-        dinv.append([x * y % q for x, y, q in zip(dinv[-1], inv, pl)])
-        u = R[:, a + 1:, j, None]
-        if u.any():
-            # rows j+2.. lose m_i = u_i / h times row j+1; column j+1 gains
-            # m_i times column i, the inverse operation on the right
-            m = u * np.array(inv)[:, None, None] % P3
-            blk = R[:, a + 1:, j:]
-            blk -= m * R[:, a, None, j:] % P3
-            blk += (blk >> 63) & P3
-            R[:, :, a] += _matvec_mod(R[:, :, a + 1:], np.concatenate((m & 0xFFFF, m >> 16), 2), P3)
-            R[:, :, a] %= P
-    for i, s in corners:
-        R[i, :s, s:] = 0
-    return R * np.array(d).T[:, None, :] % P3 * np.array(dinv).T[:, :, None] % P3
+            for i in np.flatnonzero(h == 0).tolist():  # swap the first nonzero up
+                b = a + int(R[i, a:, j].astype(bool).argmax())
+                R[i, [a, b]] = R[i, [b, a]]
+                R[i, :, [a, b]] = R[i, :, [b, a]]
+        # rows j+2.. lose m_i = u_i / h times row j+1, as p - m_i times it to
+        # stay nonnegative; column j+1 gains m_i times column i, the inverse
+        # operation on the right
+        inv = [pow(x, -1, q) if x else 0 for x, q in zip(h.tolist(), pl)]
+        m = R[:, a + 1:, j, None] * np.array(inv)[:, None, None] % P3
+        blk = R[:, a + 1:, j:]
+        blk += (P3 - m) * R[:, a, None, j:]
+        blk %= P3
+        R[:, :, a, None] += R[:, :, a + 1:] @ m
+        R[:, :, a] %= P
+    sub = np.diagonal(R, -1, 1, 2)
+    if (sub > 1).any():  # d and 1/d per prime as prefix products, zeros read as 1
+        d, dinv = [], []
+        for s, q in zip(sub.tolist(), pl):
+            s = [x or 1 for x in s]
+            d.append(list(itertools.accumulate(s, lambda x, y: x * y % q, initial=1)))
+            dinv.append(list(itertools.accumulate(
+                s[::-1], lambda x, y: x * y % q, initial=pow(d[-1][-1], -1, q)))[::-1])
+        R = R * np.array(d)[:, None, :] % P3 * np.array(dinv)[:, :, None] % P3
+    if not sub.all():  # column c keeps the rows from its block's start on
+        start = np.maximum.accumulate(np.where(sub, 0, np.arange(1, n)), axis=1)
+        R[:, :, 1:] *= np.arange(n)[:, None] >= start[:, None, :]
+    return R
 
 
 def _charpoly_mod(A: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """Characteristic polynomials, descending, of the integer matrix A mod
     each prime in ps, one row per prime.  On the Hessenberg form H of
     `_hessenberg_mod`, the polynomials of the leading blocks satisfy
-    p_{c+1} = x p_c - sum_{r <= c} h_rc p_r."""
-    R = _hessenberg_mod(A, ps)
-    k, n, _ = R.shape
-    H = np.empty(R.shape + (2,), dtype=np.int64)  # 16-bit halves of the entries
-    np.bitwise_and(R, 0xFFFF, out=H[..., 0])
-    np.right_shift(R, 16, out=H[..., 1])
-    del R
+    p_{c+1} = x p_c - sum_{r <= c} h_rc p_r, one int64 product per step."""
     P, P3 = ps[:, None], ps[:, None, None]
-    C = np.zeros((k, n + 1, n + 1), dtype=np.int64)  # C[:, :, c]: p_c, ascending
+    H = (P3 - _hessenberg_mod(A, ps).transpose(0, 2, 1)) % P3  # H[:, c, r] = -h_rc
+    k, n, _ = H.shape
+    C = np.zeros((k, n + 1, n + 1), dtype=np.int64)  # C[:, c]: p_c, ascending
     C[:, 0, 0] = 1
     for c in range(n):
-        C[:, 1:c + 2, c + 1] = C[:, :c + 1, c]
-        C[:, :c + 1, c + 1] -= _matvec_mod(C[:, :c + 1, :c + 1], H[:, :c + 1, c], P3)
-        C[:, :c + 1, c + 1] %= P
-    return C[:, ::-1, n]
+        p = C[:, c + 1, :c + 2]
+        np.matmul(H[:, c, None, :c + 1], C[:, :c + 1, :c + 2], out=p[:, None])
+        p[:, 1:] += C[:, c, :c + 1]
+        p %= P
+    return C[:, n, ::-1]
 
 
 def charpoly(M) -> list:
     """Coefficients [1, c_1, ..., c_n] of det(x*I - M) in descending powers,
-    for an integer matrix M: computed mod primes p < 2^31 in int64 until their
-    product exceeds 2B, B the Hadamard bound on sum |c_k|, then recovered in
-    the symmetric range by the Chinese remainder theorem."""
+    for an integer matrix M: computed mod primes p with n p^2 < 2^62 in int64
+    until their product exceeds 2B, B the Hadamard bound on sum |c_k|, then
+    recovered in the symmetric range by the Chinese remainder theorem."""
     A = np.asarray(M)
     n = len(A)
     if n == 0:
@@ -268,7 +267,7 @@ def charpoly(M) -> list:
         raise ValueError("characteristic polynomial needs a square matrix")
     with contextlib.suppress(OverflowError):  # else entries stay Python ints
         A = A.astype(np.int64, copy=False)
-    primes, prod = _primes_over(2 * _hadamard_bound(A))
+    primes, prod = _primes_over(2 * _hadamard_bound(A), n)
     ps = np.array(primes, dtype=np.int64)
     step = max(1, (1 << 21) // (n * n))  # primes per batch: 16 MB of residues
     residues = np.concatenate([_charpoly_mod(A, ps[i:i + step])

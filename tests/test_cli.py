@@ -312,6 +312,23 @@ def test_trees_skips_before_any_charpoly(tmp_path, capsys, monkeypatch):
     assert check["witness"] == {}
 
 
+def test_zeta_symmetry_skips_before_any_charpoly(tmp_path, capsys, monkeypatch):
+    # above the charpoly cap the exact half refuses before L or g is built
+    from simplexion import connection, errors, refinement
+
+    monkeypatch.setattr(errors, "CHARPOLY_CAP", 10)
+    calls = _count_calls(monkeypatch, connection, "charpoly")
+    builds = _count_calls(monkeypatch, refinement, "_build_connection")
+    for n, status in ((5, "pass"), (6, "skipped:size")):
+        path = tmp_path / f"c{n}.json"
+        write_canonical(complex_to_dict(sx.cycle(n)), str(path))
+        assert run(["verify", "-i", str(path), "--suite", "zeta-symmetry", "--no-meta"]) == 0
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check["status"] == status
+    assert len(calls) == 2 and len(builds) == 1  # C5's L^2 and g^2; C6 skips on its 12 rows
+    assert check["witness"] == {}
+
+
 def test_verify_unknown_suite(tmp_path):
     k2 = tmp_path / "k2.json"
     run(["generate", "complete", "--n", "2", "-o", str(k2)])

@@ -210,6 +210,13 @@ def test_spectral_symmetry():
         assert conn.spectral_symmetry_check(G)
     with pytest.raises(ValueError):
         conn.spectral_symmetry_check(sx.complete(3))
+    # above the charpoly cap it refuses on a fresh copy, before L is built
+    fresh = sx.cycle(5)
+    with (mock.patch.object(errors, "CHARPOLY_CAP", len(fresh) - 1),
+          mock.patch.object(refinement, "_build_connection") as build,
+          pytest.raises(errors.ResourceLimitError, match="charpoly cap")):
+        conn.spectral_symmetry_check(fresh)
+    assert build.call_count == 0
 
 
 def test_green_values_on_d_complexes():

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from simplexion.errors import InvariantViolation
-from simplexion.exact import cauchy_binet_coeffs, charpoly, ldl, ldl_inverse
+from simplexion.exact import (
+    _hadamard_bound,
+    _primes_over,
+    cauchy_binet_coeffs,
+    charpoly,
+    ldl,
+    ldl_inverse,
+)
 from simplexion.rng import SplitMix64
 
 from oracles import (
@@ -373,7 +380,10 @@ def test_prop_kernel_basis(M):
 
 # -- property tests of the multi-modular characteristic polynomial ------------
 
-FIRST_PRIME = 2 ** 31 - 1  # the largest prime below 2^31, the first one used
+
+def first_prime(n: int) -> int:
+    """The first (largest) prime `charpoly` uses for a matrix of order n."""
+    return _primes_over(1, n)[0][0]
 
 
 @st.composite
@@ -381,20 +391,33 @@ def charpoly_matrices(draw, max_n=12):
     """Square integer matrices: plain non-symmetric; sparse; block upper
     triangular, whose Hessenberg reduction meets columns with no pivot;
     entries about +-2^40 as object big-ints, which need many primes, or
-    beyond int64; and multiples of the first prime, which reduce to zero
-    modulo it."""
-    n = draw(st.integers(1, max_n))
-    kind = draw(st.sampled_from(["plain", "sparse", "block", "big", "huge", "first-prime"]))
+    beyond int64; multiples of the first prime used at their order, which
+    reduce to zero modulo it; rank-one, s I + u v^T as the dual product's
+    -Lbar g is, whose reduction skips almost every column; and late pivot,
+    Hessenberg left of a column j whose subdiagonal entry is zero and some
+    entry below it is not, so a swap from a lower row follows idle columns."""
+    kind = draw(st.sampled_from(["plain", "sparse", "block", "big", "huge", "first-prime",
+                                 "rank-one", "late-pivot"]))
+    n = draw(st.integers(3 if kind == "late-pivot" else 1, max_n))
+    if kind == "rank-one":
+        s = draw(st.integers(-3, 3))
+        u, v = ([draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(2))
+        return [[s * (i == j) + u[i] * v[j] for j in range(n)] for i in range(n)]
     entry = {"plain": st.integers(-4, 4), "sparse": st.sampled_from([0, 0, 0, 1, -2]),
              "block": st.integers(-3, 3), "big": st.integers(-2 ** 40, 2 ** 40),
-             "huge": st.integers(-2 ** 70, 2 ** 70),
-             "first-prime": st.integers(-3, 3).map(lambda v: v * FIRST_PRIME)}[kind]
+             "huge": st.integers(-2 ** 70, 2 ** 70), "late-pivot": st.integers(-3, 3),
+             "first-prime": st.integers(-3, 3).map(lambda v: v * first_prime(n))}[kind]
     M = [[draw(entry) for _ in range(n)] for _ in range(n)]
     if kind == "block":
         cuts = sorted(draw(st.lists(st.integers(1, n), max_size=3)))
         blk = [sum(i >= c for c in cuts) for i in range(n)]
         M = [[v if blk[i] <= blk[j] else 0 for j, v in enumerate(row)]
              for i, row in enumerate(M)]
+    if kind == "late-pivot":
+        j = draw(st.integers(0, n - 3))
+        M = [[0 if (c < j and i > c + 1) or (c == j and i == j + 1) else v
+              for c, v in enumerate(row)] for i, row in enumerate(M)]
+        M[draw(st.integers(j + 2, n - 1))][j] = draw(st.sampled_from([-2, -1, 1, 2]))
     return np.array(M, dtype=object) if kind in ("big", "huge", "first-prime") else M
 
 
@@ -410,23 +433,32 @@ def test_prop_charpoly_matches_oracle(M):
     assert charpoly(M) == charpoly_oracle(M)
 
 
+def test_charpoly_primes_keep_int64_sums():
+    # a Hessenberg column or recursion step adds n products of residues, each
+    # at most (p - 1)^2, to a residue below p; the first prime is the largest
+    for n in range(1, 4097):
+        p = first_prime(n)
+        assert n * (p - 1) ** 2 + p < 2 ** 63
+    assert first_prime(1) < 2 ** 31 and first_prime(63) > 2 ** 27 > first_prime(64)
+
+
 def test_charpoly_pinned_beyond_2_128():
-    # four primes below 2^31 multiply to less than 2^124, so coefficients
-    # beyond 2^128 are only right if the CRT across five or more is
+    # at order 10 the primes lie below 2^29, and four of them multiply to
+    # less than 2^116, so coefficients beyond 2^128 are only right if the CRT
+    # across five or more is
     gen = SplitMix64(17)
     M = np.array([[gen.below(2 ** 41) - 2 ** 40 for _ in range(10)] for _ in range(10)],
                  dtype=object)
     cp = charpoly(M)
     assert cp == berkowitz_charpoly(M)
     assert max(abs(c) for c in cp) > 2 ** 128
+    assert first_prime(10) < 2 ** 29
 
 
-def test_charpoly_many_primes_in_batches():
-    # M = E T E^-1 for elementary E, so det(xI - M) = prod (x - T_ii); the
-    # 2^30-sized diagonal needs more primes than one batch of residues holds
-    from simplexion.exact import _hadamard_bound, _primes_over
-
-    n, gen = 128, SplitMix64(23)
+def similar_to_diagonal(n: int, seed: int) -> tuple:
+    """(M, its characteristic polynomial) for M = E T E^-1, E elementary and
+    T diagonal with entries about +-2^30, so det(xI - M) = prod (x - T_ii)."""
+    gen = SplitMix64(seed)
     diag = [gen.below(2 ** 31) - 2 ** 30 for _ in range(n)]
     M = np.zeros((n, n), dtype=object)
     M[range(n), range(n)] = diag
@@ -435,10 +467,25 @@ def test_charpoly_many_primes_in_batches():
         if a != b:
             M[a] += M[b]
             M[:, b] -= M[:, a]
-    assert len(_primes_over(2 * _hadamard_bound(M))[0]) * n * n > 2 ** 21
     expected = [1]
     for d in diag:
         expected = [x - d * y for x, y in zip(expected + [0], [0] + expected)]
+    return M, expected
+
+
+@pytest.mark.parametrize("n", [63, 64, 127])
+def test_charpoly_pinned_where_the_order_gains_a_bit(n):
+    # the primes drop from below 2^28 to below 2^27 between orders 63 and
+    # 64; 127 and 128 (the next test) straddle the next power of two
+    M, expected = similar_to_diagonal(n, 23)
+    assert charpoly(M) == expected
+
+
+def test_charpoly_many_primes_in_batches():
+    # the 2^30-sized diagonal needs more primes than one batch of residues holds
+    n = 128
+    M, expected = similar_to_diagonal(n, 23)
+    assert len(_primes_over(2 * _hadamard_bound(M), n)[0]) * n * n > 2 ** 21
     assert charpoly(M) == expected
 
 

@@ -5,10 +5,15 @@ placeholder.  Across the package, no function imports a package module (the
 module graph is acyclic, so every such import belongs at the top), and every
 module-level private function and class is referenced by some package
 module, so none lives on for tests alone.  The dense Bareiss elimination
-is a test oracle: no package module binds its names."""
+is a test oracle: no package module binds its names.  Importing the package
+searches for no prime: the characteristic polynomial's primes are found on
+its first call."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -99,3 +104,23 @@ def test_no_package_module_binds_the_dense_elimination():
                 continue
             bound.update(f"{path.name}:{node.lineno}: {n}" for n in names if n in ORACLE_ONLY)
     assert not bound, sorted(bound)
+
+
+IMPORT_PROBE = """
+import sys
+searched = []
+sys.setprofile(lambda frame, event, arg: searched.append(1)
+               if event == "call" and frame.f_code.co_name == "_is_prime" else None)
+import simplexion, simplexion.cli
+sys.setprofile(None)
+from simplexion import exact
+assert not searched and exact._PRIMES == {}, (len(searched), exact._PRIMES)
+exact.charpoly([[1, 2], [3, 4]])
+assert exact._PRIMES
+"""
+
+
+def test_import_searches_no_primes():
+    # a fresh interpreter, so no earlier test has filled the prime table
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run([sys.executable, "-c", IMPORT_PROBE], check=True, env=env, timeout=120)
