@@ -280,7 +280,7 @@ def _chk_hydrogen(G, args):
 def _chk_dual_product(G, args):
     try:
         res = conn_mod.dual_product_check(G)
-    except ResourceLimitError:  # above errors.CHARPOLY_CAP rows
+    except ResourceLimitError:  # above errors.DEFAULT_EXACT_CAP rows, for L and g
         return "skipped:size", {}
     ok = res["det_ok"] and res["charpoly_ok"]
     return ok, {"det": res["det"], "charpoly_ok": res["charpoly_ok"]}

@@ -18,12 +18,12 @@ the exact dense cap (`errors.DEFAULT_EXACT_CAP`) that every call checks
 before the memo is read, as `refinement.connection_matrix` does.
 
 The dual-product determinant needs no elimination of its own: with Lbar =
-1 - L, det(-L Lbar) = det(L)^2 det(-Lbar g), and det(-Lbar g) = (-1)^n c_n
-is read from the constant term c_n of the characteristic polynomial of
--Lbar g, which the same check computes for its spectrum.  Above
-`errors.CHARPOLY_CAP` rows the check is refused before L is built, as is
-the spectral symmetry check, whose two characteristic polynomials cost
-about n^4.
+1 - L, det(-L Lbar) = det(L)^2 det(-Lbar g), and B = -Lbar g - I = -E g is
+rank one (E the all-ones matrix), so det(-Lbar g) = 1 + tr B by the matrix
+determinant lemma.  The check certifies that rank on the entries of B and
+runs under the dense cap of L and g.  The spectral symmetry check reads
+the characteristic polynomials of L^2 and L^-2 from the one of L, and is
+refused above `errors.CHARPOLY_CAP` rows before L is built.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ import numpy as np
 
 from . import errors
 from .cohomology import dirac
-from .core import Complex, _vertex_stars, parity, set_euler, sphere_euler, star_up, up_star_weights
+from .core import Complex, _vertex_stars, parity, set_euler, sphere_euler, star_up
 from .errors import InvariantViolation, ResourceLimitError, check_exact
-from .exact import charpoly, jacobi_inertia, ldl, ldl_inverse, ldl_solve, matmul
-from .refinement import _meets, connection_matrix, refinement_order, stirling_apply, stirling_matrix
+from .exact import _absmax, charpoly, jacobi_inertia, ldl, ldl_inverse, ldl_solve, matmul
+from .refinement import _meets, _overlaps, connection_matrix, refinement_order, stirling_apply, stirling_matrix
 
 
 def _factor(G: Complex) -> tuple:
@@ -116,17 +116,13 @@ def green_star(G: Complex, x, y) -> int:
 
 
 def green_star_matrix(G: Complex) -> np.ndarray:
-    """All green_star values at once.  Each simplex is a bitmask of its
-    vertices (a Python int, exact for any vertex count), so x u y is one
-    `|` and its up-star weight one dict lookup."""
+    """All green_star values at once, P Z P Z^T P with P = diag(parity) and
+    Z[x, z] = 1 iff x is a face of z, |x n z| = |x|: (Z P Z^T)[x, y] is the
+    parity sum over the common up-star of x and y."""
     elems = refinement_order(G)
-    bit = {v: 1 << i for i, v in enumerate(G.vertices())}
-    mask = {x: sum(bit[v] for v in x) for x in G.simplices}
-    U = {mask[s]: w for s, w in up_star_weights(G).items()}
-    masks = [mask[x] for x in elems]
-    W = np.array([[U.get(a | b, 0) for b in masks] for a in masks], dtype=np.int64)
     p = np.array([parity(x) for x in elems], dtype=np.int64)
-    return W.reshape(len(elems), len(elems)) * np.outer(p, p)
+    Z = _overlaps(elems) == np.array([len(x) for x in elems])[:, None]
+    return p[:, None] * matmul(Z * p, Z.T) * p
 
 
 def wu_intersection_matrix(G: Complex) -> np.ndarray:
@@ -163,34 +159,38 @@ def supertrace_powers(G: Complex) -> dict:
 
 def dual_product_check(G: Complex) -> dict:
     """det(-L Lbar) = 1 - chi(G) exactly, and the eigenvalue-1-heavy
-    spectrum: -Lbar g = 1 - E g is a rank-one perturbation of the identity,
-    so its characteristic polynomial is (x-1)^(n-1) (x-(1-chi)) exactly.
+    spectrum: -Lbar g = I + B with B = -E g of rank one, so its
+    characteristic polynomial is (x-1)^(n-1) (x-lam), lam = 1 + tr B.
     (That spectrum belongs to -Lbar L^-1; -L Lbar itself only shares the
-    determinant - K2 is a counterexample to the stronger reading.)
-
-    The characteristic polynomial c of -Lbar g is computed, compared, and
-    also gives the determinant: det(-L Lbar) = det(L)^2 det(-Lbar g) =
-    det(L)^2 (-1)^n c_n, from L and g alone, not from chi.  Above
-    errors.CHARPOLY_CAP rows the check raises ResourceLimitError before L or
-    g is built.
-    """
+    determinant - K2 is a counterexample to the stronger reading.)  B is
+    formed from Lbar and the certified g, so det(-L Lbar) = det(L)^2 lam
+    comes from L and g alone, not from chi, under the dense cap of both."""
     if G.is_empty:
         return {"det": 1, "det_ok": True, "charpoly_ok": True}
-    n = len(G)
-    if n > errors.CHARPOLY_CAP:
-        raise ResourceLimitError(
-            f"dual product has {n} rows; charpoly cap is {errors.CHARPOLY_CAP}")
     chi = G.euler_characteristic()
-    cp = charpoly(-matmul(1 - connection_matrix(G), green_inverse(G)))
-    d = connection_det(G) ** 2 * (-1) ** n * cp[n]
-    return {"det": d, "det_ok": d == 1 - chi,
-            "charpoly_ok": cp == _charpoly_one_heavy(n, 1 - chi)}
+    B = -matmul(1 - connection_matrix(G), green_inverse(G))
+    B.flat[::len(B) + 1] -= 1
+    lam = 1 + _rank_one_trace(B)
+    d = connection_det(G) ** 2 * lam
+    return {"det": d, "det_ok": d == 1 - chi, "charpoly_ok": lam == 1 - chi}
 
 
-def _charpoly_one_heavy(n: int, lam) -> list:
-    """Coefficients of (x-1)^(n-1) (x-lam), descending."""
-    ones = [(-1) ** k * math.comb(n - 1, k) for k in range(n)]  # (x-1)^(n-1)
-    return [a - lam * b for a, b in zip(ones + [0], [0] + ones)]
+def _rank_one_trace(B: np.ndarray) -> int:
+    """tr B for an integer matrix B of rank at most one, certified by
+    B_ij B == B[:, j] B[i, :] at its first nonzero B_ij (int64 while
+    max |B|^2 < 2^63); a nonzero 2 x 2 minor raises InvariantViolation."""
+    nz = np.flatnonzero(B)
+    if not nz.size:
+        return 0
+    i, j = divmod(int(nz[0]), B.shape[1])
+    if B.dtype != object and _absmax(B) ** 2 >= 1 << 63:
+        B = B.astype(object)
+    bad = np.argwhere(B[i, j] * B != np.outer(B[:, j], B[i]))
+    if bad.size:
+        k, m = bad[0].tolist()
+        raise InvariantViolation("-Lbar g - I has rank above 1",
+                                 witness={"minor_rows": [i, k], "minor_cols": [j, m]})
+    return int(np.trace(B))
 
 
 def hydrogen_check(G: Complex) -> dict:
@@ -230,14 +230,23 @@ def trace_identity(G: Complex) -> tuple:
 
 def spectral_symmetry_check(G: Complex) -> bool:
     """dim-1 complexes: L^2 and L^-2 are isospectral (exact characteristic
-    polynomial equality), hence the connection zeta function is even.  Above
-    errors.CHARPOLY_CAP rows it raises ResourceLimitError before L or g is
-    built."""
+    polynomial equality), hence the connection zeta function is even; both
+    polynomials come from charpoly(L) by `_square_charpolys`.  Above
+    errors.CHARPOLY_CAP rows it raises ResourceLimitError before L is built."""
     if G.max_dim() != 1:
         raise ValueError("spectral symmetry needs a one-dimensional complex")
     if len(G) > errors.CHARPOLY_CAP:
         raise ResourceLimitError(
             f"spectral symmetry has {len(G)} rows; charpoly cap is {errors.CHARPOLY_CAP}")
-    L = connection_matrix(G)
-    g = green_inverse(G)
-    return charpoly(matmul(L, L)) == charpoly(matmul(g, g))
+    q, r = _square_charpolys(connection_matrix(G))
+    return q == r
+
+
+def _square_charpolys(A) -> tuple:
+    """(q, r), descending: q = charpoly(A^2) from p = charpoly(A) alone, as
+    q(x^2) = (-1)^n p(x) p(-x), whose second factor has the coefficients
+    (-1)^k p_k; and r = (-1)^n q reversed, charpoly(A^-2) when det A = +-1.
+    Their leading coefficients agree only if det A^2 = 1."""
+    p = np.array(charpoly(A), dtype=object)
+    q = np.convolve(p, p * [(-1) ** k for k in range(len(p))])[::2].tolist()
+    return q, [(-1) ** (len(q) - 1) * c for c in q[::-1]]

@@ -6,11 +6,11 @@ below cover the cases the callers are expected to catch and react to.
 A ResourceLimitError is raised on a size predicted from the input (rows of
 a dense operator, or the sum |star(v)|^2 bounding L's sparse entries),
 before the work it refuses allocates anything.  DEFAULT_EXACT_CAP bounds
-the dense exact operators and the Hodge blocks and Kirchhoff matrix that
-`spectra` eigensolves; CHARPOLY_CAP bounds the dual-product and spectral
-symmetry checks.  Each limit is a constant here, read at call time by every
-site.  SIMPLEXION_CAP overrides DEFAULT_CAP; `barycentric` and
-`ring_product_complex` take a cap per call.
+the dense exact operators (so also the dual-product check, through L and
+g) and the Hodge blocks and Kirchhoff matrix that `spectra` eigensolves;
+CHARPOLY_CAP bounds the spectral symmetry check.  Each limit is a constant
+here, read at call time by every site.  SIMPLEXION_CAP overrides
+DEFAULT_CAP; `barycentric` and `ring_product_complex` take a cap per call.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ ENTRY_CAP = 12_000_000  # predicted entries of L, sum |star(v)|^2, for its spars
 DEFAULT_PAIR_CAP = 4500  # intersecting pairs of the interaction cohomology
 AUTOMORPHISM_CAP = 8  # vertices of the automorphism search
 ALEXANDER_CAP = 16  # ground vertices of the Alexander dual
-CHARPOLY_CAP = 300  # rows of the dual-product and zeta-symmetry charpolys
+CHARPOLY_CAP = 300  # rows of the zeta-symmetry charpoly
 
 
 class ResourceLimitError(RuntimeError):

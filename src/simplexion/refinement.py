@@ -8,7 +8,7 @@ transform linearly under refinement; the matrix of that map has entries
 built from Stirling numbers of the second kind, which gives a cheap size
 prediction, read against `errors.check_cap` before anything is built.
 
-Which simplices of G meet is one incidence product, `_meets`; the
+Which simplices of G meet is one incidence product, `_overlaps`; the
 connection matrix L (memoed on G, under the exact dense cap of `errors`)
 and the connection graph are both read from it.
 """
@@ -125,12 +125,17 @@ def connection_graph(G: Complex, dual: bool = False) -> tuple:
 
 
 def _meets(xs) -> np.ndarray:
-    """The boolean matrix of which vertex tuples in xs share a vertex: the
-    incidence product B B^T > 0, B[i, v] = 1 iff v is in xs[i]."""
+    """The boolean matrix of which vertex tuples in xs share a vertex."""
+    return _overlaps(xs) > 0
+
+
+def _overlaps(xs) -> np.ndarray:
+    """|x n y| for every pair of vertex tuples in xs: the incidence product
+    B B^T, B[i, v] = 1 iff v is in xs[i]."""
     verts = {v: k for k, v in enumerate(sorted({v for x in xs for v in x}))}
     B = np.zeros((len(xs), len(verts)), dtype=np.int64)
     B[[i for i, x in enumerate(xs) for _ in x], [verts[v] for x in xs for v in x]] = 1
-    return matmul(B, B.T) > 0
+    return matmul(B, B.T)
 
 
 def euler_unique_vector(r: int) -> list:

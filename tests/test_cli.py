@@ -325,8 +325,28 @@ def test_zeta_symmetry_skips_before_any_charpoly(tmp_path, capsys, monkeypatch):
         assert run(["verify", "-i", str(path), "--suite", "zeta-symmetry", "--no-meta"]) == 0
         (check,) = json.loads(capsys.readouterr().out)["checks"]
         assert check["status"] == status
-    assert len(calls) == 2 and len(builds) == 1  # C5's L^2 and g^2; C6 skips on its 12 rows
+    assert len(calls) == 1 and len(builds) == 1  # C5's L; C6 skips on its 12 rows
     assert check["witness"] == {}
+
+
+def test_small_suites_compute_no_charpoly(tmp_path, capsys, monkeypatch):
+    # dual-product reads its spectrum from a rank-one certificate, and the
+    # inertia from the pivots of L and a numeric eigensolve
+    import sys
+
+    from simplexion import exact
+
+    real = exact.charpoly
+    calls = [_count_calls(monkeypatch, module, "charpoly")
+             for name, module in list(sys.modules.items())
+             if name.startswith("simplexion") and getattr(module, "charpoly", None) is real]
+    assert len(calls) >= 3  # exact, connection, spectral
+    path = tmp_path / "e.json"
+    write_canonical(complex_to_dict(sx.erdos_renyi(sx.RandomModel(n=7, p=0.8, seed=4))), str(path))
+    assert run(["verify", "-i", str(path), "--suite",
+                "unimodularity,energy,inertia,dual-product", "--no-meta"]) == 0
+    assert [c["status"] for c in json.loads(capsys.readouterr().out)["checks"]] == ["pass"] * 4
+    assert not any(calls)
 
 
 def test_verify_unknown_suite(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -103,11 +105,11 @@ def test_green_star_matches_inverse(corpus, random_complexes):
 
 
 def test_green_star_matrix_matches_entrywise(random_complexes):
-    # one bitmask bit per vertex: C70 needs more than 64 bits, and labels
-    # shifted by 10^6 must not reach the masks
+    # no vertex-count limit: path(150) and C150 have more than 62 vertices,
+    # and labels shifted by 10^6 index the incidence by rank, not by label
     shift = 10 ** 6
     c70 = sx.close([(shift + i, shift + (i + 1) % 70) for i in range(70)])
-    for G in [c70, sx.close([(0,)])] + random_complexes[:30]:
+    for G in [c70, sx.path(150), sx.cycle(150), sx.close([(0,)])] + random_complexes[:30]:
         elems = refinement_order(G)
         M = conn.green_star_matrix(G)
         assert M.dtype == np.int64
@@ -208,6 +210,9 @@ def test_trace_identity(corpus, random_complexes):
 def test_spectral_symmetry():
     for G in (sx.close([(0, 1)]), sx.cycle(4), sx.cycle(5)):
         assert conn.spectral_symmetry_check(G)
+    # diag(2, 1): charpoly(A^2) = (y - 4)(y - 1) is not its own reversal
+    q, r = conn._square_charpolys(np.diag([2, 1]))
+    assert (q, r) == ([1, -5, 4], [4, -5, 1])
     with pytest.raises(ValueError):
         conn.spectral_symmetry_check(sx.complete(3))
     # above the charpoly cap it refuses on a fresh copy, before L is built
@@ -270,7 +275,7 @@ def test_memo_safety(monkeypatch):
     # g comes from elimination, never from the Green star formula it is
     # checked against
     monkeypatch.setattr(conn, "green_star_matrix", None)
-    monkeypatch.setattr(conn, "up_star_weights", None)
+    monkeypatch.setattr(conn, "green_star", None)
     K = sx.barycentric(sx.cycle(5))
     g = conn.green_inverse(K)
     assert np.array_equal(matmul(conn.connection_matrix(K), g), np.eye(len(g), dtype=np.int64))
@@ -284,7 +289,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from simplexion import refinement  # noqa: E402
-from simplexion.exact import matmul  # noqa: E402
+from simplexion.exact import charpoly, matmul  # noqa: E402
 
 
 @st.composite
@@ -305,11 +310,99 @@ def test_prop_dual_product_det(G):
     res = conn.dual_product_check(G)
     assert res == {"det": want, "det_ok": True, "charpoly_ok": True}
     assert want == 1 - G.euler_characteristic()
-    # with the charpoly cap below n the check is refused, on a fresh copy
-    # of G (nothing memoed), before L is built
+    # with the dense cap below n the check is refused, on a fresh copy of G
+    # (nothing memoed), before L is built
     fresh = sx.Complex(G.simplices, _closed=True)
-    with (mock.patch.object(errors, "CHARPOLY_CAP", len(G) - 1),
+    with (mock.patch.object(errors, "DEFAULT_EXACT_CAP", len(G) - 1),
           mock.patch.object(refinement, "_build_connection") as build,
-          pytest.raises(errors.ResourceLimitError, match="charpoly cap")):
+          pytest.raises(errors.ResourceLimitError, match="exact dense cap")):
         conn.dual_product_check(fresh)
     assert build.call_count == 0
+
+
+def _one_heavy(n: int, lam) -> list:
+    """Coefficients of (x-1)^(n-1) (x-lam), descending."""
+    ones = [(-1) ** k * math.comb(n - 1, k) for k in range(n)]  # (x-1)^(n-1)
+    return [a - lam * b for a, b in zip(ones + [0], [0] + ones)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(whitney_complexes())
+def test_prop_rank_one_certificate_matches_charpoly(G):
+    # the certificate's lam = 1 + tr B is the lam of the characteristic
+    # polynomial of -Lbar g, which is (x-1)^(n-1) (x-lam)
+    L, g = conn.connection_matrix(G), conn.green_inverse(G)
+    cp = charpoly(-matmul(1 - L, g))
+    n = len(L)
+    lam = (-1) ** n * cp[n]
+    assert cp == _one_heavy(n, lam)
+    B = -matmul(1 - L, g) - np.eye(n, dtype=np.int64)
+    assert 1 + conn._rank_one_trace(B) == lam
+    assert conn.dual_product_check(G)["det"] == conn.connection_det(G) ** 2 * lam
+
+
+def test_rank_one_certificate_on_python_integers():
+    # entries with |B|^2 >= 2^63 are compared on Python integers: u v^T with
+    # u = (1, 2^31), v = (3, 2^31) fits int64, but 3 B_11 = 3 2^62 does not
+    u, v = np.array([1, 1 << 31]), np.array([3, 1 << 31])
+    assert conn._rank_one_trace(np.outer(u, v)) == 3 + (1 << 62)
+    assert conn._rank_one_trace(np.outer(u.astype(object) << 40, v)) == (3 + (1 << 62)) << 40
+    assert conn._rank_one_trace(np.zeros((3, 3), dtype=np.int64)) == 0
+    with pytest.raises(errors.InvariantViolation, match="rank above 1") as exc:
+        conn._rank_one_trace(np.diag([0, 1 << 40, 1]))
+    assert exc.value.witness == {"minor_rows": [1, 2], "minor_cols": [1, 2]}
+
+
+def test_dual_product_certificate_catches_a_corrupt_green(monkeypatch, tmp_path, capsys):
+    # g off in one entry makes B = -Lbar g - I rank two: column 1 of B = -E g,
+    # whose rows are all equal, loses column 0 of Lbar, which on C5 is not
+    # constant
+    import json
+
+    from simplexion.cli import main
+    from simplexion.exact import ldl_inverse
+    from simplexion.jsonio import complex_to_dict, write_canonical
+
+    def corrupt_green(G):  # green_inverse without its certificate, g[0][1] + 1
+        g = ldl_inverse(*conn._factor(G)[1:])
+        g[0, 1] += 1
+        return g
+
+    monkeypatch.setattr(conn, "green_inverse", corrupt_green)
+    with pytest.raises(errors.InvariantViolation, match="rank above 1") as exc:
+        conn.dual_product_check(sx.cycle(5))
+    assert set(exc.value.witness) == {"minor_rows", "minor_cols"}
+    path = tmp_path / "c5.json"
+    write_canonical(complex_to_dict(sx.cycle(5)), str(path))
+    assert main(["verify", "-i", str(path), "--suite", "dual-product", "--no-meta"]) == 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["status"] == "fail"
+    assert check["witness"]["invariant"] == "-Lbar g - I has rank above 1"
+    assert check["witness"]["minor_rows"] == exc.value.witness["minor_rows"]
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_square_charpolys_on_cycles(n):
+    _check_square_charpolys(sx.cycle(n))
+
+
+@st.composite
+def one_dimensional_complexes(draw):
+    n = draw(st.integers(2, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] < e[1])
+    edges = draw(st.sets(pairs, min_size=1, max_size=3 * n))
+    return sx.close(sorted(edges) + [(v,) for v in range(n)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(one_dimensional_complexes())
+def test_prop_square_charpolys_on_graphs(G):
+    _check_square_charpolys(G)
+
+
+def _check_square_charpolys(G):
+    L, g = conn.connection_matrix(G), conn.green_inverse(G)
+    q, r = conn._square_charpolys(L)
+    assert q == charpoly(matmul(L, L))
+    assert r == charpoly(matmul(g, g))
+    assert q == r and conn.spectral_symmetry_check(G)
